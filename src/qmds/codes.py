@@ -6,10 +6,14 @@ a (q+1)-st root of the column weight so that Hermitian inner products of rows
 reproduce the weighted power sums.  The extended variant prepends one border
 column that is nonzero only in row 0.
 
-Self-orthogonality checks come in two exchangeable flavours: a direct scalar
-computation of every Gram entry, and a vectorized path that works purely on
-exponent arrays plus the field's coefficient tables.  Both report the first
-offending row pair as a witness.
+``gram_zero`` is the self-orthogonality check.  On table-mode fields it
+runs ``gram_zero_vectorized``, which has one route per field regime: for
+p = 2 it XORs packed coefficient masks over the columns, pair by pair; for
+odd p it gets every upper-triangle entry at once from column-chunked
+float64 matmuls of base-p coefficient planes, exact because each sum stays
+below 2^53.  The scalar and structured checks compute each entry directly
+from the field arithmetic.  Every route reports the first offending row pair
+in row-major order as its witness, so they can be cross-checked.
 """
 
 from __future__ import annotations
@@ -19,10 +23,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (DimensionTooLarge, LengthMismatch, NotInSubfield,
+from .errors import (CapacityExceeded, DimensionTooLarge, LengthMismatch,
                      UsageError)
 from .evalsets import EvalSet, subgroup_set
 from .field import Elt, Field
+
+# Columns per chunk of the odd-p Gram matmuls.  It bounds the two
+# (2h*k) x GRAM_CHUNK float64 plane stacks gathered per chunk, whatever n is.
+GRAM_CHUNK = 128
 
 
 @dataclass(eq=False)
@@ -162,13 +170,16 @@ def gram_zero_structured(artifact: CodeArtifact) -> tuple[bool, tuple[int, int] 
 def gram_zero_vectorized(artifact: CodeArtifact) -> tuple[bool, tuple[int, int] | None]:
     """Vectorized Gram check on exponent arrays (table-mode fields).
 
-    Entry (l1, l2) is sum_j theta^(B_j + l1*E_j + (q*l2 mod N)*E_j) with
-    B_j = w_j + shift*(q+1)*e_j; the two index arrays U and V are maintained
-    incrementally with one conditional subtraction per step, so each pair
-    costs O(n) adds plus coefficient-table gathers.
+    Entry (l1, l2) is sum_j X[l1, j] * Y[l2, j] with X[l1, j] =
+    theta^(B_j + l1*E_j), Y[l2, j] = theta^(q*l2*E_j) and
+    B_j = w_j + shift*(q+1)*e_j.  For p = 2 each pair XORs the packed
+    coefficient masks of theta^(B_j + l1*E_j + q*l2*E_j) over the columns;
+    for odd p all entries come at once from float64 matmuls of coefficient
+    planes (``_gram_bad_odd``).  The witness is the first nonzero entry of
+    the upper triangle in row-major order.
     """
     f = artifact.field
-    N, q, p, k = f.N, f.q, f.p, artifact.k
+    N, q, k = f.N, f.q, artifact.k
     E = np.asarray(artifact.evalset.points, dtype=np.int64)
     W = np.asarray(artifact.evalset.weights, dtype=np.int64)
     B = (W + (artifact.shift * (q + 1) % N) * E) % N
@@ -177,16 +188,13 @@ def gram_zero_vectorized(artifact: CodeArtifact) -> tuple[bool, tuple[int, int] 
     if artifact.has_border:
         b = artifact.border_entry
         border_packed = f.backend.exp_packed(f.mul(b, f.frobenius_q(b)))
-    if p == 2:
-        mask = f.np_mask_ext()
-        planes = None
-    else:
-        planes = f.np_plane_ext()
-        border_digits = []
-        v = border_packed
-        for _ in range(2 * f.h):
-            border_digits.append(v % p)
-            v //= p
+    if f.p != 2:
+        hits = np.flatnonzero(_gram_bad_odd(f, k, B, E, QE, border_packed))
+        if hits.size:
+            l1, l2 = divmod(int(hits[0]), k)
+            return False, (l1, l2)
+        return True, None
+    mask = f.np_mask_ext()
     U = B.copy()
     for l1 in range(k):
         if l1:
@@ -197,25 +205,54 @@ def gram_zero_vectorized(artifact: CodeArtifact) -> tuple[bool, tuple[int, int] 
             if l2 > l1:
                 V += QE
                 np.subtract(V, N, out=V, where=V >= N)
-            idx = U + V
-            is_00 = artifact.has_border and l1 == 0 and l2 == 0
-            if p == 2:
-                acc = int(np.bitwise_xor.reduce(mask[idx]))
-                if is_00:
-                    acc ^= border_packed
-                bad = acc != 0
-            else:
-                bad = False
-                for d in range(2 * f.h):
-                    s = int(planes[d][idx].sum())
-                    if is_00:
-                        s += border_digits[d]
-                    if s % p != 0:
-                        bad = True
-                        break
-            if bad:
+            acc = int(np.bitwise_xor.reduce(mask[U + V]))
+            if l1 == 0 and l2 == 0:
+                acc ^= border_packed
+            if acc != 0:
                 return False, (l1, l2)
     return True, None
+
+
+def _gram_bad_odd(f: Field, k: int, B: np.ndarray, E: np.ndarray,
+                  QE: np.ndarray, border_packed: int) -> np.ndarray:
+    """k x k upper-triangular mask of the nonzero Gram entries, odd p.
+
+    With X_d and Y_d the degree-d coefficient planes of X and Y, the
+    coefficient of t^s in the unreduced product sum is C_s = sum over
+    d1 + d2 = s of X_d1 @ Y_d2^T.  Per chunk of c columns, one matmul of
+    X_d1 (k x c) with the whole (2h*k) x c stack of Y yields the blocks
+    (d1, d2) for every d2, which are folded into C_(d1+d2).  The float64
+    sums are exact because every partial sum is an integer at most
+    2h*n*(p-1)^2 < 2^53.  C is then reduced mod p, and degrees 2h..4h-2 by
+    the monic modulus t^2h = -sum f_i t^i.
+    """
+    p, N, h2, n = f.p, f.N, 2 * f.h, len(E)
+    if h2 * n * (p - 1) ** 2 >= 1 << 53:
+        raise CapacityExceeded(f"2h*n*(p-1)^2 = {h2 * n * (p - 1) ** 2} "
+                               "is not exact in float64")
+    planes = f.np_planes()
+    rows = np.arange(k, dtype=np.int64)[:, None]
+    C = np.zeros((2 * h2 - 1, k, k))
+    for a in range(0, n, GRAM_CHUNK):
+        cols = slice(a, a + GRAM_CHUNK)
+        U = rows * E[cols]
+        U += B[cols]
+        X = np.take(planes, np.remainder(U, N, out=U), axis=1)
+        np.multiply(rows, QE[cols], out=U)
+        Y = np.take(planes, np.remainder(U, N, out=U), axis=1)
+        Y = Y.reshape(h2 * k, -1).T
+        for d1 in range(h2):
+            blocks = (X[d1] @ Y).reshape(k, h2, k)
+            for d2 in range(h2):
+                C[d1 + d2] += blocks[:, d2]
+    np.fmod(C, p, out=C)
+    low = np.asarray(f.modulus[:h2], dtype=np.float64)[:, None, None]
+    for s in range(2 * h2 - 2, h2 - 1, -1):
+        C[s - h2:s] -= low * np.fmod(C[s], p)
+    C = C[:h2]
+    for d in range(h2):
+        C[d, 0, 0] += border_packed // p ** d % p
+    return np.triu((np.fmod(C, p) != 0).any(axis=0))
 
 
 def gram_zero(artifact: CodeArtifact) -> tuple[bool, tuple[int, int] | None]:

@@ -138,16 +138,19 @@ def weighted_union(field: Field, parts: tuple[tuple[int, int, int], ...],
 # the subfield shift H for the mixed union
 # --------------------------------------------------------------------------
 
-def shared_weight_obstructions(q: int, m1: int, m2: int) -> tuple[int, ...]:
-    """Exponents H must avoid: on a shared point x the combined weight is
-    x^(q+1) + H x^((q+1)/2) = a(a + H) with a = x^((q+1)/2), so exactly the
-    values H = -a are forbidden."""
+def shared_weight_obstructions(q: int, m1: int, m2: int) -> tuple[int, int]:
+    """The exponents H must avoid, as the coset r + gZ (mod N); returns
+    (r, g) with g | N.
+
+    On a shared point x the combined weight is x^(q+1) + H x^((q+1)/2) =
+    a(a + H) with a = x^((q+1)/2), so exactly the values H = -a are
+    forbidden.  The shared points are the exponents e in lcm(m1, m2)Z mod
+    N, and -a = theta^(N/2 + e(q+1)/2), so the forbidden exponents form the
+    subgroup generated by lcm(m1, m2)(q+1)/2, shifted by N/2.
+    """
     N = q * q - 1
-    L = math.lcm(m1, m2)
-    bad = set()
-    for e in range(0, N, L):
-        bad.add((N // 2 + e * (q + 1) // 2) % N)
-    return tuple(sorted(bad))
+    g = math.gcd(N, math.lcm(m1, m2) * (q + 1) // 2)
+    return N // 2 % g, g
 
 
 def find_h_shift_exponent(q: int, m1: int, m2: int) -> int:
@@ -159,10 +162,10 @@ def find_h_shift_exponent(q: int, m1: int, m2: int) -> int:
         raise HypothesisViolated(f"m1 = {m1} must be an odd divisor of q + 1")
     if m2 % 2 != 0 or (q - 1) % m2 != 0:
         raise HypothesisViolated(f"m2 = {m2} must be an even divisor of q - 1")
-    bad = set(shared_weight_obstructions(q, m1, m2))
+    r, g = shared_weight_obstructions(q, m1, m2)
     for t in range(q - 1):
         cand = t * (q + 1)
-        if cand not in bad:
+        if cand % g != r:
             return cand
     raise NoValidH(f"every subfield shift fails for (q={q}, m1={m1}, m2={m2})")
 

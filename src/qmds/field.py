@@ -322,13 +322,18 @@ class Field:
         self.mode = mode
         self.n_factors = tuple(factorize(self.N))
         self.modulus = canonical_modulus(p, 2 * h, self.n_factors)
-        cls = _TableBackend if mode == "table" else _BsgsBackend
-        self.backend = cls(p, 2 * h, self.modulus)
         self._np_cache: dict[str, object] = {}
         self._embed_cache: dict[int, Elt] = {}
 
     def __repr__(self) -> str:
         return f"Field(p={self.p}, h={self.h}, mode={self.mode!r})"
+
+    @functools.cached_property
+    def backend(self):
+        """Built on first use: the presentation (``to_json``) needs only the
+        modulus, and a table backend holds 2 q^2 Python integers."""
+        cls = _TableBackend if self.mode == "table" else _BsgsBackend
+        return cls(self.p, 2 * self.h, self.modulus)
 
     # --- arithmetic ---------------------------------------------------------
 
@@ -424,13 +429,9 @@ class Field:
     # --- bulk tables for the vectorized Gram / enumeration paths -------------
 
     def _np_exp(self) -> np.ndarray:
-        arr = self._np_cache.get("exp")
-        if arr is None:
-            if self.mode != "table":
-                raise CapacityExceeded("vectorized path needs table mode")
-            arr = np.asarray(self.backend.exp, dtype=np.int64)
-            self._np_cache["exp"] = arr
-        return arr
+        if self.mode != "table":
+            raise CapacityExceeded("vectorized path needs table mode")
+        return np.asarray(self.backend.exp, dtype=np.int64)
 
     def np_mask_ext(self) -> np.ndarray:
         """Packed GF(2) coefficient masks of theta^e for e in [0, 2N)."""
@@ -441,19 +442,17 @@ class Field:
             self._np_cache["mask_ext"] = arr
         return arr
 
-    def np_plane_ext(self) -> tuple[np.ndarray, ...]:
-        """Per-digit coefficient planes of theta^e for e in [0, 2N), odd p."""
-        planes = self._np_cache.get("plane_ext")
-        if planes is None:
+    def np_planes(self) -> np.ndarray:
+        """(2h, N) float64 array: row d holds the coefficient of x^d in
+        theta^e for e in [0, N)."""
+        arr = self._np_cache.get("planes")
+        if arr is None:
             base = self._np_exp()
-            planes = []
-            for i in range(2 * self.h):
-                digit = (base // self.p ** i) % self.p
-                digit = digit.astype(np.int64)
-                planes.append(np.concatenate([digit, digit]))
-            planes = tuple(planes)
-            self._np_cache["plane_ext"] = planes
-        return planes
+            arr = np.empty((2 * self.h, self.N))
+            for d in range(2 * self.h):
+                arr[d] = base // self.p ** d % self.p
+            self._np_cache["planes"] = arr
+        return arr
 
 
 @functools.lru_cache(maxsize=None)

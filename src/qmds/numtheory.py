@@ -92,18 +92,27 @@ def prime_factors(n: int) -> tuple[int, ...]:
     return tuple(factorize(n))
 
 
+def iroot(n: int, e: int) -> int:
+    """Largest r >= 0 with r^e <= n, exact for every n >= 0 and e >= 1."""
+    if e == 1 or n < 2:
+        return n
+    r = 1 << -(-n.bit_length() // e)  # 2^ceil(bits/e) > n^(1/e)
+    while True:  # integer Newton step from above; decreases until the root
+        s = ((e - 1) * r + n // r ** (e - 1)) // e
+        if s >= r:
+            return r
+        r = s
+
+
 def is_prime_power(n: int) -> tuple[int, int] | None:
     """Return (p, e) with n = p^e and p prime, or None."""
     _check_range(n)
     if n < 2:
         return None
     for e in range(n.bit_length(), 0, -1):
-        r = round(n ** (1.0 / e))
-        for cand in (r - 1, r, r + 1):
-            if cand >= 2 and cand ** e == n:
-                if is_prime(cand):
-                    return cand, e
-                break
+        r = iroot(n, e)
+        if r >= 2 and r ** e == n and is_prime(r):
+            return r, e
     return None
 
 

@@ -10,6 +10,7 @@ are found by repeated multiplication.  Only tiny fields go through these.
 from __future__ import annotations
 
 import itertools
+import math
 
 
 def trim(a: tuple[int, ...]) -> tuple[int, ...]:
@@ -118,3 +119,27 @@ class PolyModel:
         for _ in range(self.p**self.n - 2):
             out.append(self.mul(out[-1], (0, 1)))
         return out
+
+
+def shared_weight_obstructions(q: int, m1: int, m2: int) -> tuple[int, ...]:
+    """Every exponent H must avoid in the mixed union, by enumeration: on
+    each shared point x (exponent a multiple of lcm(m1, m2)) the combined
+    weight is a(a + H) with a = x^((q+1)/2), so H = -a is forbidden."""
+    N = q * q - 1
+    L = math.lcm(m1, m2)
+    bad = set()
+    for e in range(0, N, L):
+        bad.add((N // 2 + e * (q + 1) // 2) % N)
+    return tuple(sorted(bad))
+
+
+def scan_first_violation(M: int, s: int, q: int) -> int:
+    """Smallest max(t1, t2) over solutions of s + t1 + t2*q = 0 (mod M), by
+    scanning t2 upwards: each t2 has best partner t1 = (-s - t2*q) mod M,
+    and no t2 beyond the best bound so far can improve on it."""
+    best = (-s) % M
+    t2 = 1
+    while t2 < best:
+        best = min(best, max(t2, (-s - t2 * q) % M))
+        t2 += 1
+    return best

@@ -38,6 +38,11 @@ def test_field_conflicting_flags(capsys):
     assert run(capsys, "field", "--q", "6")[0] == 2
 
 
+def test_field_capacity_errors(capsys):
+    assert run(capsys, "field", "--q", "4096", "--mode", "table")[0] == 1
+    assert run(capsys, "field", "--q", str(2**21))[0] == 1  # q^2 > 2^40
+
+
 def test_field_text_format(capsys):
     rc, out = run(capsys, "field", "--q", "5", "--format", "text")
     assert rc == 0
@@ -155,6 +160,16 @@ def test_oracle_mixed(capsys):
     assert obj["max_k"] == 6
     assert obj["formula_d_max"] == 7
     assert obj["formula_within_oracle"] is True
+
+
+def test_oracle_prime_above_2_53(capsys):
+    # q is prime and 5 | q + 1; prime-power detection must not round q
+    q = 4611686018427400249
+    rc, obj = run_json(capsys, "oracle", "--construction", "c1",
+                       "--q", str(q), "--m", "5")
+    assert rc == 0
+    assert obj["q"] == q
+    assert obj["max_k"] == 3 * (q - 1) // 5
 
 
 def test_oracle_char2_large(capsys):

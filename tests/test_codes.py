@@ -15,7 +15,7 @@ from qmds.codes import (
     rank,
     weighted_pair_sum,
 )
-from qmds.constructions import _build_evalset
+from qmds.constructions import _build_evalset, max_dim_oracle
 from qmds.errors import DimensionTooLarge, LengthMismatch, UsageError
 from qmds.evalsets import subgroup_set
 from qmds.field import build_field, field_for_q
@@ -109,6 +109,66 @@ def test_gram_routes_agree_extended():
     bad = raw_artifact("c1_ext", 17, {"m": 9}, 10)
     assert gram_zero_structured(bad) == gram_zero_vectorized(bad)
     assert not gram_zero_structured(bad)[0]
+
+
+# odd-q instances with h = 1, 2, 3 for the coefficient-plane matmul route
+ODD_POOL = [
+    ("half_power", 7, {"m": 6}),
+    ("c1", 9, {"m": 5}),
+    ("mixed_union", 9, {"m1": 5, "m2": 4}),
+    ("c1", 25, {"m": 13}),
+    ("half_power_union", 25, {"ms": (6, 8)}),
+    ("mixed_union", 25, {"m1": 13, "m2": 6}),
+    ("c1", 27, {"m": 7}),
+    ("half_power", 27, {"m": 26}),
+    ("mixed_union", 27, {"m1": 7, "m2": 26}),
+    ("c1", 49, {"m": 25}),
+    ("half_power", 49, {"m": 24}),
+    ("mixed_union", 49, {"m1": 25, "m2": 12}),
+    ("c1_ext", 25, {"m": 13}),
+    ("c1_ext", 27, {"m": 7}),
+]
+
+
+@pytest.mark.parametrize("construction,q,params", ODD_POOL,
+                         ids=[f"{c}{q}-{i}" for i, (c, q, _) in
+                              enumerate(ODD_POOL)])
+def test_odd_matmul_route_matches_scalar(construction, q, params):
+    kmax = max_dim_oracle(construction, q, params)
+    if construction == "c1_ext":
+        kmax += 1  # the border row
+    good = raw_artifact(construction, q, params, kmax)
+    assert good.field.p != 2
+    assert gram_zero_vectorized(good) == (True, None)
+    assert gram_zero_scalar(good.field, good.matrix()) == (True, None)
+    bad = raw_artifact(construction, q, params, kmax + 1)
+    res = gram_zero_vectorized(bad)
+    assert res == gram_zero_scalar(bad.field, bad.matrix())
+    assert not res[0] and kmax in res[1]
+
+
+def test_odd_matmul_route_border_term():
+    # the border entry enters only Gram entry (0, 0): scaling it by theta
+    # must make exactly that entry nonzero
+    art = extend_c1(field_for_q(25), 13, 3)
+    assert gram_zero_vectorized(art) == (True, None)
+    art.border_entry = art.field.mul(art.border_entry, 1)
+    res = gram_zero_vectorized(art)
+    assert res == (False, (0, 0))
+    assert res == gram_zero_scalar(art.field, art.matrix())
+
+
+@pytest.mark.parametrize("construction,q,params,k,witness", [
+    ("odd_union", 83, {"m1": 3, "m2": 7}, 46, (34, 46)),
+    ("half_power_union", 211, {"ms": (6, 10, 14)}, 120, (14, 120)),
+    ("mixed_union", 169, {"m1": 5, "m2": 6}, 100, (66, 100)),
+], ids=["q83", "q211", "q169"])
+def test_odd_known_bad_witnesses(construction, q, params, k, witness):
+    # first witnesses at k + 1, pinned from the former per-pair loop
+    assert max_dim_oracle(construction, q, params) == k
+    assert gram_zero(raw_artifact(construction, q, params, k)) == (True, None)
+    assert gram_zero(raw_artifact(construction, q, params, k + 1)) == \
+        (False, witness)
 
 
 def test_gram_entry_equals_matrix_inner_product():

@@ -19,13 +19,14 @@ from qmds.evalsets import (
     mixed_union,
     parity_union_char2,
     parity_union_size,
-    shared_weight_obstructions,
     subgroup_set,
     union_size,
     weighted_union,
 )
+from naive_algebra import shared_weight_obstructions
+from qmds.evalsets import shared_weight_obstructions as forbidden_coset
 from qmds.field import build_field, field_for_q
-from qmds.numtheory import divisors
+from qmds.numtheory import divisors, is_prime_power
 
 
 def test_evalset_invariants(gf25):
@@ -204,3 +205,33 @@ def test_mixed_union_set():
             f.mul(H, f.pow_(e, 7)) if e % 6 == 0 else None,
         )
         assert w == expected
+
+
+def _mixed_pairs(q):
+    """Every admissible (m1, m2): m1 an odd divisor of q + 1, m2 an even
+    divisor of q - 1."""
+    return [(m1, m2) for m1 in divisors(q + 1) if m1 % 2 == 1
+            for m2 in divisors(q - 1) if m2 % 2 == 0]
+
+
+def test_h_search_agrees_with_enumerated_obstructions():
+    # the closed-form coset against the enumeration of every shared point,
+    # for every admissible pair at every odd prime power q <= 50
+    checked = 0
+    for q in range(3, 51, 2):
+        if is_prime_power(q) is None:
+            continue
+        N = q * q - 1
+        for m1, m2 in _mixed_pairs(q):
+            bad = set(shared_weight_obstructions(q, m1, m2))
+            r, g = forbidden_coset(q, m1, m2)
+            assert bad == set(range(r, N, g))
+            valid = [t * (q + 1) for t in range(q - 1)
+                     if t * (q + 1) not in bad]
+            if valid:
+                assert find_h_shift_exponent(q, m1, m2) == valid[0]
+            else:
+                with pytest.raises(NoValidH):
+                    find_h_shift_exponent(q, m1, m2)
+            checked += 1
+    assert checked > 100

@@ -70,6 +70,25 @@ def test_capacity_limits():
     assert Field(2, 11, mode="auto").mode == "table"  # 2^22 is exactly the limit
 
 
+def test_presentation_builds_no_backend():
+    # the modulus and mode are fixed at construction; the tables are not
+    f = Field(37, 2)
+    assert f.mode == "table"
+    assert f.to_json()["modulus"] == list(f.modulus)
+    assert "backend" not in vars(f)
+    assert f.add(0, 0) is not None  # 2 != 0 in characteristic 37
+    assert "backend" in vars(f)
+
+
+@pytest.mark.parametrize("p,h", [(3, 2), (5, 1)])
+def test_np_planes_are_coefficients(p, h):
+    f = build_field(p, h)
+    planes = f.np_planes()
+    assert planes.shape == (2 * h, f.N) and planes.dtype.kind == "f"
+    for e in range(f.N):
+        assert tuple(planes[:, e]) == f.coeffs(e)
+
+
 # --- arithmetic against the coefficient-tuple model ----------------------------
 
 

@@ -10,6 +10,7 @@ from qmds.numtheory import (
     divisors,
     factorize,
     is_prime,
+    iroot,
     is_prime_power,
     pair_search,
     prime_factors,
@@ -85,10 +86,23 @@ def test_factorize_semiprime():
         (57121, (239, 2)),
         (24649, (157, 2)),
         (2**20, (2, 20)),
+        # primes and prime powers above 2^53, where a float root rounds
+        (4611686018427400249, (4611686018427400249, 1)),
+        (2**62, (2, 62)),
+        (3**39, (3, 39)),
+        ((2**31 - 1) ** 2, (2**31 - 1, 2)),
+        ((2**31 - 1) * (2**31 + 11), None),
     ],
 )
 def test_is_prime_power(n, expected):
     assert is_prime_power(n) == expected
+
+
+@given(st.integers(min_value=0, max_value=2**63 - 1),
+       st.integers(min_value=1, max_value=64))
+def test_iroot_is_exact(n, e):
+    r = iroot(n, e)
+    assert r ** e <= n < (r + 1) ** e
 
 
 def test_divisors():

@@ -2,6 +2,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from naive_algebra import scan_first_violation
+from qmds.numtheory import is_prime
 from qmds.oracle import brute_first_violation, first_violation, max_dim
 
 # the single-subgroup instances used throughout, frozen from the brute oracle:
@@ -60,3 +62,24 @@ def test_max_dim_is_min_over_conditions():
     q = 11969
     assert max_dim(conds, q) == min(first_violation(M, s, q) for M, s in conds)
     assert max_dim(conds, q) == 6040
+
+
+@given(
+    st.integers(min_value=1, max_value=10**6),
+    st.integers(min_value=0, max_value=10**7),
+    st.integers(min_value=2, max_value=10**4),
+)
+def test_first_violation_matches_scan(M, s, q):
+    assert first_violation(M, s, q) == scan_first_violation(M, s, q)
+
+
+def test_first_violation_at_64_bit_q():
+    # q = 4611686018427400249 is prime with 5 | q + 1; a scan would take
+    # about 0.6 q steps.  For every prime q = 4 (mod 5) below 3000 the scan
+    # gives floor(3(q - 1)/5), and so must the floor-sum search here.
+    for q in range(19, 3000, 10):
+        if is_prime(q):
+            M = (q * q - 1) // 5
+            assert scan_first_violation(M, q + 1, q) == 3 * (q - 1) // 5
+    q = 4611686018427400249
+    assert first_violation((q * q - 1) // 5, q + 1, q) == 3 * (q - 1) // 5
