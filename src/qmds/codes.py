@@ -7,13 +7,14 @@ reproduce the weighted power sums.  The extended variant prepends one border
 column that is nonzero only in row 0.
 
 ``gram_zero`` is the self-orthogonality check.  On table-mode fields it
-runs ``gram_zero_vectorized``, which has one route per field regime: for
-p = 2 it XORs packed coefficient masks over the columns, pair by pair; for
-odd p it gets every upper-triangle entry at once from column-chunked
-float64 matmuls of base-p coefficient planes, exact because each sum stays
-below 2^53.  The scalar and structured checks compute each entry directly
-from the field arithmetic.  Every route reports the first offending row pair
-in row-major order as its witness, so they can be cross-checked.
+runs ``gram_zero_vectorized``, which computes the whole upper triangle in
+chunks of columns, with one route per field regime: for p = 2 each row of
+the triangle gathers the packed int32 coefficient masks of its terms and
+XOR-reduces them; for odd p float64 matmuls of base-p coefficient planes
+give every entry at once, exact because each sum stays below 2^53.  The
+scalar and structured checks compute each entry directly from the field
+arithmetic.  Every route reports the first offending row pair in row-major
+order as its witness, so they can be cross-checked.
 """
 
 from __future__ import annotations
@@ -28,8 +29,9 @@ from .errors import (CapacityExceeded, DimensionTooLarge, LengthMismatch,
 from .evalsets import EvalSet, subgroup_set
 from .field import Elt, Field
 
-# Columns per chunk of the odd-p Gram matmuls.  It bounds the two
-# (2h*k) x GRAM_CHUNK float64 plane stacks gathered per chunk, whatever n is.
+# Columns per chunk of the vectorized Gram routes.  It bounds what a chunk
+# gathers, whatever n is: two (2h*k) x GRAM_CHUNK float64 plane stacks for
+# odd p, and k x GRAM_CHUNK int32 exponent and mask arrays for p = 2.
 GRAM_CHUNK = 128
 
 
@@ -172,11 +174,12 @@ def gram_zero_vectorized(artifact: CodeArtifact) -> tuple[bool, tuple[int, int] 
 
     Entry (l1, l2) is sum_j X[l1, j] * Y[l2, j] with X[l1, j] =
     theta^(B_j + l1*E_j), Y[l2, j] = theta^(q*l2*E_j) and
-    B_j = w_j + shift*(q+1)*e_j.  For p = 2 each pair XORs the packed
-    coefficient masks of theta^(B_j + l1*E_j + q*l2*E_j) over the columns;
-    for odd p all entries come at once from float64 matmuls of coefficient
-    planes (``_gram_bad_odd``).  The witness is the first nonzero entry of
-    the upper triangle in row-major order.
+    B_j = w_j + shift*(q+1)*e_j.  Both routes return the mask of nonzero
+    upper-triangle entries, computed in column chunks over the whole
+    triangle: for p = 2 XOR-reductions of int32 coefficient masks
+    (``_gram_bad_char2``), for odd p float64 matmuls of coefficient planes
+    (``_gram_bad_odd``).  The witness is the first nonzero entry of the
+    upper triangle in row-major order.
     """
     f = artifact.field
     N, q, k = f.N, f.q, artifact.k
@@ -188,29 +191,38 @@ def gram_zero_vectorized(artifact: CodeArtifact) -> tuple[bool, tuple[int, int] 
     if artifact.has_border:
         b = artifact.border_entry
         border_packed = f.backend.exp_packed(f.mul(b, f.frobenius_q(b)))
-    if f.p != 2:
-        hits = np.flatnonzero(_gram_bad_odd(f, k, B, E, QE, border_packed))
-        if hits.size:
-            l1, l2 = divmod(int(hits[0]), k)
-            return False, (l1, l2)
-        return True, None
-    mask = f.np_mask_ext()
-    U = B.copy()
-    for l1 in range(k):
-        if l1:
-            U += E
-            np.subtract(U, N, out=U, where=U >= N)
-        V = (E * (q * l1 % N)) % N
-        for l2 in range(l1, k):
-            if l2 > l1:
-                V += QE
-                np.subtract(V, N, out=V, where=V >= N)
-            acc = int(np.bitwise_xor.reduce(mask[U + V]))
-            if l1 == 0 and l2 == 0:
-                acc ^= border_packed
-            if acc != 0:
-                return False, (l1, l2)
+    route = _gram_bad_char2 if f.p == 2 else _gram_bad_odd
+    hits = np.flatnonzero(route(f, k, B, E, QE, border_packed))
+    if hits.size:
+        l1, l2 = divmod(int(hits[0]), k)
+        return False, (l1, l2)
     return True, None
+
+
+def _gram_bad_char2(f: Field, k: int, B: np.ndarray, E: np.ndarray,
+                    QE: np.ndarray, border_packed: int) -> np.ndarray:
+    """k x k upper-triangular mask of the nonzero Gram entries, p = 2.
+
+    Over GF(2) the coefficient vector of a sum is the XOR of the packed
+    masks of its terms, and term (l1, l2, j) is theta^(U[l1, j] + V[l2, j])
+    with U = (l1*E + B) mod N and V = (l2*q*E) mod N.  Per chunk of c
+    columns, row l1 of the upper triangle gathers the masks at V[l1:] +
+    U[l1] (every index is below 2N, the length of the mask table) and
+    XOR-reduces them over the columns.
+    """
+    N, n = f.N, len(E)
+    mask = f.np_mask_ext()
+    rows = np.arange(k, dtype=np.int64)[:, None]
+    acc = np.zeros((k, k), dtype=mask.dtype)
+    for a in range(0, n, GRAM_CHUNK):
+        cols = slice(a, a + GRAM_CHUNK)
+        U = ((rows * E[cols] + B[cols]) % N).astype(np.int32)
+        V = ((rows * QE[cols]) % N).astype(np.int32)
+        for l1 in range(k):
+            terms = mask.take(V[l1:] + U[l1])
+            acc[l1, l1:] ^= np.bitwise_xor.reduce(terms, axis=1)
+    acc[0, 0] ^= border_packed
+    return np.triu(acc != 0)
 
 
 def _gram_bad_odd(f: Field, k: int, B: np.ndarray, E: np.ndarray,

@@ -27,7 +27,7 @@ from .errors import (BadDivisor, CapacityExceeded, DimensionExceedsOracle,
                      HypothesisViolated, NotChar2, NotCoprime, NotPrime,
                      NoValidH, UsageError, ZeroWeightAtSharedPoint)
 from .field import TABLE_LIMIT, Field, field_for_q
-from .numtheory import is_prime_power
+from .numtheory import divisors, is_prime_power
 from .verify import QuantumParams, quantum_params
 
 CONSTRUCTION_IDS = ("c1", "c1_ext", "char2_union", "odd_union",
@@ -410,41 +410,40 @@ def doubled_pair_divisors(q: int, a: int, b: int) -> tuple[int, int]:
 # --------------------------------------------------------------------------
 
 def sweep(construction: str, q: int) -> tuple[Certificate, ...]:
-    """All certificates (condition-only) for valid divisor choices at q."""
+    """All certificates (condition-only) for valid divisor choices at q, in
+    ascending divisor order."""
+    if construction not in CONSTRUCTION_IDS:
+        raise UsageError(f"unknown construction {construction!r}")
+    _q_parts(q)
+    odd_ms = [m for m in divisors(q + 1) if m % 2 == 1 and m >= 3]
+    even_ms = [m for m in divisors(q - 1) if m % 2 == 0]
     out = []
-    N = q * q - 1
     if construction in ("c1", "c1_ext"):
-        for m in range(3, q + 2, 2):
-            if (q + 1) % m == 0:
-                out.append(build(construction, q, m=m, want_matrix="never"))
+        for m in odd_ms:
+            out.append(build(construction, q, m=m, want_matrix="never"))
     elif construction in ("char2_union", "odd_union"):
-        ms = [m for m in range(3, q + 2, 2) if (q + 1) % m == 0]
-        for i, m1 in enumerate(ms):
-            for m2 in ms[i + 1:]:
+        for i, m1 in enumerate(odd_ms):
+            for m2 in odd_ms[i + 1:]:
                 if math.gcd(m1, m2) == 1:
                     out.append(build(construction, q, m1=m1, m2=m2,
                                      want_matrix="never"))
     elif construction == "half_power":
-        for m in range(6, q, 2):
-            if (q - 1) % m == 0:
+        for m in even_ms:
+            if m >= 6:
                 out.append(build(construction, q, m=m, want_matrix="never"))
     elif construction == "half_power_union":
-        ms = [m for m in range(6, q, 2) if (q - 1) % m == 0]
+        ms = [m for m in even_ms if m >= 6]
         for i, m1 in enumerate(ms):
             for m2 in ms[i + 1:]:
                 if math.lcm(m1, m2) == q - 1:
                     out.append(build(construction, q, ms=(m1, m2),
                                      want_matrix="never"))
-    elif construction == "mixed_union":
-        m1s = [m for m in range(3, q + 2, 2) if (q + 1) % m == 0]
-        m2s = [m for m in range(2, q, 2) if (q - 1) % m == 0]
-        for m1 in m1s:
-            for m2 in m2s:
+    else:  # mixed_union
+        for m1 in odd_ms:
+            for m2 in even_ms:
                 try:
                     out.append(build(construction, q, m1=m1, m2=m2,
                                      want_matrix="never"))
                 except NoValidH:
                     continue  # no admissible shift for this pair
-    else:
-        raise UsageError(f"unknown construction {construction!r}")
     return tuple(out)

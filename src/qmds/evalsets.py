@@ -163,7 +163,9 @@ def find_h_shift_exponent(q: int, m1: int, m2: int) -> int:
     if m2 % 2 != 0 or (q - 1) % m2 != 0:
         raise HypothesisViolated(f"m2 = {m2} must be an even divisor of q - 1")
     r, g = shared_weight_obstructions(q, m1, m2)
-    for t in range(q - 1):
+    # if t = 0 and t = 1 are both forbidden, then r = 0 and g | q + 1, so
+    # every t(q + 1) lies in the coset: no later t need be tried
+    for t in range(2):
         cand = t * (q + 1)
         if cand % g != r:
             return cand

@@ -428,17 +428,18 @@ class Field:
 
     # --- bulk tables for the vectorized Gram / enumeration paths -------------
 
-    def _np_exp(self) -> np.ndarray:
+    def _np_exp(self, dtype=np.int64) -> np.ndarray:
         if self.mode != "table":
             raise CapacityExceeded("vectorized path needs table mode")
-        return np.asarray(self.backend.exp, dtype=np.int64)
+        return np.asarray(self.backend.exp, dtype=dtype)
 
     def np_mask_ext(self) -> np.ndarray:
-        """Packed GF(2) coefficient masks of theta^e for e in [0, 2N)."""
+        """int32 packed GF(2) coefficient masks of theta^e for e in [0, 2N),
+        so that a sum of two exponents in [0, N) indexes it unreduced.
+        int32 holds every packed element: table mode has q^2 <= 2^22."""
         arr = self._np_cache.get("mask_ext")
         if arr is None:
-            base = self._np_exp()
-            arr = np.concatenate([base, base])
+            arr = np.tile(self._np_exp(np.int32), 2)
             self._np_cache["mask_ext"] = arr
         return arr
 

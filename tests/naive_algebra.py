@@ -143,3 +143,25 @@ def scan_first_violation(M: int, s: int, q: int) -> int:
         best = min(best, max(t2, (-s - t2 * q) % M))
         t2 += 1
     return best
+
+
+def trial_division_sweep_params(construction: str, q: int) -> list[dict]:
+    """The parameter choices a sweep tries at q, in its order, found by
+    trial division of q + 1 and q - 1 over every candidate below q + 2.
+    mixed_union lists every pair; the sweep drops those without a shift."""
+    odd = [m for m in range(3, q + 2, 2) if (q + 1) % m == 0]
+    even = [m for m in range(2, q, 2) if (q - 1) % m == 0]
+    even6 = [m for m in range(6, q, 2) if (q - 1) % m == 0]
+    if construction in ("c1", "c1_ext"):
+        return [{"m": m} for m in odd]
+    if construction in ("char2_union", "odd_union"):
+        return [{"m1": m1, "m2": m2} for i, m1 in enumerate(odd)
+                for m2 in odd[i + 1:] if math.gcd(m1, m2) == 1]
+    if construction == "half_power":
+        return [{"m": m} for m in even6]
+    if construction == "half_power_union":
+        return [{"ms": (m1, m2)} for i, m1 in enumerate(even6)
+                for m2 in even6[i + 1:] if math.lcm(m1, m2) == q - 1]
+    if construction == "mixed_union":
+        return [{"m1": m1, "m2": m2} for m1 in odd for m2 in even]
+    raise ValueError(f"unknown construction {construction!r}")

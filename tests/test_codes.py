@@ -130,15 +130,27 @@ ODD_POOL = [
 ]
 
 
-@pytest.mark.parametrize("construction,q,params", ODD_POOL,
-                         ids=[f"{c}{q}-{i}" for i, (c, q, _) in
-                              enumerate(ODD_POOL)])
-def test_odd_matmul_route_matches_scalar(construction, q, params):
+# p = 2 instances with h = 1 .. 3 for the XOR-mask route
+EVEN_POOL = [
+    ("c1", 4, {"m": 5}),
+    ("c1", 8, {"m": 3}),
+    ("c1", 8, {"m": 9}),
+    ("c1", 16, {"m": 17}),
+    ("c1_ext", 8, {"m": 3}),
+    ("c1_ext", 16, {"m": 17}),
+    ("c1_ext", 32, {"m": 33}),
+    ("c1_ext", 64, {"m": 5}),
+    ("char2_union", 64, {"m1": 5, "m2": 13}),
+]
+
+
+def check_vectorized_against_scalar(construction, q, params):
+    """At k_max the vectorized route passes; at k_max + 1 it gives the
+    scalar check's first witness, which involves the added row."""
     kmax = max_dim_oracle(construction, q, params)
     if construction == "c1_ext":
         kmax += 1  # the border row
     good = raw_artifact(construction, q, params, kmax)
-    assert good.field.p != 2
     assert gram_zero_vectorized(good) == (True, None)
     assert gram_zero_scalar(good.field, good.matrix()) == (True, None)
     bad = raw_artifact(construction, q, params, kmax + 1)
@@ -147,15 +159,35 @@ def test_odd_matmul_route_matches_scalar(construction, q, params):
     assert not res[0] and kmax in res[1]
 
 
-def test_odd_matmul_route_border_term():
+@pytest.mark.parametrize("construction,q,params", ODD_POOL,
+                         ids=[f"{c}{q}-{i}" for i, (c, q, _) in
+                              enumerate(ODD_POOL)])
+def test_odd_matmul_route_matches_scalar(construction, q, params):
+    assert q % 2 == 1
+    check_vectorized_against_scalar(construction, q, params)
+
+
+@pytest.mark.parametrize("construction,q,params", EVEN_POOL,
+                         ids=[f"{c}{q}-{i}" for i, (c, q, _) in
+                              enumerate(EVEN_POOL)])
+def test_char2_route_matches_scalar(construction, q, params):
+    assert q % 2 == 0
+    check_vectorized_against_scalar(construction, q, params)
+
+
+def check_border_term(q, m):
     # the border entry enters only Gram entry (0, 0): scaling it by theta
     # must make exactly that entry nonzero
-    art = extend_c1(field_for_q(25), 13, 3)
+    art = extend_c1(field_for_q(q), m, 3)
     assert gram_zero_vectorized(art) == (True, None)
     art.border_entry = art.field.mul(art.border_entry, 1)
     res = gram_zero_vectorized(art)
     assert res == (False, (0, 0))
     assert res == gram_zero_scalar(art.field, art.matrix())
+
+
+def test_odd_matmul_route_border_term():
+    check_border_term(25, 13)
 
 
 @pytest.mark.parametrize("construction,q,params,k,witness", [
@@ -168,6 +200,25 @@ def test_odd_known_bad_witnesses(construction, q, params, k, witness):
     assert max_dim_oracle(construction, q, params) == k
     assert gram_zero(raw_artifact(construction, q, params, k)) == (True, None)
     assert gram_zero(raw_artifact(construction, q, params, k + 1)) == \
+        (False, witness)
+
+
+def test_char2_route_border_term():
+    check_border_term(16, 17)
+
+
+@pytest.mark.parametrize("construction,q,params,k,witness", [
+    ("char2_union", 32, {"m1": 3, "m2": 11}, 17, (13, 16)),
+    ("char2_union", 64, {"m1": 5, "m2": 13}, 34, (28, 33)),
+    ("char2_union", 128, {"m1": 3, "m2": 43}, 65, (61, 64)),
+    ("c1_ext", 64, {"m": 5}, 39, (25, 38)),
+], ids=["q32", "q64", "q128", "ext64"])
+def test_char2_known_bad_witnesses(construction, q, params, k, witness):
+    # first witnesses at one row above the maximum, pinned from the former
+    # per-pair loop
+    assert gram_zero(raw_artifact(construction, q, params, k - 1)) == \
+        (True, None)
+    assert gram_zero(raw_artifact(construction, q, params, k)) == \
         (False, witness)
 
 

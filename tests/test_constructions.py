@@ -1,8 +1,10 @@
+import itertools
 import json
 import math
 
 import pytest
 
+from naive_algebra import trial_division_sweep_params
 from qmds.codes import gram_zero_structured
 from qmds.constructions import (
     CONSTRUCTION_IDS,
@@ -34,8 +36,10 @@ from qmds.errors import (
     NotChar2,
     NotCoprime,
     NotPrime,
+    NoValidH,
     UsageError,
 )
+from qmds.numtheory import is_prime_power
 
 
 # --- hypothesis validation ------------------------------------------------------
@@ -327,6 +331,42 @@ def test_sweep_half_power_union():
     certs = sweep("half_power_union", 31)
     # every even-divisor pair of q - 1 = 30 whose lcm is exactly 30
     assert [tuple(c.params["ms"]) for c in certs] == [(6, 10), (6, 30), (10, 30)]
+
+
+# which characteristics each construction admits: 2, odd, or both
+SWEEP_CHAR = {"c1": (True, True), "c1_ext": (True, True),
+              "char2_union": (True, False), "odd_union": (False, True),
+              "half_power": (False, True), "half_power_union": (False, True),
+              "mixed_union": (False, True)}
+
+
+@pytest.mark.parametrize("construction", CONSTRUCTION_IDS)
+def test_sweep_matches_trial_division(construction):
+    even_ok, odd_ok = SWEEP_CHAR[construction]
+    # from q = 3: at q = 2 the only choice m = 3 leaves c1 with k = 0
+    for q in range(3, 201):
+        pp = is_prime_power(q)
+        if pp is None or not (even_ok if pp[0] == 2 else odd_ok):
+            continue
+        expected = []
+        for params in trial_division_sweep_params(construction, q):
+            try:
+                expected.append(build(construction, q, want_matrix="never",
+                                      **params).to_json())
+            except NoValidH:
+                assert construction == "mixed_union"
+        got = [c.to_json() for c in sweep(construction, q)]
+        assert got == expected, (construction, q)
+
+
+def test_sweep_at_q_near_1e15():
+    q = 1000000000000037  # prime; q + 1 = 2 * 3 * 11593 * 34679 * 414559
+    assert q + 1 == 2 * 3 * 11593 * 34679 * 414559
+    odd = sorted(math.prod(c) for r in range(1, 5)
+                 for c in itertools.combinations((3, 11593, 34679, 414559), r))
+    certs = sweep("c1", q)
+    assert len(certs) == 15
+    assert [c.params["m"] for c in certs] == odd
 
 
 def test_sweep_deterministic():
