@@ -274,51 +274,6 @@ def gram_zero(artifact: CodeArtifact) -> tuple[bool, tuple[int, int] | None]:
     return gram_zero_structured(artifact)
 
 
-# --------------------------------------------------------------------------
-# rank / determinant utilities (scalar Gaussian elimination)
-# --------------------------------------------------------------------------
-
-def rank(field: Field, matrix) -> int:
-    rows = [list(r) for r in matrix]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c] is not None),
-                   None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = field.inv(rows[r][c])
-        for i in range(r + 1, len(rows)):
-            if rows[i][c] is not None:
-                factor = field.mul(rows[i][c], inv)
-                rows[i] = [field.sub(a, field.mul(factor, b))
-                           for a, b in zip(rows[i], rows[r])]
-        r += 1
-        if r == len(rows):
-            break
-    return r
-
-
-def is_nonsingular(field: Field, square) -> bool:
-    rows = [list(r) for r in square]
-    k = len(rows)
-    for c in range(k):
-        piv = next((i for i in range(c, k) if rows[i][c] is not None), None)
-        if piv is None:
-            return False
-        rows[c], rows[piv] = rows[piv], rows[c]
-        inv = field.inv(rows[c][c])
-        for i in range(c + 1, k):
-            if rows[i][c] is not None:
-                factor = field.mul(rows[i][c], inv)
-                rows[i] = [field.sub(a, field.mul(factor, b))
-                           for a, b in zip(rows[i], rows[c])]
-    return True
-
-
 def matrix_to_strings(matrix) -> list[str]:
     """Rows rendered as space-separated exponents, 'z' for zero."""
     return [" ".join(Field.element_str(e) for e in row) for row in matrix]

@@ -269,14 +269,28 @@ def build(construction: str, q: int, k: int | None = None, *,
     if want_matrix not in ("auto", "never", "require"):
         raise UsageError(f"want_matrix must be auto|never|require, "
                          f"got {want_matrix!r}")
-    p, h = _q_parts(q)
     params = _validate(construction, q, params)
-    base_max = max_dim_oracle(construction, q, params)
+    return _certify(construction, q, k, want_matrix, params,
+                    max_dim_oracle(construction, q, params))
+
+
+def _k_range(construction: str, q: int, params: dict,
+             base_max: int) -> tuple[int, int]:
+    """Least and greatest admissible k: the border row of c1_ext needs
+    k >= 2 and adds one to the oracle's bound; k never exceeds n."""
+    ext = 1 if construction == "c1_ext" else 0
+    return 1 + ext, min(base_max + ext, code_length(construction, q, params))
+
+
+def _certify(construction: str, q: int, k: int | None, want_matrix: str,
+             params: dict, base_max: int) -> Certificate:
+    """``build`` after validation, given the oracle's bound ``base_max``."""
+    p, h = _q_parts(q)
     n = code_length(construction, q, params)
-    k_cap = min(base_max + (1 if construction == "c1_ext" else 0), n)
+    least, k_cap = _k_range(construction, q, params, base_max)
     if k is None:
         k = max(k_cap, 2) if construction == "c1_ext" else k_cap
-    if k < (2 if construction == "c1_ext" else 1):
+    if k < least:
         raise UsageError(f"k = {k} is too small for {construction}")
     if k > k_cap:
         raise DimensionExceedsOracle(
@@ -411,39 +425,47 @@ def doubled_pair_divisors(q: int, a: int, b: int) -> tuple[int, int]:
 
 def sweep(construction: str, q: int) -> tuple[Certificate, ...]:
     """All certificates (condition-only) for valid divisor choices at q, in
-    ascending divisor order."""
+    ascending divisor order; a choice whose oracle admits no k is left
+    out."""
     if construction not in CONSTRUCTION_IDS:
         raise UsageError(f"unknown construction {construction!r}")
     _q_parts(q)
     odd_ms = [m for m in divisors(q + 1) if m % 2 == 1 and m >= 3]
     even_ms = [m for m in divisors(q - 1) if m % 2 == 0]
     out = []
+
+    def add(**params) -> None:
+        """Certify one choice, unless the oracle admits no k for it."""
+        params = _validate(construction, q, params)
+        base_max = max_dim_oracle(construction, q, params)
+        least, k_cap = _k_range(construction, q, params, base_max)
+        if k_cap >= least:
+            out.append(_certify(construction, q, None, "never", params,
+                                base_max))
+
     if construction in ("c1", "c1_ext"):
         for m in odd_ms:
-            out.append(build(construction, q, m=m, want_matrix="never"))
+            add(m=m)
     elif construction in ("char2_union", "odd_union"):
         for i, m1 in enumerate(odd_ms):
             for m2 in odd_ms[i + 1:]:
                 if math.gcd(m1, m2) == 1:
-                    out.append(build(construction, q, m1=m1, m2=m2,
-                                     want_matrix="never"))
+                    add(m1=m1, m2=m2)
     elif construction == "half_power":
         for m in even_ms:
             if m >= 6:
-                out.append(build(construction, q, m=m, want_matrix="never"))
+                add(m=m)
     elif construction == "half_power_union":
         ms = [m for m in even_ms if m >= 6]
         for i, m1 in enumerate(ms):
             for m2 in ms[i + 1:]:
                 if math.lcm(m1, m2) == q - 1:
-                    out.append(build(construction, q, ms=(m1, m2),
-                                     want_matrix="never"))
+                    add(ms=(m1, m2))
     else:  # mixed_union
         for m1 in odd_ms:
             for m2 in even_ms:
                 try:
-                    out.append(build(construction, q, m1=m1, m2=m2,
-                                     want_matrix="never"))
+                    add(m1=m1, m2=m2)
                 except NoValidH:
                     continue  # no admissible shift for this pair
     return tuple(out)

@@ -184,6 +184,27 @@ def _packed_add(va: int, vb: int, p: int) -> int:
     return out
 
 
+def _odd_exp_table(p: int, n: int, modulus: tuple[int, ...]) -> np.ndarray:
+    """Packed theta^e for e in [0, p^n - 1), by doubling: P holds the
+    coefficient rows of theta^0 .. theta^(L-1) and S the matrix of
+    multiplication by theta^L, so P @ S holds theta^L .. theta^(2L-1).
+    The int32 products are exact: each sum is at most n(p-1)^2 < 2^27 in
+    table mode."""
+    S = np.zeros((n, n), dtype=np.int32)
+    S[np.arange(n - 1), np.arange(1, n)] = 1  # x * x^i = x^(i+1)
+    S[n - 1] = [(-c) % p for c in modulus[:n]]  # x^n = -sum f_i x^i
+    N = p ** n - 1
+    P = np.zeros((N, n), dtype=np.int32)
+    P[0, 0] = 1
+    L = 1
+    while L < N:
+        m = min(L, N - L)
+        np.remainder(P[:m] @ S, p, out=P[L:L + m])
+        S = S @ S % p
+        L += m
+    return P @ p ** np.arange(n, dtype=np.int32)
+
+
 class _TableBackend:
     mode = "table"
 
@@ -191,8 +212,8 @@ class _TableBackend:
         self.p = p
         q2 = p ** n
         self.N = q2 - 1
-        exp = [0] * self.N
-        if p == 2:
+        if p == 2:  # a shift loop beats the matmul doubling for p = 2
+            exp = [0] * self.N
             red = 0
             for i in range(n):
                 red |= modulus[i] << i
@@ -203,23 +224,17 @@ class _TableBackend:
                 v <<= 1
                 if v & top:
                     v = (v ^ top) ^ red
+            exp_arr = np.asarray(exp, dtype=np.int32)
         else:
-            cur = [0] * n
-            cur[0] = 1
-            weights = [p ** i for i in range(n)]
-            for e in range(self.N):
-                exp[e] = sum(c * w for c, w in zip(cur, weights))
-                topc = cur[n - 1]
-                for i in range(n - 1, 0, -1):
-                    cur[i] = (cur[i - 1] - topc * modulus[i]) % p
-                cur[0] = (-topc * modulus[0]) % p
-        log = [-1] * q2
-        for e, v in enumerate(exp):
-            log[v] = e
-        if log.count(-1) != 1:  # only the zero vector must be missing
+            exp_arr = _odd_exp_table(p, n, modulus)
+        log = np.full(q2, -1, dtype=np.int32)
+        log[exp_arr] = np.arange(self.N, dtype=np.int32)
+        if np.count_nonzero(log == -1) != 1:  # only the zero vector is missing
             raise ArithmeticError("log table is not a bijection")
-        self.exp = exp
-        self.log = log
+        # Python lists: the scalar arithmetic indexes them one entry at a time
+        self.exp = exp if p == 2 else exp_arr.tolist()
+        del exp_arr  # freed before the log list is built
+        self.log = log.tolist()
 
     def exp_packed(self, e: int) -> int:
         return self.exp[e]
@@ -442,6 +457,30 @@ class Field:
             arr = np.tile(self._np_exp(np.int32), 2)
             self._np_cache["mask_ext"] = arr
         return arr
+
+    def np_exp_log(self) -> tuple[np.ndarray, np.ndarray]:
+        """int64 tables for arrays of elements in log form, with -1 for zero:
+        ``exp0`` has the packed theta^e for e in [0, N) and a trailing 0, so
+        that exp0[-1] is the zero vector; ``log`` maps a packed vector to its
+        exponent and the zero vector to -1."""
+        hit = self._np_cache.get("exp_log")
+        if hit is None:
+            hit = (np.append(self._np_exp(), 0),
+                   np.asarray(self.backend.log, dtype=np.int64))
+            self._np_cache["exp_log"] = hit
+        return hit
+
+    def np_packed_add(self, va: np.ndarray, vb: np.ndarray) -> np.ndarray:
+        """Elementwise sum of packed coefficient vectors (broadcasting): XOR
+        for p = 2, digit-wise addition mod p over the 2h base-p digits for
+        odd p."""
+        if self.p == 2:
+            return va ^ vb
+        out = np.zeros(np.broadcast_shapes(va.shape, vb.shape), dtype=np.int64)
+        for d in range(2 * self.h):
+            w = self.p ** d
+            out += (va // w + vb // w) % self.p * w
+        return out
 
     def np_planes(self) -> np.ndarray:
         """(2h, N) float64 array: row d holds the coefficient of x^d in

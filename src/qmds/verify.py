@@ -3,9 +3,17 @@
 The MDS property is certified by two independent routes that must agree:
 
   * rank route  - every k-subset of columns has a nonsingular k x k minor
-                  (scalar Gaussian elimination, budgeted by C(n, k));
-  * enumeration - the minimum weight over all q^(2k) codewords equals
-                  n - k + 1 (budgeted by q^(2k)).
+                  (budgeted by C(n, k)); the minors are taken in
+                  ``itertools.combinations`` order and eliminated in numpy
+                  chunks, and the first singular one is the witness;
+  * enumeration - the minimum weight over all nonzero codewords equals
+                  n - k + 1.  Weight is invariant under nonzero scalars,
+                  so only the (q^(2k) - 1)/(q^2 - 1) messages whose first
+                  nonzero coordinate is 1 are enumerated; the budget still
+                  counts all q^(2k) messages.
+
+Both routes run on the field's exp/log tables and need a table-mode field
+(``CapacityExceeded`` otherwise); every artifact ``build`` makes has one.
 
 Budgets raise ``BudgetExceeded`` rather than silently skipping, so callers
 always know which route actually ran.
@@ -19,9 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import CodeArtifact, gram_zero, is_nonsingular
+from .codes import CodeArtifact, gram_zero
 from .errors import BudgetExceeded, InvalidDims
-from .field import Elt, Field
+from .field import Field
 
 MINORS_BUDGET_DEFAULT = 2_000_000
 ENUM_BUDGET_DEFAULT = 20_000_000
@@ -59,6 +67,12 @@ def check_self_orthogonal(artifact: CodeArtifact) -> bool:
 # MDS route 1: all maximal minors are nonsingular
 # --------------------------------------------------------------------------
 
+# Entries of the (c, k, k) stack of minors eliminated at once: a chunk holds
+# c = MINOR_ENTRIES // k^2 column sets (4096 at k = 4), which bounds the
+# stack and its temporaries whatever k is.
+MINOR_ENTRIES = 1 << 16
+
+
 @dataclass(frozen=True)
 class MinorsReport:
     is_mds: bool
@@ -66,101 +80,110 @@ class MinorsReport:
     witness: tuple[int, ...] | None  # column set of the first singular minor
 
 
+def _log_array(field: Field, matrix) -> np.ndarray:
+    """The matrix as int64 exponents in [0, N), with -1 for zero."""
+    return np.array([[-1 if e is None else e % field.N for e in row]
+                     for row in matrix], dtype=np.int64)
+
+
+def _singular_minors(field: Field, M: np.ndarray) -> np.ndarray:
+    """Mask of the singular matrices in a (c, k, k) stack in log form,
+    by Gaussian elimination of the whole stack at once; M is overwritten.
+
+    Column j pivots on the first nonzero entry at or below the diagonal and
+    subtracts (a_i / pivot) * pivot row from each row i below.  Products
+    add logs mod N (-1 is theta^(N/2) for odd p); sums go through the
+    packed vectors.  A matrix is singular when some column has no pivot.
+    """
+    c, k, _ = M.shape
+    N = field.N
+    neg = 0 if field.p == 2 else N // 2
+    exp0, log = field.np_exp_log()
+    at = np.arange(c)
+    singular = np.zeros(c, dtype=bool)
+    for j in range(k):
+        nonzero = M[:, j:, j] >= 0
+        singular |= ~nonzero.any(axis=1)
+        piv = j + nonzero.argmax(axis=1)
+        prow = M[at, piv, j:]
+        M[at, piv, j:] = M[:, j, j:]  # row j is not read again
+        a = M[:, j + 1:, j, None]
+        b = prow[:, None, 1:]
+        term = np.where((a >= 0) & (b >= 0),
+                        (a - prow[:, :1, None] + neg + b) % N, -1)
+        rest = M[:, j + 1:, j + 1:]
+        rest[...] = log[field.np_packed_add(exp0[rest], exp0[term])]
+    return singular
+
+
 def check_mds_rank(field: Field, matrix,
                    budget: int = MINORS_BUDGET_DEFAULT) -> MinorsReport:
-    rows = [tuple(r) for r in matrix]
-    k, n = len(rows), len(rows[0])
+    """Scan the maximal minors in ``itertools.combinations`` order, a chunk
+    of column sets at a time, and report the first singular one."""
+    logs = _log_array(field, matrix)
+    k, n = logs.shape
     total = math.comb(n, k)
     if total > budget:
         raise BudgetExceeded(f"C({n},{k}) = {total} exceeds budget {budget}")
-    checked = 0
-    for cols in itertools.combinations(range(n), k):
-        minor = [[row[c] for c in cols] for row in rows]
-        checked += 1
-        if not is_nonsingular(field, minor):
-            return MinorsReport(False, checked, cols)
-    return MinorsReport(True, checked, None)
+    chunk = max(1, MINOR_ENTRIES // (k * k))
+    combos = itertools.combinations(range(n), k)
+    for offset in range(0, total, chunk):
+        c = min(chunk, total - offset)
+        cols = np.fromiter(
+            itertools.chain.from_iterable(itertools.islice(combos, c)),
+            dtype=np.int64, count=c * k).reshape(c, k)
+        M = logs[:, cols].transpose(1, 0, 2).copy()
+        hits = np.flatnonzero(_singular_minors(field, M))
+        if hits.size:
+            i = int(hits[0])
+            return MinorsReport(False, offset + i + 1, tuple(cols[i].tolist()))
+    return MinorsReport(True, total, None)
 
 
 # --------------------------------------------------------------------------
 # MDS route 2: exhaustive minimum weight
 # --------------------------------------------------------------------------
 
-def _scalar_min_weight(field: Field, rows) -> int:
-    k, n = len(rows), len(rows[0])
-    elems: list[Elt] = [None] + list(range(field.q2 - 1))
+def _np_multiples(field: Field, row: np.ndarray) -> np.ndarray:
+    """(q^2, n) packed coefficient vectors of c * row for every scalar c,
+    zero first; ``row`` is in log form."""
+    exp0, _ = field.np_exp_log()
+    scalars = np.arange(field.N)[:, None]
+    shifted = np.where(row >= 0, (row + scalars) % field.N, -1)
+    return np.vstack((np.zeros((1, len(row)), dtype=np.int64), exp0[shifted]))
+
+
+def _np_min_weight(field: Field, logs: np.ndarray) -> int:
+    """Minimum weight over the messages whose first nonzero coordinate is 1.
+
+    Every nonzero message is a nonzero scalar times exactly one of them, and
+    scaling keeps the weight, so this is the minimum over all of them.
+    Leading position i fixes coordinate i to 1 and those before it to 0,
+    and runs the rows after i over every multiple.
+    """
+    k, n = logs.shape
+    exp0, _ = field.np_exp_log()
+    mults = [_np_multiples(field, r) for r in logs[1:]]
     best = n
-    for msg in itertools.product(elems, repeat=k):
-        if all(c is None for c in msg):
-            continue
-        weight = 0
-        for j in range(n):
-            acc: Elt = None
-            for c, row in zip(msg, rows):
-                acc = field.add(acc, field.mul(c, row[j]))
-            if acc is not None:
-                weight += 1
-        best = min(best, weight)
-    return best
-
-
-def _np_multiples(field: Field, row) -> np.ndarray:
-    """(q^2, n) packed coefficient vectors of c * row for every scalar c."""
-    exp_table = np.asarray(field.backend.exp, dtype=np.int64)
-    n = len(row)
-    out = np.zeros((field.q2, n), dtype=np.int64)
-    N = field.N
-    ent = np.asarray([-1 if e is None else e for e in row], dtype=np.int64)
-    live = ent >= 0
-    for c in range(1, field.q2):
-        ce = c - 1  # scalar theta^(c-1)
-        shifted = (ent + ce) % N
-        out[c, live] = exp_table[shifted[live]]
-    return out
-
-
-def _np_min_weight(field: Field, rows) -> int:
-    p, n, k = field.p, len(rows[0]), len(rows)
-    mults = [_np_multiples(field, r) for r in rows]
-    if p == 2:
-        def combine(a, b):
-            return (a[:, None, :] ^ b[None, :, :]).reshape(-1, a.shape[1])
-        def weight_rows(w):
-            return (w != 0).sum(axis=1)
-    else:
-        digits = 2 * field.h
-        def to_planes(a):
-            return np.stack([(a // p**i) % p for i in range(digits)], axis=-1)
-        mults = [to_planes(m) for m in mults]
-        def combine(a, b):
-            return ((a[:, None, :, :] + b[None, :, :, :]) % p
-                    ).reshape(-1, a.shape[1], digits)
-        def weight_rows(w):
-            return (w != 0).any(axis=2).sum(axis=1)
-    best = n
-    # chunk over the first coordinate to bound the working set
-    for c0 in range(field.q2):
-        w = mults[0][c0:c0 + 1]
-        for i in range(1, k):
-            w = combine(w, mults[i])
-        weights = weight_rows(w)
-        if c0 == 0 and k >= 1:
-            weights = weights[1:]  # drop the all-zero message
-        if len(weights):
-            best = min(best, int(weights.min()))
+    for i in range(k):
+        words = exp0[logs[i]][None, :]
+        for m in mults[i:]:
+            words = field.np_packed_add(words[:, None, :],
+                                        m[None, :, :]).reshape(-1, n)
+        best = min(best, int(np.count_nonzero(words, axis=1).min()))
     return best
 
 
 def check_mds_enumeration(field: Field, matrix,
                           budget: int = ENUM_BUDGET_DEFAULT) -> int:
-    """Exhaustive minimum weight of the row space; MDS iff it is n - k + 1."""
-    rows = [tuple(r) for r in matrix]
-    total = field.q2 ** len(rows)
+    """Exhaustive minimum weight of the row space; MDS iff it is n - k + 1.
+    The budget counts all q^(2k) messages, although only one per line
+    through the origin is enumerated."""
+    logs = _log_array(field, matrix)
+    total = field.q2 ** len(logs)
     if total > budget:
         raise BudgetExceeded(f"q^(2k) = {total} exceeds budget {budget}")
-    if field.mode == "table" and total >= 4096:
-        return _np_min_weight(field, rows)
-    return _scalar_min_weight(field, rows)
+    return _np_min_weight(field, logs)
 
 
 # --------------------------------------------------------------------------

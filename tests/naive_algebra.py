@@ -1,10 +1,13 @@
 """Brute-force reference implementations used only as test oracles.
 
-Everything here is written for clarity over speed and shares no code with
-the package: polynomials are plain coefficient tuples (index i is the
-coefficient of x^i), reduction is long division, irreducibility is trial
-division by every lower-degree monic polynomial, and multiplicative orders
-are found by repeated multiplication.  Only tiny fields go through these.
+Everything here is written for clarity over speed.  The polynomial helpers
+share no code with the package: polynomials are plain coefficient tuples
+(index i is the coefficient of x^i), reduction is long division,
+irreducibility is trial division by every lower-degree monic polynomial, and
+multiplicative orders are found by repeated multiplication.  Only tiny
+fields go through these.  The scalar linear-algebra references at the end
+use only a ``Field``'s element-by-element arithmetic, so they check the
+package's batched numpy kernels against the scalar field operations.
 """
 
 from __future__ import annotations
@@ -165,3 +168,98 @@ def trial_division_sweep_params(construction: str, q: int) -> list[dict]:
     if construction == "mixed_union":
         return [{"m1": m1, "m2": m2} for m1 in odd for m2 in even]
     raise ValueError(f"unknown construction {construction!r}")
+
+
+def table_backend_reference(p: int, n: int, modulus) -> tuple[list, list]:
+    """exp and log tables of GF(p^n) by stepping theta^e -> theta^(e+1) one
+    coefficient vector at a time (exp packs coefficient i as digit i in base
+    p; log maps a packed vector to its exponent and the zero vector to -1)."""
+    q2 = p ** n
+    weights = [p ** i for i in range(n)]
+    exp = []
+    cur = [1] + [0] * (n - 1)
+    for _ in range(q2 - 1):
+        exp.append(sum(c * w for c, w in zip(cur, weights)))
+        top = cur[n - 1]
+        for i in range(n - 1, 0, -1):
+            cur[i] = (cur[i - 1] - top * modulus[i]) % p
+        cur[0] = (-top * modulus[0]) % p
+    log = [-1] * q2
+    for e, v in enumerate(exp):
+        log[v] = e
+    return exp, log
+
+
+def rank(field, matrix) -> int:
+    """Rank by scalar Gaussian elimination."""
+    rows = [list(r) for r in matrix]
+    if not rows:
+        return 0
+    ncols = len(rows[0])
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c] is not None),
+                   None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = field.inv(rows[r][c])
+        for i in range(r + 1, len(rows)):
+            if rows[i][c] is not None:
+                factor = field.mul(rows[i][c], inv)
+                rows[i] = [field.sub(a, field.mul(factor, b))
+                           for a, b in zip(rows[i], rows[r])]
+        r += 1
+        if r == len(rows):
+            break
+    return r
+
+
+def is_nonsingular(field, square) -> bool:
+    """Nonsingularity of a square matrix by scalar Gaussian elimination."""
+    rows = [list(r) for r in square]
+    k = len(rows)
+    for c in range(k):
+        piv = next((i for i in range(c, k) if rows[i][c] is not None), None)
+        if piv is None:
+            return False
+        rows[c], rows[piv] = rows[piv], rows[c]
+        inv = field.inv(rows[c][c])
+        for i in range(c + 1, k):
+            if rows[i][c] is not None:
+                factor = field.mul(rows[i][c], inv)
+                rows[i] = [field.sub(a, field.mul(factor, b))
+                           for a, b in zip(rows[i], rows[c])]
+    return True
+
+
+def minors_scan(field, matrix) -> tuple[bool, int, tuple[int, ...] | None]:
+    """(is_mds, minors checked, witness) of a scan of every maximal minor in
+    combinations order that stops at the first singular one."""
+    rows = [tuple(r) for r in matrix]
+    k, n = len(rows), len(rows[0])
+    checked = 0
+    for cols in itertools.combinations(range(n), k):
+        checked += 1
+        if not is_nonsingular(field, [[row[c] for c in cols] for row in rows]):
+            return False, checked, cols
+    return True, checked, None
+
+
+def scalar_min_weight(field, rows) -> int:
+    """Minimum weight over all nonzero messages, one codeword at a time."""
+    k, n = len(rows), len(rows[0])
+    elems = [None] + list(range(field.q2 - 1))
+    best = n
+    for msg in itertools.product(elems, repeat=k):
+        if all(c is None for c in msg):
+            continue
+        weight = 0
+        for j in range(n):
+            acc = None
+            for c, row in zip(msg, rows):
+                acc = field.add(acc, field.mul(c, row[j]))
+            if acc is not None:
+                weight += 1
+        best = min(best, weight)
+    return best

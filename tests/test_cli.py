@@ -197,6 +197,15 @@ def test_sweep_text_empty(capsys):
     assert "no admissible parameters" in out
 
 
+def test_sweep_text_no_admissible_k(capsys):
+    # q = 2: the only divisor m = 3 leaves a length-1 code with oracle bound 0
+    for construction in ("c1", "c1_ext"):
+        rc, out = run(capsys, "sweep", "--construction", construction,
+                      "--q", "2", "--format", "text")
+        assert rc == 0
+        assert "no admissible parameters" in out
+
+
 # --- audit -----------------------------------------------------------------------
 
 

@@ -1,5 +1,6 @@
 import pytest
 
+from naive_algebra import is_nonsingular, rank
 from qmds.codes import (
     eval_code,
     extend_c1,
@@ -10,9 +11,7 @@ from qmds.codes import (
     gram_zero_structured,
     gram_zero_vectorized,
     hermitian_ip,
-    is_nonsingular,
     matrix_to_strings,
-    rank,
     weighted_pair_sum,
 )
 from qmds.constructions import _build_evalset, max_dim_oracle

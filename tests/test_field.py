@@ -12,6 +12,7 @@ from qmds.errors import (
     ZeroArgument,
 )
 from qmds.field import Field, build_field, canonical_modulus, field_for_q
+from qmds.numtheory import is_prime_power
 
 # frozen canonical moduli, coefficient order 1, x, x^2, ...
 FROZEN_MODULI = {
@@ -144,6 +145,19 @@ def test_backends_agree_sampled_gf25_squared():
         a, b = rng.randrange(table.N), rng.randrange(table.N)
         assert table.backend.add_exponents(a, b) == bsgs.backend.add_exponents(a, b)
         assert table.backend.exp_packed(a) == bsgs.backend.exp_packed(a)
+
+
+# every field GF(q^2) with q^2 <= 2^16, plus the largest one the benchmark
+# builds in its low-dimension jobs
+TABLE_FIELDS = [pp for pp in map(is_prime_power, range(2, 257)) if pp] + [(557, 1)]
+
+
+@pytest.mark.parametrize("p,h", TABLE_FIELDS)
+def test_table_backend_matches_stepping_reference(p, h):
+    f = Field(p, h, mode="table")  # not memoized: the tables die with the test
+    exp, log = na.table_backend_reference(p, 2 * h, f.modulus)
+    assert f.backend.exp == exp
+    assert f.backend.log == log
 
 
 def test_log_zero_raises(gf25):

@@ -1,13 +1,15 @@
 import math
+import random
 
 import pytest
 
+from naive_algebra import minors_scan, scalar_min_weight
 from qmds.codes import eval_code
-from qmds.errors import BudgetExceeded, InvalidDims
+from qmds.errors import BudgetExceeded, CapacityExceeded, InvalidDims
 from qmds.evalsets import subgroup_set
-from qmds.field import field_for_q
+from qmds.field import Field, field_for_q
 from qmds.verify import (
-    _scalar_min_weight,
+    MINOR_ENTRIES,
     check_mds_enumeration,
     check_mds_rank,
     quantum_params,
@@ -60,6 +62,41 @@ def test_minor_scan_catches_singular_minor():
     assert report.minors_checked == 1  # stops at the first failure
 
 
+def _random_matrix(rng, f, k, n, zero_share=0.2):
+    return [[None if rng.random() < zero_share else rng.randrange(f.N)
+             for _ in range(n)] for _ in range(k)]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 9])
+def test_minor_scan_matches_scalar_scan_on_random_matrices(q):
+    # GF(4), GF(9), GF(16), GF(25), GF(49), GF(81): the batched scan must
+    # give the scalar scan's verdict, count and first witness
+    f = field_for_q(q)
+    rng = random.Random(1000 + q)
+    for trial in range(40):
+        k = rng.randint(1, 4)
+        rows = _random_matrix(rng, f, k, rng.randint(k, 8))
+        if trial % 3 == 0 and len(rows[0]) > 1:  # duplicate a column
+            src, dst = rng.sample(range(len(rows[0])), 2)
+            for row in rows:
+                row[dst] = row[src]
+        report = check_mds_rank(f, rows)
+        assert (report.is_mds, report.minors_checked, report.witness) == \
+            minors_scan(f, rows), (q, rows)
+
+
+def test_minor_scan_first_singular_minor_past_first_chunk():
+    # 2 x 200 over GF(256) with columns (1, theta^j): only the pair of
+    # duplicated columns (150, 199) is singular, at index 18 724 of C(200, 2)
+    f = field_for_q(16)
+    rows = [[0] * 200, list(range(200))]
+    rows[1][199] = 150
+    report = check_mds_rank(f, rows)
+    assert report.minors_checked > MINOR_ENTRIES // 4  # past the first chunk
+    assert (report.is_mds, report.minors_checked, report.witness) == \
+        minors_scan(f, rows) == (False, 18724, (150, 199))
+
+
 def test_minor_scan_budget():
     art = raw_artifact("c1", 13, {"m": 7}, 6)  # C(24, 6) = 134596 minors
     with pytest.raises(BudgetExceeded):
@@ -73,29 +110,50 @@ def test_enumeration_routes_agree_small_odd():
 
 
 def test_enumeration_routes_agree_char2():
-    # 64**2 and 64**3 totals both hit the bulk numpy path; the scalar
-    # fallback must report the same minimum weight
+    # the scalar reference must report the same minimum weight
     for k in (2, 3):
         art = raw_artifact("c1", 8, {"m": 3}, k)
         rows = [tuple(r) for r in art.matrix()]
         fast = check_mds_enumeration(art.field, art.matrix())
-        slow = _scalar_min_weight(art.field, rows)
+        slow = scalar_min_weight(art.field, rows)
         assert fast == slow == art.n - art.k + 1
 
 
 def test_enumeration_routes_agree_odd_prime_bulk():
-    # 25**3 = 15625 >= 4096 exercises the odd-characteristic numpy path
+    # exercises the odd-characteristic numpy path
     art = raw_artifact("c1", 5, {"m": 3}, 3)  # above the oracle but still a code
     rows = [tuple(r) for r in art.matrix()]
     fast = check_mds_enumeration(art.field, art.matrix())
-    slow = _scalar_min_weight(art.field, rows)
+    slow = scalar_min_weight(art.field, rows)
     assert fast == slow
+
+
+@pytest.mark.parametrize("q", [2, 4, 3, 5])
+def test_projective_enumeration_matches_full_reference(q):
+    # one message per line through the origin against all q^(2k) messages,
+    # for p = 2 (GF(4), GF(16)) and odd p (GF(9), GF(25))
+    f = field_for_q(q)
+    rng = random.Random(2000 + q)
+    for k in (1, 2, 3):
+        for _ in range(3):
+            rows = _random_matrix(rng, f, k, rng.randint(k, 6))
+            assert check_mds_enumeration(f, rows) == \
+                scalar_min_weight(f, rows), (q, rows)
 
 
 def test_enumeration_budget():
     art = raw_artifact("c1", 13, {"m": 7}, 6)  # 169**6 messages
     with pytest.raises(BudgetExceeded):
         check_mds_enumeration(art.field, art.matrix(), budget=10_000)
+
+
+def test_mds_routes_need_table_mode():
+    f = Field(5, 1, mode="bsgs")
+    rows = [[0, None], [None, 0]]
+    with pytest.raises(CapacityExceeded):
+        check_mds_rank(f, rows)
+    with pytest.raises(CapacityExceeded):
+        check_mds_enumeration(f, rows)
 
 
 def test_verify_artifact_full_agreement():
