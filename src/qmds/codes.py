@@ -7,14 +7,16 @@ reproduce the weighted power sums.  The extended variant prepends one border
 column that is nonzero only in row 0.
 
 ``gram_zero`` is the self-orthogonality check.  On table-mode fields it
-runs ``gram_zero_vectorized``, which computes the whole upper triangle in
-chunks of columns, with one route per field regime: for p = 2 each row of
-the triangle gathers the packed int32 coefficient masks of its terms and
-XOR-reduces them; for odd p float64 matmuls of base-p coefficient planes
-give every entry at once, exact because each sum stays below 2^53.  The
-scalar and structured checks compute each entry directly from the field
-arithmetic.  Every route reports the first offending row pair in row-major
-order as its witness, so they can be cross-checked.
+runs ``gram_zero_vectorized``, which computes every entry of the upper
+triangle, with one route per field regime.  For p = 2 it splits each point
+exponent modulo q - 1 and q + 1 (coprime for even q, with product q^2 - 1)
+and sums in two stages: first over the points of each class mod q + 1, then
+over the classes, XOR-reducing packed int32 coefficient masks throughout.
+For odd p float64 matmuls of base-p coefficient planes give every entry at
+once, exact because each sum stays below 2^53.  The scalar and structured
+checks compute each entry directly from the field arithmetic.  Every route
+reports the first offending row pair in row-major order as its witness, so
+they can be cross-checked.
 """
 
 from __future__ import annotations
@@ -29,10 +31,13 @@ from .errors import (CapacityExceeded, DimensionTooLarge, LengthMismatch,
 from .evalsets import EvalSet, subgroup_set
 from .field import Elt, Field
 
-# Columns per chunk of the vectorized Gram routes.  It bounds what a chunk
-# gathers, whatever n is: two (2h*k) x GRAM_CHUNK float64 plane stacks for
-# odd p, and k x GRAM_CHUNK int32 exponent and mask arrays for p = 2.
+# Columns per chunk of the odd-p Gram route.  It bounds what a chunk
+# gathers, whatever n is: two (2h*k) x GRAM_CHUNK float64 plane stacks.
 GRAM_CHUNK = 128
+
+# Elements per block of the p = 2 Gram route's int32 index and mask arrays;
+# a stage-1 block takes at least one whole row of n points.
+GRAM_BLOCK = 1 << 14
 
 
 @dataclass(eq=False)
@@ -170,19 +175,29 @@ def gram_zero_structured(artifact: CodeArtifact) -> tuple[bool, tuple[int, int] 
 
 
 def gram_zero_vectorized(artifact: CodeArtifact) -> tuple[bool, tuple[int, int] | None]:
-    """Vectorized Gram check on exponent arrays (table-mode fields).
+    """Vectorized Gram check (table-mode fields).  The witness is the first
+    nonzero entry of ``gram_nonzero_mask`` in row-major order."""
+    hits = np.flatnonzero(gram_nonzero_mask(artifact))
+    if hits.size:
+        l1, l2 = divmod(int(hits[0]), artifact.k)
+        return False, (l1, l2)
+    return True, None
+
+
+def gram_nonzero_mask(artifact: CodeArtifact) -> np.ndarray:
+    """k x k boolean mask of the nonzero upper-triangle Gram entries, on
+    exponent arrays (table-mode fields).
 
     Entry (l1, l2) is sum_j X[l1, j] * Y[l2, j] with X[l1, j] =
     theta^(B_j + l1*E_j), Y[l2, j] = theta^(q*l2*E_j) and
-    B_j = w_j + shift*(q+1)*e_j.  Both routes return the mask of nonzero
-    upper-triangle entries, computed in column chunks over the whole
-    triangle: for p = 2 XOR-reductions of int32 coefficient masks
-    (``_gram_bad_char2``), for odd p float64 matmuls of coefficient planes
-    (``_gram_bad_odd``).  The witness is the first nonzero entry of the
-    upper triangle in row-major order.
+    B_j = w_j + shift*(q+1)*e_j.  Every entry is computed: for p = 2 by
+    two gather stages over the exponents split mod q - 1 and q + 1, with
+    XOR-reductions of int32 coefficient masks (``_gram_bad_char2``); for
+    odd p by float64 matmuls of coefficient planes in column chunks
+    (``_gram_bad_odd``).
     """
     f = artifact.field
-    N, q, k = f.N, f.q, artifact.k
+    N, q = f.N, f.q
     E = np.asarray(artifact.evalset.points, dtype=np.int64)
     W = np.asarray(artifact.evalset.weights, dtype=np.int64)
     B = (W + (artifact.shift * (q + 1) % N) * E) % N
@@ -192,37 +207,62 @@ def gram_zero_vectorized(artifact: CodeArtifact) -> tuple[bool, tuple[int, int] 
         b = artifact.border_entry
         border_packed = f.backend.exp_packed(f.mul(b, f.frobenius_q(b)))
     route = _gram_bad_char2 if f.p == 2 else _gram_bad_odd
-    hits = np.flatnonzero(route(f, k, B, E, QE, border_packed))
-    if hits.size:
-        l1, l2 = divmod(int(hits[0]), k)
-        return False, (l1, l2)
-    return True, None
+    return route(f, artifact.k, B, E, QE, border_packed)
 
 
 def _gram_bad_char2(f: Field, k: int, B: np.ndarray, E: np.ndarray,
                     QE: np.ndarray, border_packed: int) -> np.ndarray:
     """k x k upper-triangular mask of the nonzero Gram entries, p = 2.
 
-    Over GF(2) the coefficient vector of a sum is the XOR of the packed
-    masks of its terms, and term (l1, l2, j) is theta^(U[l1, j] + V[l2, j])
-    with U = (l1*E + B) mod N and V = (l2*q*E) mod N.  Per chunk of c
-    columns, row l1 of the upper triangle gathers the masks at V[l1:] +
-    U[l1] (every index is below 2N, the length of the mask table) and
-    XOR-reduces them over the columns.
+    Entry (l1, l2) is sum_j theta^(B_j + E_j*t) with t = l1 + q*l2.  For
+    even q, N = a1*a2 with a1 = q - 1 and a2 = q + 1 coprime, so each point
+    exponent splits as E_j = a2*e1_j + a1*e2_j (mod N), and t is l1 + l2
+    mod a1 and l1 - l2 mod a2.  With s = (l1 + l2) mod a1 and
+    d = (l1 - l2) mod a2 the term is theta^(B_j + a2*(e1_j*s mod a1))
+    times theta^(a1*(e2_j*d mod a2)).  Stage 1 sums the first factor over
+    the points of each class e2_j = g:
+    R[s, g] = sum_(e2_j = g) theta^(B_j + a2*(e1_j*s mod a1)).  Stage 2
+    sums entry(l1, l2) = sum_g R[s, g] * theta^(a1*(g*d mod a2)) over the
+    nonzero R[s, g], one antidiagonal l1 + l2 = T at a time, since s
+    depends on T only.  Every term is still summed exactly; over GF(2)
+    a sum is the XOR of the packed masks of its terms, and every gathered
+    exponent is below 2N, the length of the mask table.  All index
+    arithmetic is int32: table mode has q <= 2^11, so every product is
+    below (q+1)^2 and every index below 2N, both under 2^23.
     """
-    N, n = f.N, len(E)
+    q, n = f.q, len(E)
+    a1, a2 = q - 1, q + 1
     mask = f.np_mask_ext()
-    rows = np.arange(k, dtype=np.int64)[:, None]
+    E = E.astype(np.int32)
+    e1 = E % a1 * pow(a2, -1, a1) % a1
+    e2 = E % a2 * pow(a1, -1, a2) % a2
+    order = np.argsort(e2, kind="stable")
+    e1, B = e1[order], B[order].astype(np.int32)
+    g, starts = np.unique(e2[order], return_index=True)
+
+    n_s = min(a1, 2 * k - 1)
+    R = np.empty((n_s, len(g)), dtype=mask.dtype)
+    step = max(1, GRAM_BLOCK // n)
+    for s0 in range(0, n_s, step):
+        s = np.arange(s0, min(s0 + step, n_s), dtype=np.int32)[:, None]
+        terms = mask.take(B + a2 * (e1 * s % a1))
+        R[s0:s0 + step] = np.bitwise_xor.reduceat(terms, starts, axis=1)
+
+    logR = np.asarray(f.backend.log, dtype=np.int32)[R]
     acc = np.zeros((k, k), dtype=mask.dtype)
-    for a in range(0, n, GRAM_CHUNK):
-        cols = slice(a, a + GRAM_CHUNK)
-        U = ((rows * E[cols] + B[cols]) % N).astype(np.int32)
-        V = ((rows * QE[cols]) % N).astype(np.int32)
-        for l1 in range(k):
-            terms = mask.take(V[l1:] + U[l1])
-            acc[l1, l1:] ^= np.bitwise_xor.reduce(terms, axis=1)
+    for T in range(2 * k - 1):
+        live = logR[T % a1] >= 0
+        if not live.any():
+            continue
+        gs, logs = g[live], logR[T % a1, live]
+        step = max(1, GRAM_BLOCK // len(gs))
+        for lo in range(max(0, T - k + 1), T // 2 + 1, step):
+            l1 = np.arange(lo, min(lo + step, T // 2 + 1), dtype=np.int32)
+            d = ((2 * l1 - T) % a2)[:, None]
+            terms = mask.take(logs + a1 * (d * gs % a2))
+            acc[l1, T - l1] = np.bitwise_xor.reduce(terms, axis=1)
     acc[0, 0] ^= border_packed
-    return np.triu(acc != 0)
+    return acc != 0
 
 
 def _gram_bad_odd(f: Field, k: int, B: np.ndarray, E: np.ndarray,

@@ -288,14 +288,20 @@ def _certify(construction: str, q: int, k: int | None, want_matrix: str,
     p, h = _q_parts(q)
     n = code_length(construction, q, params)
     least, k_cap = _k_range(construction, q, params, base_max)
+    oracle = f"oracle {base_max}" + (
+        "+1 border row" if construction == "c1_ext" else "")
     if k is None:
-        k = max(k_cap, 2) if construction == "c1_ext" else k_cap
+        if k_cap < least:
+            raise DimensionExceedsOracle(
+                f"no admissible k for {construction} (q={q}, params="
+                f"{params}): the range {least}..{k_cap} is empty ({oracle})")
+        k = k_cap
     if k < least:
         raise UsageError(f"k = {k} is too small for {construction}")
     if k > k_cap:
         raise DimensionExceedsOracle(
             f"k = {k} exceeds the proven range {k_cap} for {construction} "
-            f"(oracle {base_max}{'+1 border row' if construction == 'c1_ext' else ''})")
+            f"({oracle})")
     fd = formula_d_max(construction, q, params)
     discrepancies = []
     if k_cap > fd - 1 + (1 if construction == "c1_ext" else 0):

@@ -114,6 +114,20 @@ def test_construct_hypothesis_errors(capsys):
                "--q", "13", "--m1", "3", "--m2", "7")[0] == 1
 
 
+@pytest.mark.parametrize("construction,empty",
+                         [("c1", "1..0"), ("c1_ext", "2..1")])
+def test_construct_without_k_when_no_k_is_admissible(capsys, construction,
+                                                     empty):
+    # q = 2, m = 3: a length-1 subgroup code with oracle bound 0, so no k
+    # was given and none is admissible; the error names the empty range
+    rc = main(["construct", "--construction", construction,
+               "--q", "2", "--m", "3"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert f"no admissible k for {construction}" in err
+    assert f"the range {empty} is empty" in err
+
+
 def test_construct_half_power_union_m3(capsys):
     rc, obj = run_json(capsys, "construct", "--construction",
                        "half_power_union", "--q", "61", "--m1", "6",

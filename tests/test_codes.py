@@ -1,11 +1,17 @@
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from naive_algebra import is_nonsingular, rank
 from qmds.codes import (
+    CodeArtifact,
+    _gram_bad_char2,
     eval_code,
     extend_c1,
     gram_entry,
     gram_hermitian,
+    gram_nonzero_mask,
     gram_zero,
     gram_zero_scalar,
     gram_zero_structured,
@@ -16,7 +22,7 @@ from qmds.codes import (
 )
 from qmds.constructions import _build_evalset, max_dim_oracle
 from qmds.errors import DimensionTooLarge, LengthMismatch, UsageError
-from qmds.evalsets import subgroup_set
+from qmds.evalsets import EvalSet, subgroup_set
 from qmds.field import build_field, field_for_q
 
 # (construction, q, params, max self-orthogonal k) for the Gram agreement pool
@@ -219,6 +225,122 @@ def test_char2_known_bad_witnesses(construction, q, params, k, witness):
         (True, None)
     assert gram_zero(raw_artifact(construction, q, params, k)) == \
         (False, witness)
+
+
+def scalar_nonzero_mask(art):
+    """The route's mask computed entry by entry from the materialized
+    matrix with scalar field arithmetic."""
+    g = gram_hermitian(art.field, art.matrix())
+    return np.array([[l2 >= l1 and g[l1][l2] is not None
+                      for l2 in range(art.k)] for l1 in range(art.k)])
+
+
+def check_char2_mask(art):
+    assert np.array_equal(gram_nonzero_mask(art), scalar_nonzero_mask(art))
+    assert gram_zero_vectorized(art) == \
+        gram_zero_scalar(art.field, art.matrix())
+
+
+@pytest.mark.parametrize("construction,q,params,k", [
+    ("c1_ext", 4, {"m": 5}, 3),
+    ("c1", 8, {"m": 3}, 5),
+    ("c1_ext", 8, {"m": 3}, 5),
+    ("c1_ext", 8, {"m": 3}, 6),
+    ("c1", 32, {"m": 3}, 20),
+    ("c1", 32, {"m": 3}, 21),
+], ids=["ext4-k3", "c1q8-k5", "ext8-k5", "ext8-k6", "c1q32-k20",
+        "c1q32-k21"])
+def test_char2_route_where_l1_plus_l2_wraps_mod_q_minus_1(construction, q,
+                                                          params, k):
+    # l1 + l2 reaches 2k - 2 >= q - 1, so the stage-1 rows are reused
+    # modulo q - 1
+    assert 2 * k - 1 > q - 1
+    check_char2_mask(raw_artifact(construction, q, params, k))
+
+
+def stage1_row(art, s):
+    """Stage-1 sums R[s, g] of the p = 2 route, by scalar field addition:
+    the points split as E = (q+1)*e1 + (q-1)*e2 mod q^2 - 1, and class g
+    collects theta^(B + (q+1)*(e1*s mod q-1)) over the points with e2 = g."""
+    f = art.field
+    q, N = f.q, f.N
+    row = {}
+    for e, w in zip(art.evalset.points, art.evalset.weights):
+        e1 = e * pow(q + 1, -1, q - 1) % (q - 1)
+        e2 = e * pow(q - 1, -1, q + 1) % (q + 1)
+        assert ((q + 1) * e1 + (q - 1) * e2 - e) % N == 0
+        b = (w + art.shift * (q + 1) * e) % N
+        row[e2] = f.add(row.get(e2), (b + (q + 1) * (e1 * s % (q - 1))) % N)
+    return row
+
+
+@pytest.mark.parametrize("k", [4, 5])
+def test_char2_route_skips_zero_stage1_rows(k):
+    # c1 at q = 8, m = 3: every R[s, g] vanishes for s in {0, .., 4, 6}, so
+    # all entries with l1 + l2 = s mod 7 are zero; only s = 5 carries terms
+    art = raw_artifact("c1", 8, {"m": 3}, k)
+    zero = [s for s in range(7)
+            if all(v is None for v in stage1_row(art, s).values())]
+    assert zero == [0, 1, 2, 3, 4, 6]
+    check_char2_mask(art)
+
+
+def test_table2_row4_char2_route():
+    # Table 2 row 4: q = 512, m = (19, 27), n = 22 484; first witness at
+    # k = 265 as the former whole-triangle gather gave it
+    assert max_dim_oracle("char2_union", 512, {"m1": 19, "m2": 27}) == 264
+    art = raw_artifact("char2_union", 512, {"m1": 19, "m2": 27}, 264)
+    assert art.n == 22484
+    assert gram_zero(art) == (True, None)
+    art = raw_artifact("char2_union", 512, {"m1": 19, "m2": 27}, 265)
+    assert gram_zero(art) == (False, (245, 264))
+
+
+@given(st.data())
+def test_char2_route_on_arbitrary_point_sets(data):
+    # distinct random points with random GF(q)* weights: no subgroup
+    # structure for the exponent split to rely on
+    q = data.draw(st.sampled_from([2, 4, 8, 16]))
+    f = field_for_q(q)
+    points = data.draw(st.lists(st.integers(0, f.N - 1), min_size=1,
+                                max_size=min(f.N, 20), unique=True))
+    weights = data.draw(st.lists(st.integers(0, q - 2), min_size=len(points),
+                                 max_size=len(points)))
+    es = EvalSet(f, tuple(points), tuple((q + 1) * w for w in weights),
+                 ((),) * len(points), "random")
+    border = data.draw(st.none() | st.integers(0, f.N - 1))
+    art = CodeArtifact(f, es, k=data.draw(st.integers(1, 18)),
+                       shift=data.draw(st.integers(0, f.N - 1)),
+                       has_border=border is not None, border_entry=border)
+    check_char2_mask(art)
+
+
+@given(st.data())
+def test_char2_route_on_arbitrary_exponent_sums(data):
+    # the route's contract for any B and E, not only Gram inputs: entry
+    # (l1, l2) is sum_j theta^(B_j + E_j*(l1 + q*l2)), plus the border at
+    # (0, 0).  Without Hermitian symmetry entries (l1, l2) and (l2, l1)
+    # vanish independently, so the mask also pins the sign of l1 - l2.
+    q = data.draw(st.sampled_from([2, 4, 8]))
+    f = field_for_q(q)
+    N = f.N
+    n = data.draw(st.integers(1, 12))
+    E = data.draw(st.lists(st.integers(0, N - 1), min_size=n, max_size=n))
+    B = data.draw(st.lists(st.integers(0, N - 1), min_size=n, max_size=n))
+    border = data.draw(st.sampled_from([0] + f.backend.exp[:4]))
+    k = data.draw(st.integers(1, 12))
+    E_arr = np.asarray(E, dtype=np.int64)
+    got = _gram_bad_char2(f, k, np.asarray(B, dtype=np.int64), E_arr,
+                          E_arr * q % N, border)
+    for l1 in range(k):
+        for l2 in range(k):
+            acc = None
+            for b, e in zip(B, E):
+                acc = f.add(acc, (b + e * (l1 + q * l2)) % N)
+            packed = 0 if acc is None else f.backend.exp_packed(acc)
+            if (l1, l2) == (0, 0):
+                packed ^= border
+            assert got[l1, l2] == (l2 >= l1 and packed != 0), (l1, l2)
 
 
 def test_gram_entry_equals_matrix_inner_product():
