@@ -21,7 +21,7 @@ from .numtheory import (dirichlet_search, factorize, is_prime, is_prime_power,
                         pair_search, quadratic_family_search)
 from .oracle import first_violation, max_dim
 from .verify import (QuantumParams, check_mds_enumeration, check_mds_rank,
-                     check_self_orthogonal, quantum_params, verify_artifact)
+                     quantum_params, verify_artifact)
 
 __version__ = "0.1.0"
 
@@ -45,5 +45,5 @@ __all__ = [
     "pair_search", "quadratic_family_search",
     "first_violation", "max_dim",
     "QuantumParams", "check_mds_enumeration", "check_mds_rank",
-    "check_self_orthogonal", "quantum_params", "verify_artifact",
+    "quantum_params", "verify_artifact",
 ]

@@ -23,14 +23,15 @@ are recorded as EXTERNAL.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import constructions, tables
-from .constructions import (adjacent_pair, build, formula_d_max,
-                            max_dim_oracle, quarter_split_pair, searched_pair)
+from .constructions import (adjacent_pair, build, code_length, formula_d_max,
+                            max_dim_oracle, quarter_split_pair, searched_pair,
+                            validate)
 from .errors import HypothesisViolated, NotPrime, UsageError
-from .evalsets import parity_union_size, union_size
 from .numtheory import is_prime_power, quadratic_family_search
 
 MATCH = "MATCH"
@@ -130,7 +131,7 @@ def _jsonable(obj):
 
 
 # --------------------------------------------------------------------------
-# shared helpers
+# per-table audits
 # --------------------------------------------------------------------------
 
 def _attempt_build(construction: str, q: int, params: dict, full: bool,
@@ -147,185 +148,118 @@ def _attempt_build(construction: str, q: int, params: dict, full: bool,
     return cert.verified_level
 
 
-def _mism(notes: list[str], what: str, printed, recomputed) -> bool:
-    notes.append(f"printed {what} {printed}; recomputed {recomputed}")
-    return True
+def _audit_row(table: int, construction: str, locate, columns, row: dict,
+               full: bool) -> AuditRow:
+    """Grade one printed row.
 
-
-# --------------------------------------------------------------------------
-# per-table audits
-# --------------------------------------------------------------------------
-
-def _audit_table1(full: bool) -> list[AuditRow]:
-    out = []
-    for row in tables.TABLE1:
-        q, m, k = row["q"], row["m"], row["k"]
-        notes: list[str] = []
-        base = max_dim_oracle("c1_ext", q, {"m": m})
-        k_max = base + 1
-        n = (q * q - 1) // m + 1
-        expected_code = (n, n - 2 * k, k + 1)
-        bad = False
-        if row["code"] != expected_code:
-            bad = _mism(notes, "triple", row["code"], expected_code)
-        if row["sub"] != q:
-            bad = _mism(notes, "subscript", row["sub"], q)
-        if k > k_max:
-            bad = _mism(notes, "dimension above oracle", k, k_max)
-        level = _attempt_build("c1_ext", q, {"m": m}, full, notes)
-        out.append(AuditRow(
-            1, row["row"], "c1_ext", dict(row),
-            {"n": n, "max_k": k_max, "code_for_printed_k": expected_code,
-             "formula_d_max": formula_d_max("c1_ext", q, {"m": m})},
-            MISMATCH if bad else MATCH, level, tuple(notes)))
-    return out
-
-
-def _audit_table2(full: bool) -> list[AuditRow]:
-    out = []
-    for row in tables.TABLE2:
-        q = 2 ** row["h"]
-        m1, m2, k = row["m1"], row["m2"], row["k"]
-        params = {"m1": m1, "m2": m2}
-        notes: list[str] = []
-        k_max = max_dim_oracle("char2_union", q, params)
-        n = parity_union_size(q * q - 1, (m1, m2))
-        bad = False
-        if row["sub"] != q:
-            bad = _mism(notes, "subscript", row["sub"], q)
-        if row["code"][0] != n:
-            bad = _mism(notes, "length", row["code"][0], n)
-        k_triple = (row["code"][0] - row["code"][1]) // 2
-        if k_triple != k:
-            bad = _mism(notes, "dimension column (triple implies"
-                        f" k = {k_triple})", k, k_triple)
-        if row["code"] != (n, n - 2 * k_triple, k_triple + 1):
-            bad = _mism(notes, "triple", row["code"],
-                        (n, n - 2 * k_triple, k_triple + 1))
-        if max(k, k_triple) > k_max:
-            bad = _mism(notes, "dimension above oracle", max(k, k_triple), k_max)
-        if "body_text_code" in row:
-            notes.append(f"body text also prints {row['body_text_code']} "
-                         f"for this entry")
-        notes.append(f"oracle max k = {k_max}")
-        level = _attempt_build("char2_union", q, params, full, notes)
-        out.append(AuditRow(
-            2, row["row"], "char2_union", dict(row),
-            {"q": q, "n": n, "max_k": k_max,
-             "formula_d_max": formula_d_max("char2_union", q, params)},
-            MISMATCH if bad else MATCH, level, tuple(notes)))
-    return out
-
-
-def _audit_table3(full: bool) -> list[AuditRow]:
-    out = []
-    for row in tables.TABLE3:
-        q, m1, m2 = row["q"], row["m1"], row["m2"]
-        params = {"m1": m1, "m2": m2}
-        notes: list[str] = []
-        k_max = max_dim_oracle("odd_union", q, params)
-        n = union_size(q * q - 1, (m1, m2))
-        bad = False
-        if row["sub"] != q:
-            bad = _mism(notes, "subscript", row["sub"], q)
-        if row["n"] != n:
-            bad = _mism(notes, "length", row["n"], n)
-        if row["k_max"] != k_max:
-            bad = _mism(notes, "dimension range", row["k_max"], k_max)
-        level = _attempt_build("odd_union", q, params, full, notes)
-        out.append(AuditRow(
-            3, row["row"], "odd_union", dict(row),
-            {"n": n, "max_k": k_max,
-             "formula_d_max": formula_d_max("odd_union", q, params)},
-            MISMATCH if bad else MATCH, level, tuple(notes)))
-    return out
-
-
-def _audit_even_union(table_id: int, rows, full: bool) -> list[AuditRow]:
-    """Tables of even-subgroup unions built from odd tuples with q = 2*prod+1."""
-    out = []
-    for row in rows:
-        parts = tuple(row[key] for key in ("a", "b", "c") if key in row)
-        q = row["q"]
-        ms = tuple(2 * a for a in parts)
-        params = {"ms": ms}
-        notes: list[str] = []
-        prod = 1
-        for a in parts:
-            prod *= a
-        if q != 2 * prod + 1:
-            notes.append(f"q column {q} is not 2*{prod}+1")  # pragma: no cover
+    The row prints q, or h with q = 2^h.  ``locate(row, q, notes)`` gives
+    the row's parameters, or raises the hypothesis the row violates.
+    ``columns(row, q, params, rec)`` adds the table's own recomputed values
+    to ``rec`` and yields, in note order, a (what, printed, recomputed)
+    triple per column check, which fails when the two differ, and a string
+    per informational note.
+    """
+    notes: list[str] = []
+    q = row["q"] if "q" in row else 2 ** row["h"]
+    params: dict = {}
+    try:
+        params = locate(row, q, notes)
         if is_prime_power(q) is None:
-            notes.append(f"q = {q} is not a prime power; hypotheses fail")
-            out.append(AuditRow(table_id, row["row"], "half_power_union",
-                                dict(row), {"q": q, "ms": ms}, HYP_FAIL,
-                                LEVEL_NONE, tuple(notes)))
-            continue
-        k_max = max_dim_oracle("half_power_union", q, params)
-        n = union_size(q * q - 1, ms)
-        d_max = formula_d_max("half_power_union", q, params)
-        bad = False
-        if row["sub"] != q:
-            bad = _mism(notes, "subscript", row["sub"], q)
-        if row["n"] != n:
-            bad = _mism(notes, "length", row["n"], n)
-        if row["d_max"] != d_max:
-            bad = _mism(notes, "distance bound", row["d_max"], d_max)
-        notes.append(f"oracle max k = {k_max}")
-        level = _attempt_build("half_power_union", q, params, full, notes)
-        out.append(AuditRow(
-            table_id, row["row"], "half_power_union", dict(row),
-            {"n": n, "max_k": k_max, "formula_d_max": d_max, "ms": ms},
-            MISMATCH if bad else MATCH, level, tuple(notes)))
-    return out
+            raise NotPrime(f"q = {q} is not a prime power; hypotheses fail")
+        validate(construction, q, params)
+    except (HypothesisViolated, NotPrime) as exc:
+        notes.append(str(exc))
+        rec, verdict, level = {"q": q, **params}, HYP_FAIL, LEVEL_NONE
+    else:
+        rec = {"n": code_length(construction, q, params),
+               "max_k": (max_dim_oracle(construction, q, params)
+                         + constructions.ROUTES[construction].border),
+               "formula_d_max": formula_d_max(construction, q, params)}
+        verdict = MATCH
+        for check in columns(row, q, params, rec):
+            if isinstance(check, str):
+                notes.append(check)
+            elif check[1] != check[2]:
+                what, printed, recomputed = check
+                notes.append(f"printed {what} {printed}; "
+                             f"recomputed {recomputed}")
+                verdict = MISMATCH
+        level = _attempt_build(construction, q, params, full, notes)
+    return AuditRow(table, row["row"], construction, dict(row), rec, verdict,
+                    level, tuple(notes))
 
 
-def _audit_mixed(table_id: int, rows, full: bool) -> list[AuditRow]:
-    out = []
-    for row in rows:
-        q = row["q"]
-        notes: list[str] = []
-        try:
-            if "m" in row:
-                params = adjacent_pair(q, row["m"])
-            elif "kk" in row:
-                params = quarter_split_pair(q, row["kk"])
-            else:
-                params = searched_pair(q, row["m_even"], row["m_odd"])
-            if is_prime_power(q) is None:
-                raise NotPrime(f"q = {q} is not a prime power")
-            constructions._validate("mixed_union", q, params)
-        except (HypothesisViolated, NotPrime) as exc:
-            notes.append(str(exc))  # pragma: no cover
-            out.append(AuditRow(table_id, row["row"], "mixed_union",
-                                dict(row), {"q": q}, HYP_FAIL, LEVEL_NONE,
-                                tuple(notes)))
-            continue
-        k_max = max_dim_oracle("mixed_union", q, params)
-        n = union_size(q * q - 1, (params["m1"], params["m2"]))
-        d_max = formula_d_max("mixed_union", q, params)
-        bad = False
-        if row["sub"] != q:
-            bad = _mism(notes, "subscript", row["sub"], q)
-        printed_n = row["n"] if "n" in row else \
-            row["n_factors"][0] * row["n_factors"][1]
-        if printed_n != n:
-            bad = _mism(notes, "length", printed_n, n)
-        if row["d_max"] != d_max:
-            bad = _mism(notes, "distance bound", row["d_max"], d_max)
-        if "kk" in row:
-            kk = row["kk"]
-            if n != (q * q - 1) // (2 * kk + 1):  # pragma: no cover
-                bad = _mism(notes, "length identity N/(2kk+1)",
-                            (q * q - 1) // (2 * kk + 1), n)
-        notes.append(f"oracle max k = {k_max}")
-        level = _attempt_build("mixed_union", q, params, full, notes)
-        out.append(AuditRow(
-            table_id, row["row"], "mixed_union", dict(row),
-            {"n": n, "max_k": k_max, "formula_d_max": d_max,
-             "m1": params["m1"], "m2": params["m2"]},
-            MISMATCH if bad else MATCH, level, tuple(notes)))
-    return out
+def _table1_columns(row, q, params, rec):
+    n, k = rec["n"], row["k"]
+    rec["code_for_printed_k"] = code = (n, n - 2 * k, k + 1)
+    yield "triple", row["code"], code
+    yield "subscript", row["sub"], q
+    if k > rec["max_k"]:
+        yield "dimension above oracle", k, rec["max_k"]
+
+
+def _table2_columns(row, q, params, rec):
+    n, k, code = rec["n"], row["k"], row["code"]
+    rec["q"] = q
+    k_triple = (code[0] - code[1]) // 2
+    yield "subscript", row["sub"], q
+    yield "length", code[0], n
+    yield f"dimension column (triple implies k = {k_triple})", k, k_triple
+    yield "triple", code, (n, n - 2 * k_triple, k_triple + 1)
+    if max(k, k_triple) > rec["max_k"]:
+        yield "dimension above oracle", max(k, k_triple), rec["max_k"]
+    if "body_text_code" in row:
+        yield f"body text also prints {row['body_text_code']} for this entry"
+    yield f"oracle max k = {rec['max_k']}"
+
+
+def _table3_columns(row, q, params, rec):
+    yield "subscript", row["sub"], q
+    yield "length", row["n"], rec["n"]
+    yield "dimension range", row["k_max"], rec["max_k"]
+
+
+def _union_columns(row, q, params, rec):
+    """Tables 4-8: length and distance bound of a two- or three-part union."""
+    rec.update(params)
+    yield "subscript", row["sub"], q
+    yield ("length", row["n"] if "n" in row else math.prod(row["n_factors"]),
+           rec["n"])
+    yield "distance bound", row["d_max"], rec["formula_d_max"]
+    if "kk" in row:
+        yield ("length identity N/(2kk+1)",
+               (q * q - 1) // (2 * row["kk"] + 1), rec["n"])
+    yield f"oracle max k = {rec['max_k']}"
+
+
+def _doubled(row, q, notes):
+    """Even divisors 2a, 2b(, 2c) for odd a, b(, c) with q = 2*prod + 1."""
+    parts = tuple(row[key] for key in ("a", "b", "c") if key in row)
+    prod = math.prod(parts)
+    if q != 2 * prod + 1:
+        notes.append(f"q column {q} is not 2*{prod}+1")  # pragma: no cover
+    return {"ms": tuple(2 * a for a in parts)}
+
+
+def _pair(row, q, notes):
+    return {"m1": row["m1"], "m2": row["m2"]}
+
+
+# table id -> (construction, (row, q, notes) -> params, column checks)
+_TABLES = {
+    1: ("c1_ext", lambda row, q, notes: {"m": row["m"]}, _table1_columns),
+    2: ("char2_union", _pair, _table2_columns),
+    3: ("odd_union", _pair, _table3_columns),
+    4: ("half_power_union", _doubled, _union_columns),
+    5: ("half_power_union", _doubled, _union_columns),
+    6: ("mixed_union", lambda row, q, notes: adjacent_pair(q, row["m"]),
+        _union_columns),
+    7: ("mixed_union", lambda row, q, notes: quarter_split_pair(q, row["kk"]),
+        _union_columns),
+    8: ("mixed_union",
+        lambda row, q, notes: searched_pair(q, row["m_even"], row["m_odd"]),
+        _union_columns),
+}
 
 
 # --------------------------------------------------------------------------
@@ -484,22 +418,7 @@ def audit_tables(table_ids: tuple[int, ...] | None = None,
     for t in wanted:
         if t not in tables.ALL_TABLES:
             raise UsageError(f"no table {t}; valid ids are 1..9")
-    rows: list[AuditRow] = []
-    if 1 in wanted:
-        rows += _audit_table1(full)
-    if 2 in wanted:
-        rows += _audit_table2(full)
-    if 3 in wanted:
-        rows += _audit_table3(full)
-    if 4 in wanted:
-        rows += _audit_even_union(4, tables.TABLE4, full)
-    if 5 in wanted:
-        rows += _audit_even_union(5, tables.TABLE5, full)
-    if 6 in wanted:
-        rows += _audit_mixed(6, tables.TABLE6, full)
-    if 7 in wanted:
-        rows += _audit_mixed(7, tables.TABLE7, full)
-    if 8 in wanted:
-        rows += _audit_mixed(8, tables.TABLE8, full)
+    rows = [_audit_row(t, *_TABLES[t], row, full)
+            for t in wanted if t in _TABLES for row in tables.ALL_TABLES[t]]
     families = _audit_families() if 9 in wanted else []
     return AuditReport(tuple(rows), tuple(families))

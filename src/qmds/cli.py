@@ -14,21 +14,11 @@ import json
 import sys
 
 from . import audit as audit_mod
-from . import constructions, numtheory
+from . import constructions, numtheory, oracle
 from .errors import (HypothesisViolated, NotPrime, QmdsError, UsageError)
 from .field import build_field, field_for_q
 from .verify import (ENUM_BUDGET_DEFAULT, MINORS_BUDGET_DEFAULT,
                      BudgetExceeded, verify_artifact)
-
-_CONSTRUCTION_PARAM_FLAGS = {
-    "c1": ("m",),
-    "c1_ext": ("m",),
-    "char2_union": ("m1", "m2"),
-    "odd_union": ("m1", "m2"),
-    "half_power": ("m",),
-    "half_power_union": ("m1", "m2"),  # --m3 optional
-    "mixed_union": ("m1", "m2"),
-}
 
 
 def _emit(args, text: str) -> None:
@@ -43,23 +33,25 @@ def _emit_json(args, obj) -> None:
     _emit(args, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
+def _flags(d: constructions.Divisor) -> tuple[str, ...]:
+    """A parameter's flag is its name; a tuple of divisors is given as
+    --m1, --m2 and an optional --m3."""
+    return ("m1", "m2", "m3") if d.many else (d.name,)
+
+
 def _collect_params(args) -> dict:
     cid = args.construction
-    flags = _CONSTRUCTION_PARAM_FLAGS.get(cid)
-    if flags is None:
-        raise UsageError(f"unknown construction {cid!r}")
+    divisors = constructions.ROUTES[cid].divisors
     params: dict = {}
-    for f in flags:
-        val = getattr(args, f)
-        if val is None:
-            raise UsageError(f"--{f} is required for construction {cid}")
-        params[f] = val
-    if cid == "half_power_union":
-        ms = [params.pop("m1"), params.pop("m2")]
-        if args.m3 is not None:
-            ms.append(args.m3)
-        params["ms"] = tuple(ms)
-    elif args.m3 is not None:
+    for d in divisors:
+        flags = _flags(d)
+        for f in flags[:2]:  # --m3 is the one optional flag
+            if getattr(args, f) is None:
+                raise UsageError(f"--{f} is required for construction {cid}")
+        given = tuple(getattr(args, f) for f in flags
+                      if getattr(args, f) is not None)
+        params[d.name] = given if d.many else given[0]
+    if args.m3 is not None and not any(d.many for d in divisors):
         raise UsageError(f"--m3 is not accepted by construction {cid}")
     return params
 
@@ -68,10 +60,9 @@ def _add_construction_flags(sp) -> None:
     sp.add_argument("--construction", required=True,
                     choices=constructions.CONSTRUCTION_IDS)
     sp.add_argument("--q", type=int, required=True)
-    sp.add_argument("--m", type=int)
-    sp.add_argument("--m1", type=int)
-    sp.add_argument("--m2", type=int)
-    sp.add_argument("--m3", type=int)
+    for flag in dict.fromkeys(f for route in constructions.ROUTES.values()
+                              for d in route.divisors for f in _flags(d)):
+        sp.add_argument(f"--{flag}", type=int)
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -220,11 +211,10 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    params = _collect_params(args)
-    conds = constructions.conditions_for(
-        args.construction, args.q,
-        constructions._validate(args.construction, args.q, params))
-    max_k = constructions.max_dim_oracle(args.construction, args.q, params)
+    params = constructions.validate(args.construction, args.q,
+                                    _collect_params(args))
+    conds = constructions.conditions_for(args.construction, args.q, params)
+    max_k = oracle.max_dim(conds, args.q)
     fd = constructions.formula_d_max(args.construction, args.q, params)
     obj = {
         "construction": args.construction, "q": args.q,

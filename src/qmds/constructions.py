@@ -1,37 +1,47 @@
-"""The eight construction routes and their certificates.
+"""The seven construction routes and their certificates.
+
+Every code here evaluates the rows x^(shift + l), l = 0..k-1, on a weighted
+union of multiplicative subgroups of GF(q^2)*; N is q^2 - 1 throughout.
+Each route is described once, by a ``Route`` record in ``ROUTES``.  Its core
+is one part (m, alpha) per divisor parameter m: the subgroup of order N/m,
+with each point x weighted by x^alpha, alpha = 0, (q+1)/2 or q+1.  A part
+gives the dimension oracle one vanishing condition (N/m, alpha +
+shift*(q+1)).  The record adds the parity q must have, the rule joining two
+divisors, the published distance bound, the evaluation-set builder and, for
+c1_ext, a border column that admits one more row.  Sweeps try every divisor
+choice the parameters and the rule allow.
 
 Construction identifiers (the ``construction`` field of every certificate):
 
   c1                subgroup of order N/m, odd m | q+1, rows x^(1..k)
   c1_ext            c1 plus a border column; one extra admissible row
   char2_union       parity-filtered union of two odd subgroups, q even
-  odd_union         full union of two odd subgroups, q odd, weights 1/2
+  odd_union         full union of two odd subgroups, q odd, unit weights
   half_power        one even subgroup of q-1 side, weight x^((q+1)/2)
   half_power_union  union of even subgroups, weights c_x * x^((q+1)/2)
   mixed_union       odd (q+1)-side subgroup + even (q-1)-side subgroup,
                     weights x^(q+1) and H*x^((q+1)/2)
 
-Each factory validates the arithmetic hypotheses, consults the sharp
-dimension oracle, optionally runs the matrix-level Gram check (FULL_MATRIX
-versus CONDITION_ONLY), and returns a Certificate.  N is q^2 - 1 throughout.
+``build`` validates the arithmetic hypotheses, consults the sharp dimension
+oracle, optionally runs the matrix-level Gram check (FULL_MATRIX versus
+CONDITION_ONLY), and returns a Certificate.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field as dfield
+from typing import Callable
 
 from . import evalsets, oracle
 from .codes import CodeArtifact, eval_code, extend_c1, gram_zero
 from .errors import (BadDivisor, CapacityExceeded, DimensionExceedsOracle,
                      HypothesisViolated, NotChar2, NotCoprime, NotPrime,
-                     NoValidH, UsageError, ZeroWeightAtSharedPoint)
+                     NoValidH, UsageError)
 from .field import TABLE_LIMIT, Field, field_for_q
 from .numtheory import divisors, is_prime_power
 from .verify import QuantumParams, quantum_params
-
-CONSTRUCTION_IDS = ("c1", "c1_ext", "char2_union", "odd_union",
-                    "half_power", "half_power_union", "mixed_union")
 
 # matrix-level verification is attempted when the field fits in table mode
 # and the matrix has at most this many entries
@@ -51,151 +61,210 @@ def _q_parts(q: int) -> tuple[int, int]:
     return pp
 
 
-def _odd_divisor_of_q_plus_1(q: int, m: int, name: str = "m") -> None:
-    _require(m % 2 == 1 and m >= 3, f"{name} = {m} must be odd and >= 3")
-    _require((q + 1) % m == 0, f"{name} = {m} must divide q + 1 = {q + 1}",
+# --------------------------------------------------------------------------
+# route records
+# --------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Divisor:
+    """A divisor parameter: an odd divisor of q + 1 (>= 3) when ``odd``,
+    else an even divisor of q - 1 (>= ``least``).  Its part weights the
+    subgroup by x^(half*(q+1)/2).  A ``many`` parameter is a tuple of two
+    or more distinct such divisors, sorted on validation."""
+
+    name: str
+    odd: bool
+    half: int = 0
+    least: int = 3
+    many: bool = False
+
+
+@dataclass(frozen=True)
+class Route:
+    """One construction route; see the module docstring."""
+
+    divisors: tuple[Divisor, ...]
+    # published distance bound, from q and the divisors in part order
+    formula: Callable[[int, tuple[int, ...]], int]
+    # (construction, field, params) -> (evaluation set, facts found)
+    evalset: Callable[[str, Field, dict], tuple[evalsets.EvalSet, dict]]
+    shift: int = 0          # rows are x^(shift + l)
+    border: bool = False    # c1_ext's border column, one more row
+    # q must be even (True), odd (False) or either (None); in characteristic
+    # 2 a union's unit weights cancel on shared points, which are left out
+    char2: bool | None = None
+    # (q, two distinct divisors of one kind) -> the hypothesis they violate,
+    # or None; sweeps try each ascending pair it admits
+    rule: Callable[[int, tuple], HypothesisViolated | None] | None = None
+    # the evaluation set's facts, found without a field
+    extras: Callable[[int, dict], dict] = lambda q, params: {}
+
+    def parts(self, params: dict) -> tuple[tuple[Divisor, int], ...]:
+        """(parameter, m) for each part, in parameter order."""
+        return tuple((d, m) for d in self.divisors for m in (
+            params[d.name] if d.many else (params[d.name],)))
+
+    def ms(self, params: dict) -> tuple[int, ...]:
+        return tuple(m for _, m in self.parts(params))
+
+    def params_of(self, ms: tuple[int, ...]) -> dict:
+        if self.divisors[0].many:
+            return {self.divisors[0].name: ms}
+        return {d.name: m for d, m in zip(self.divisors, ms)}
+
+
+def _odd_bound(q: int, ms: tuple[int, ...]) -> int:
+    """(kk+1)(q-1)/(2kk+1) + 1, with 2kk + 1 the last (largest) divisor."""
+    kk = (ms[-1] - 1) // 2
+    return (kk + 1) * (q - 1) // (2 * kk + 1) + 1
+
+
+def _half_power_bound(q: int, ms: tuple[int, ...]) -> int:
+    return (q + 1) // 2 + min((q - 1) // m for m in ms)
+
+
+def _mixed_bound(q: int, ms: tuple[int, ...]) -> int:
+    m1, m2 = ms
+    return (q - 1) // 2 + min((q + 1) // (2 * m1), (q - 1) // m2 + 1)
+
+
+def _coprime_pair(q: int, ms: tuple[int, ...]) -> HypothesisViolated | None:
+    m1, m2 = ms
+    if m1 >= m2:
+        return HypothesisViolated(f"need m1 < m2, got {m1} >= {m2}")
+    if math.gcd(m1, m2) != 1:
+        return NotCoprime(f"gcd({m1}, {m2}) != 1")
+    return None
+
+
+def _lcm_pair(q: int, ms: tuple[int, ...]) -> HypothesisViolated | None:
+    """Two divisors must have lcm q - 1; three or more are not restricted."""
+    if len(ms) == 2 and math.lcm(*ms) != q - 1:
+        return HypothesisViolated(
+            f"lcm{ms} = {math.lcm(*ms)} must equal q - 1 = {q - 1}")
+    return None
+
+
+# The builders call evalsets through the module at call time, so that
+# wrappers bound on the module are seen.
+
+def _subgroup(construction: str, f: Field, params: dict):
+    return evalsets.subgroup_set(f, params["m"]), {}
+
+
+def _weighted(construction: str, f: Field, params: dict):
+    route = ROUTES[construction]
+    parts = tuple((m, d.half * (f.q + 1) // 2, 0)
+                  for d, m in route.parts(params))
+    label = f"{construction}({', '.join(map(str, route.ms(params)))})"
+    return evalsets.weighted_union(f, parts, label), {}
+
+
+def _mixed(construction: str, f: Field, params: dict):
+    es, H = evalsets.mixed_union(f, params["m1"], params["m2"])
+    return es, {"H": int(H)}
+
+
+_ODD = Divisor("m", odd=True)
+_ODD_PAIR = (Divisor("m1", odd=True), Divisor("m2", odd=True))
+
+ROUTES = {
+    "c1": Route((_ODD,), _odd_bound, _subgroup, shift=1),
+    "c1_ext": Route((_ODD,), _odd_bound, _subgroup, shift=1, border=True),
+    "char2_union": Route(
+        _ODD_PAIR, _odd_bound, shift=1, char2=True, rule=_coprime_pair,
+        evalset=lambda c, f, params: (evalsets.parity_union_char2(
+            f, (params["m1"], params["m2"])), {})),
+    "odd_union": Route(_ODD_PAIR, _odd_bound, _weighted, shift=1,
+                       char2=False, rule=_coprime_pair),
+    "half_power": Route((Divisor("m", odd=False, half=1, least=6),),
+                        _half_power_bound, _weighted, char2=False),
+    "half_power_union": Route(
+        (Divisor("ms", odd=False, half=1, least=6, many=True),),
+        _half_power_bound, _weighted, char2=False, rule=_lcm_pair),
+    "mixed_union": Route(
+        (Divisor("m1", odd=True, half=2),
+         Divisor("m2", odd=False, half=1, least=2)),
+        _mixed_bound, _mixed, char2=False,
+        # H is pure exponent arithmetic; report it even without a matrix
+        extras=lambda q, params: {"H": evalsets.find_h_shift_exponent(
+            q, params["m1"], params["m2"])}),
+}
+
+CONSTRUCTION_IDS = tuple(ROUTES)
+
+
+def _route(construction: str) -> Route:
+    if construction not in ROUTES:
+        raise UsageError(f"unknown construction {construction!r}; "
+                         f"choose from {', '.join(CONSTRUCTION_IDS)}")
+    return ROUTES[construction]
+
+
+def _check_divisor(q: int, m: int, d: Divisor) -> None:
+    name = "m" if d.many else d.name
+    side, sign = (q + 1, "+") if d.odd else (q - 1, "-")
+    _require(m % 2 == d.odd and m >= d.least,
+             f"{name} = {m} must be {'odd' if d.odd else 'even'} "
+             f"and >= {d.least}")
+    _require(side % m == 0, f"{name} = {m} must divide q {sign} 1 = {side}",
              BadDivisor)
 
 
-def _even_divisor_of_q_minus_1(q: int, m: int, least: int, name: str = "m") -> None:
-    _require(m % 2 == 0 and m >= least, f"{name} = {m} must be even and >= {least}")
-    _require((q - 1) % m == 0, f"{name} = {m} must divide q - 1 = {q - 1}",
-             BadDivisor)
-
-
-# --------------------------------------------------------------------------
-# per-construction parameter handling
-# --------------------------------------------------------------------------
-
-def _validate(construction: str, q: int, params: dict) -> dict:
+def validate(construction: str, q: int, params: dict) -> dict:
     """Check hypotheses and return canonicalized parameters."""
+    route = _route(construction)
     p, _h = _q_parts(q)
+    if route.char2 is not None:
+        _require((p == 2) == route.char2,
+                 f"q = {q} must be {'even' if route.char2 else 'odd'}",
+                 NotChar2 if route.char2 else HypothesisViolated)
     out = dict(params)
-    if construction in ("c1", "c1_ext"):
-        _odd_divisor_of_q_plus_1(q, out["m"])
-    elif construction == "char2_union":
-        _require(p == 2, f"q = {q} must be even", NotChar2)
-        m1, m2 = out["m1"], out["m2"]
-        _odd_divisor_of_q_plus_1(q, m1, "m1")
-        _odd_divisor_of_q_plus_1(q, m2, "m2")
-        _require(m1 < m2, f"need m1 < m2, got {m1} >= {m2}")
-        _require(math.gcd(m1, m2) == 1, f"gcd({m1}, {m2}) != 1", NotCoprime)
-    elif construction == "odd_union":
-        _require(p != 2, f"q = {q} must be odd")
-        m1, m2 = out["m1"], out["m2"]
-        _odd_divisor_of_q_plus_1(q, m1, "m1")
-        _odd_divisor_of_q_plus_1(q, m2, "m2")
-        _require(m1 < m2, f"need m1 < m2, got {m1} >= {m2}")
-        _require(math.gcd(m1, m2) == 1, f"gcd({m1}, {m2}) != 1", NotCoprime)
-    elif construction == "half_power":
-        _require(p != 2, f"q = {q} must be odd")
-        _even_divisor_of_q_minus_1(q, out["m"], 6)
-    elif construction == "half_power_union":
-        _require(p != 2, f"q = {q} must be odd")
-        ms = tuple(sorted(out["ms"]))
-        _require(len(ms) >= 2 and len(set(ms)) == len(ms),
-                 "need at least two distinct divisors")
-        for m in ms:
-            _even_divisor_of_q_minus_1(q, m, 6)
-        if len(ms) == 2:
-            _require(math.lcm(*ms) == q - 1,
-                     f"lcm{ms} = {math.lcm(*ms)} must equal q - 1 = {q - 1}")
-        out["ms"] = ms
-    elif construction == "mixed_union":
-        _require(p != 2, f"q = {q} must be odd")
-        m1, m2 = out["m1"], out["m2"]
-        _odd_divisor_of_q_plus_1(q, m1, "m1")
-        _even_divisor_of_q_minus_1(q, m2, 2, "m2")
-    else:
-        raise UsageError(f"unknown construction {construction!r}")
+    for d in route.divisors:
+        if d.many:
+            ms = out[d.name] = tuple(sorted(out[d.name]))
+            _require(len(ms) >= 2 and len(set(ms)) == len(ms),
+                     "need at least two distinct divisors")
+    for d, m in route.parts(out):
+        _check_divisor(q, m, d)
+    broken = route.rule and route.rule(q, route.ms(out))
+    if broken:
+        raise broken
     return out
 
 
 def code_length(construction: str, q: int, params: dict) -> int:
     """Length of the evaluation set (plus border for c1_ext)."""
-    N = q * q - 1
-    if construction == "c1":
-        return N // params["m"]
-    if construction == "c1_ext":
-        return N // params["m"] + 1
-    if construction == "char2_union":
-        return evalsets.parity_union_size(N, (params["m1"], params["m2"]))
-    if construction in ("odd_union", "mixed_union"):
-        return evalsets.union_size(N, (params["m1"], params["m2"]))
-    if construction == "half_power":
-        return N // params["m"]
-    if construction == "half_power_union":
-        return evalsets.union_size(N, tuple(params["ms"]))
-    raise UsageError(f"unknown construction {construction!r}")
+    route = _route(construction)
+    size = evalsets.parity_union_size if route.char2 else evalsets.union_size
+    return size(q * q - 1, route.ms(params)) + route.border
 
 
 def conditions_for(construction: str, q: int, params: dict
                    ) -> tuple[tuple[int, int], ...]:
     """The (modulus, offset) vanishing conditions behind the oracle."""
-    N = q * q - 1
-    half = (q + 1) // 2
-    if construction in ("c1", "c1_ext"):
-        return ((N // params["m"], q + 1),)
-    if construction in ("char2_union", "odd_union"):
-        return ((N // params["m1"], q + 1), (N // params["m2"], q + 1))
-    if construction == "half_power":
-        return ((N // params["m"], half),)
-    if construction == "half_power_union":
-        return tuple((N // m, half) for m in params["ms"])
-    if construction == "mixed_union":
-        return ((N // params["m1"], q + 1), (N // params["m2"], half))
-    raise UsageError(f"unknown construction {construction!r}")
+    route = _route(construction)
+    return tuple(((q * q - 1) // m,
+                  d.half * (q + 1) // 2 + route.shift * (q + 1))
+                 for d, m in route.parts(params))
 
 
 def max_dim_oracle(construction: str, q: int, params: dict) -> int:
     """Sharp dimension bound for the underlying (unextended) row family."""
-    params = _validate(construction, q, params)
+    params = validate(construction, q, params)
     return oracle.max_dim(conditions_for(construction, q, params), q)
 
 
 def formula_d_max(construction: str, q: int, params: dict) -> int:
     """The published closed-form distance bound for the construction."""
-    if construction in ("c1", "c1_ext", "char2_union", "odd_union"):
-        m_big = params.get("m", params.get("m2"))
-        kk = (m_big - 1) // 2
-        return (kk + 1) * (q - 1) // (2 * kk + 1) + 1
-    if construction == "half_power":
-        return (q + 1) // 2 + (q - 1) // params["m"]
-    if construction == "half_power_union":
-        return (q + 1) // 2 + min((q - 1) // m for m in params["ms"])
-    if construction == "mixed_union":
-        m1, m2 = params["m1"], params["m2"]
-        return (q - 1) // 2 + min((q + 1) // (2 * m1), (q - 1) // m2 + 1)
-    raise UsageError(f"unknown construction {construction!r}")
+    route = _route(construction)
+    return route.formula(q, route.ms(params))
 
 
 def _build_evalset(construction: str, f: Field, params: dict
                    ) -> tuple[evalsets.EvalSet, dict]:
     """Materialize the weighted evaluation set; returns (set, extras)."""
-    q = f.q
-    if construction in ("c1", "c1_ext"):
-        return evalsets.subgroup_set(f, params["m"]), {}
-    if construction == "char2_union":
-        return evalsets.parity_union_char2(f, (params["m1"], params["m2"])), {}
-    if construction == "odd_union":
-        es = evalsets.weighted_union(
-            f, ((params["m1"], 0, 0), (params["m2"], 0, 0)),
-            f"odd_union(m1={params['m1']}, m2={params['m2']})",
-            vanish_error=ZeroWeightAtSharedPoint)
-        return es, {}
-    if construction == "half_power":
-        es = evalsets.weighted_union(
-            f, ((params["m"], (q + 1) // 2, 0),),
-            f"half_power(m={params['m']})")
-        return es, {}
-    if construction == "half_power_union":
-        parts = tuple((m, (q + 1) // 2, 0) for m in params["ms"])
-        label = "half_power_union(ms=" + ",".join(map(str, params["ms"])) + ")"
-        return evalsets.weighted_union(f, parts, label), {}
-    if construction == "mixed_union":
-        es, H = evalsets.mixed_union(f, params["m1"], params["m2"])
-        return es, {"H": H}
-    raise UsageError(f"unknown construction {construction!r}")
+    return _route(construction).evalset(construction, f, params)
 
 
 # --------------------------------------------------------------------------
@@ -256,40 +325,26 @@ class Certificate:
         return out
 
 
-def _can_do_full(f_q2: int, k: int, n: int) -> bool:
-    return f_q2 <= TABLE_LIMIT and k * n <= MATRIX_ENTRY_BUDGET
-
-
 def build(construction: str, q: int, k: int | None = None, *,
           want_matrix: str = "auto", **params) -> Certificate:
     """Construct a certificate; ``want_matrix`` is auto | never | require."""
-    if construction not in CONSTRUCTION_IDS:
-        raise UsageError(f"unknown construction {construction!r}; "
-                         f"choose from {', '.join(CONSTRUCTION_IDS)}")
     if want_matrix not in ("auto", "never", "require"):
         raise UsageError(f"want_matrix must be auto|never|require, "
                          f"got {want_matrix!r}")
-    params = _validate(construction, q, params)
+    params = validate(construction, q, params)
     return _certify(construction, q, k, want_matrix, params,
                     max_dim_oracle(construction, q, params))
-
-
-def _k_range(construction: str, q: int, params: dict,
-             base_max: int) -> tuple[int, int]:
-    """Least and greatest admissible k: the border row of c1_ext needs
-    k >= 2 and adds one to the oracle's bound; k never exceeds n."""
-    ext = 1 if construction == "c1_ext" else 0
-    return 1 + ext, min(base_max + ext, code_length(construction, q, params))
 
 
 def _certify(construction: str, q: int, k: int | None, want_matrix: str,
              params: dict, base_max: int) -> Certificate:
     """``build`` after validation, given the oracle's bound ``base_max``."""
+    route = ROUTES[construction]
     p, h = _q_parts(q)
     n = code_length(construction, q, params)
-    least, k_cap = _k_range(construction, q, params, base_max)
-    oracle = f"oracle {base_max}" + (
-        "+1 border row" if construction == "c1_ext" else "")
+    # a border row needs k >= 2 and adds one to the oracle's bound
+    least, k_cap = 1 + route.border, min(base_max + route.border, n)
+    oracle = f"oracle {base_max}" + ("+1 border row" if route.border else "")
     if k is None:
         if k_cap < least:
             raise DimensionExceedsOracle(
@@ -303,16 +358,15 @@ def _certify(construction: str, q: int, k: int | None, want_matrix: str,
             f"k = {k} exceeds the proven range {k_cap} for {construction} "
             f"({oracle})")
     fd = formula_d_max(construction, q, params)
+    published = fd - 1 + route.border
     discrepancies = []
-    if k_cap > fd - 1 + (1 if construction == "c1_ext" else 0):
+    if k_cap > published:
         discrepancies.append(
-            f"oracle admits k = {k_cap}, published bound only k = "
-            f"{fd - 1 + (1 if construction == 'c1_ext' else 0)}")
+            f"oracle admits k = {k_cap}, published bound only k = {published}")
     q2 = q * q
-    extras: dict = {}
     artifact = None
     level = "CONDITION_ONLY"
-    feasible = _can_do_full(q2, k, n)
+    feasible = q2 <= TABLE_LIMIT and k * n <= MATRIX_ENTRY_BUDGET
     if want_matrix == "require" and not feasible:
         raise CapacityExceeded(
             f"matrix-level verification infeasible for q^2 = {q2}, "
@@ -320,23 +374,19 @@ def _certify(construction: str, q: int, k: int | None, want_matrix: str,
     if want_matrix in ("auto", "require") and feasible:
         f = field_for_q(q)
         es, extras = _build_evalset(construction, f, params)
-        if construction == "c1_ext":
-            artifact = extend_c1(f, params["m"], k)
+        if route.border:
+            (m,) = route.ms(params)
+            artifact = extend_c1(f, m, k)
         else:
-            shift = 1 if construction in ("c1", "char2_union", "odd_union") else 0
-            artifact = eval_code(f, es, k, shift, label=construction)
+            artifact = eval_code(f, es, k, route.shift, label=construction)
         ok, witness = gram_zero(artifact)
         if not ok:
             raise HypothesisViolated(
                 f"Gram entry {witness} is nonzero for {construction} "
                 f"(q={q}, params={params}, k={k}); hypotheses unsound")
         level = "FULL_MATRIX"
-        if "H" in extras:
-            extras["H"] = int(extras["H"])
-    elif construction == "mixed_union":
-        # H is pure exponent arithmetic; report it even without a matrix
-        extras["H"] = evalsets.find_h_shift_exponent(q, params["m1"],
-                                                     params["m2"])
+    else:
+        extras = route.extras(q, params)
     return Certificate(
         construction=construction, q=q, p=p, h=h, params=params, n=n, k=k,
         max_k_oracle=base_max, formula_d_max=fd,
@@ -389,7 +439,7 @@ def construct_mixed_union(q: int, m1: int, m2: int, k: int | None = None,
 
 def adjacent_pair(q: int, m: int) -> dict:
     """Mixed pair (m, m - 1): odd m | q+1 with m - 1 | q - 1."""
-    _odd_divisor_of_q_plus_1(q, m)
+    _check_divisor(q, m, _ODD)
     _require((q - 1) % (m - 1) == 0,
              f"m - 1 = {m - 1} must divide q - 1 = {q - 1}", BadDivisor)
     return {"m1": m, "m2": m - 1}
@@ -431,47 +481,26 @@ def doubled_pair_divisors(q: int, a: int, b: int) -> tuple[int, int]:
 
 def sweep(construction: str, q: int) -> tuple[Certificate, ...]:
     """All certificates (condition-only) for valid divisor choices at q, in
-    ascending divisor order; a choice whose oracle admits no k is left
-    out."""
-    if construction not in CONSTRUCTION_IDS:
-        raise UsageError(f"unknown construction {construction!r}")
+    ascending divisor order; a choice whose oracle admits no k, or (for
+    mixed_union) no shift, is left out."""
+    route = _route(construction)
     _q_parts(q)
-    odd_ms = [m for m in divisors(q + 1) if m % 2 == 1 and m >= 3]
-    even_ms = [m for m in divisors(q - 1) if m % 2 == 0]
+
+    def pool(d: Divisor) -> list[int]:
+        return [m for m in divisors(q + 1 if d.odd else q - 1)
+                if m % 2 == d.odd and m >= d.least]
+
+    if route.rule is None:
+        choices = itertools.product(*map(pool, route.divisors))
+    else:  # two distinct divisors of one kind, ascending
+        pairs = itertools.combinations(pool(route.divisors[0]), 2)
+        choices = (ms for ms in pairs if route.rule(q, ms) is None)
     out = []
-
-    def add(**params) -> None:
-        """Certify one choice, unless the oracle admits no k for it."""
-        params = _validate(construction, q, params)
-        base_max = max_dim_oracle(construction, q, params)
-        least, k_cap = _k_range(construction, q, params, base_max)
-        if k_cap >= least:
+    for ms in choices:
+        params = validate(construction, q, route.params_of(ms))
+        try:
             out.append(_certify(construction, q, None, "never", params,
-                                base_max))
-
-    if construction in ("c1", "c1_ext"):
-        for m in odd_ms:
-            add(m=m)
-    elif construction in ("char2_union", "odd_union"):
-        for i, m1 in enumerate(odd_ms):
-            for m2 in odd_ms[i + 1:]:
-                if math.gcd(m1, m2) == 1:
-                    add(m1=m1, m2=m2)
-    elif construction == "half_power":
-        for m in even_ms:
-            if m >= 6:
-                add(m=m)
-    elif construction == "half_power_union":
-        ms = [m for m in even_ms if m >= 6]
-        for i, m1 in enumerate(ms):
-            for m2 in ms[i + 1:]:
-                if math.lcm(m1, m2) == q - 1:
-                    add(ms=(m1, m2))
-    else:  # mixed_union
-        for m1 in odd_ms:
-            for m2 in even_ms:
-                try:
-                    add(m1=m1, m2=m2)
-                except NoValidH:
-                    continue  # no admissible shift for this pair
+                                max_dim_oracle(construction, q, params)))
+        except (DimensionExceedsOracle, NoValidH):
+            continue  # no admissible k, or no admissible shift for the pair
     return tuple(out)

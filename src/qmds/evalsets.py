@@ -14,8 +14,8 @@ N/m, i.e. exponents divisible by m).  Three kinds of unions appear:
     weight of the form theta^beta * x^alpha and overlap points receive the
     sum of their constituents' weights;
   * the mixed union, whose even-part weight is shifted by a subfield
-    element H picked by ``find_h_shift`` so that no shared point's combined
-    weight vanishes.
+    element H picked by ``find_h_shift_exponent`` so that no shared
+    point's combined weight vanishes.
 """
 
 from __future__ import annotations

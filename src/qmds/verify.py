@@ -58,11 +58,6 @@ def quantum_params(n: int, k: int, q: int) -> QuantumParams:
     return QuantumParams(n, kq, d, q, singleton_ok=(kq == n - 2 * d + 2))
 
 
-def check_self_orthogonal(artifact: CodeArtifact) -> bool:
-    ok, _ = gram_zero(artifact)
-    return ok
-
-
 # --------------------------------------------------------------------------
 # MDS route 1: all maximal minors are nonsingular
 # --------------------------------------------------------------------------

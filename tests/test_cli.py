@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from qmds import constructions
 from qmds.cli import main
 
 
@@ -105,6 +106,47 @@ def test_construct_usage_errors(capsys):
                "--q", "8", "--m", "3")[0] == 2
 
 
+# one admissible instance per construction, as (q, {flag: value})
+CLI_INSTANCES = {
+    "c1": (17, {"m": 9}),
+    "c1_ext": (17, {"m": 9}),
+    "char2_union": (32, {"m1": 3, "m2": 11}),
+    "odd_union": (29, {"m1": 3, "m2": 5}),
+    "half_power": (13, {"m": 6}),
+    "half_power_union": (31, {"m1": 6, "m2": 10}),
+    "mixed_union": (13, {"m1": 7, "m2": 6}),
+}
+
+
+def _construct_argv(construction, q, flags):
+    argv = ["construct", "--construction", construction, "--q", str(q),
+            "--matrix", "never"]
+    for flag, value in flags.items():
+        argv += [f"--{flag}", str(value)]
+    return argv
+
+
+@pytest.mark.parametrize("construction", sorted(CLI_INSTANCES))
+def test_construct_usage_errors_per_construction(capsys, construction):
+    q, flags = CLI_INSTANCES[construction]
+    assert main(_construct_argv(construction, q, flags)) == 0
+    capsys.readouterr()
+    # each missing required flag exits 2 and names the flag
+    for missing in flags:
+        rest = {f: v for f, v in flags.items() if f != missing}
+        assert main(_construct_argv(construction, q, rest)) == 2
+        err = capsys.readouterr().err
+        assert f"--{missing} is required for construction {construction}" in err
+    # --m3 is accepted by half_power_union only
+    rc = main(_construct_argv(construction, q, {**flags, "m3": 30}))
+    err = capsys.readouterr().err
+    if construction == "half_power_union":
+        assert rc == 0
+    else:
+        assert rc == 2
+        assert f"--m3 is not accepted by construction {construction}" in err
+
+
 def test_construct_hypothesis_errors(capsys):
     # k above the proven range
     assert run(capsys, "construct", "--construction", "c1",
@@ -174,6 +216,28 @@ def test_oracle_mixed(capsys):
     assert obj["max_k"] == 6
     assert obj["formula_d_max"] == 7
     assert obj["formula_within_oracle"] is True
+
+
+def test_oracle_prints_canonical_params(capsys, monkeypatch):
+    # the divisors are given out of order: oracle and construct both report
+    # them sorted, beside the conditions computed for that order
+    calls = []
+    validate = constructions.validate
+    monkeypatch.setattr(constructions, "validate",
+                        lambda *a: calls.append(a) or validate(*a))
+    rc, obj = run_json(capsys, "oracle", "--construction", "half_power_union",
+                       "--q", "41", "--m1", "10", "--m2", "8")
+    assert rc == 0
+    assert len(calls) == 1  # validated once
+    assert obj["params"] == {"ms": [8, 10]}
+    assert obj["conditions"] == [[1680 // 8, 21], [1680 // 10, 21]]
+    assert obj["max_k"] == 24
+    rc, cert = run_json(capsys, "construct", "--construction",
+                        "half_power_union", "--q", "41", "--m1", "10",
+                        "--m2", "8", "--matrix", "never")
+    assert rc == 0
+    assert cert["params"] == obj["params"]
+    assert cert["conditions"] == obj["conditions"]
 
 
 def test_oracle_prime_above_2_53(capsys):

@@ -205,6 +205,16 @@ def test_conditions_for_shapes():
         (24, 14),
         (28, 7),
     )
+    # N = 17^2 - 1 = 288, 29^2 - 1 = 840, 31^2 - 1 = 960
+    assert conditions_for("c1_ext", 17, {"m": 9}) == ((32, 18),)
+    assert conditions_for("odd_union", 29, {"m1": 3, "m2": 5}) == (
+        (280, 30),
+        (168, 30),
+    )
+    assert conditions_for("half_power_union", 31, {"ms": (6, 10)}) == (
+        (160, 16),
+        (96, 16),
+    )
 
 
 def test_mixed_union_certificate_reports_H():
