@@ -188,7 +188,7 @@ def _cmd_verify(args) -> int:
     obj = {
         "construction": cert.construction,
         "q": cert.q,
-        "params": cert.to_json()["params"],
+        "params": cert.to_json(include_matrix=False)["params"],
         "n": cert.n, "k": cert.k,
         "self_orthogonal": report.self_orthogonal,
         "gram_witness": list(report.gram_witness) if report.gram_witness else None,

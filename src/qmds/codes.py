@@ -8,15 +8,16 @@ column that is nonzero only in row 0.
 
 ``gram_zero`` is the self-orthogonality check.  On table-mode fields it
 runs ``gram_zero_vectorized``, which computes every entry of the upper
-triangle, with one route per field regime.  For p = 2 it splits each point
-exponent modulo q - 1 and q + 1 (coprime for even q, with product q^2 - 1)
-and sums in two stages: first over the points of each class mod q + 1, then
-over the classes, XOR-reducing packed int32 coefficient masks throughout.
-For odd p float64 matmuls of base-p coefficient planes give every entry at
-once, exact because each sum stays below 2^53.  The scalar and structured
-checks compute each entry directly from the field arithmetic.  Every route
-reports the first offending row pair in row-major order as its witness, so
-they can be cross-checked.
+triangle by one route for every q.  It splits q^2 - 1 = a1*a2 into coprime
+factors, the split that needs the fewest gathers for the input, so that
+each point exponent splits into its residues mod a1 and mod a2.  It then
+sums in two stages: first over the points of each class mod a2, once per
+value of l1 + q*l2 mod a1; then over the classes, for each entry.  For
+p = 2 a sum is the XOR of packed int32 coefficient masks; for odd p each
+base-p digit is an exact integer sum of int16 digits, reduced mod p.  The
+scalar and structured checks compute each entry directly from the field
+arithmetic.  Every route reports the first offending row pair in row-major
+order as its witness, so they can be cross-checked.
 """
 
 from __future__ import annotations
@@ -26,17 +27,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (CapacityExceeded, DimensionTooLarge, LengthMismatch,
-                     UsageError)
+from .errors import DimensionTooLarge, LengthMismatch, UsageError
 from .evalsets import EvalSet, subgroup_set
 from .field import Elt, Field
 
-# Columns per chunk of the odd-p Gram route.  It bounds what a chunk
-# gathers, whatever n is: two (2h*k) x GRAM_CHUNK float64 plane stacks.
-GRAM_CHUNK = 128
-
-# Elements per block of the p = 2 Gram route's int32 index and mask arrays;
-# a stage-1 block takes at least one whole row of n points.
+# Terms per block of the Gram route's gathers; a stage-1 block takes at
+# least one whole row of n points.
 GRAM_BLOCK = 1 << 14
 
 
@@ -88,9 +84,11 @@ def eval_code(field: Field, evalset: EvalSet, k: int, shift: int,
     return CodeArtifact(field, evalset, k, shift, label)
 
 
-def extend_c1(field: Field, m: int, k: int) -> CodeArtifact:
+def extend_c1(field: Field, m: int, k: int,
+              es: EvalSet | None = None) -> CodeArtifact:
     """Length-(n+1) extension of the subgroup code: rows 1, x, .., x^(k-1)
-    plus a border column (b, 0, .., 0)^T.
+    plus a border column (b, 0, .., 0)^T.  ``es`` is ``subgroup_set(field,
+    m)`` when the caller has already built it.
 
     The border weight is forced by self-orthogonality of row 0: with column
     weight v0 = m mod p the (0,0) Gram entry is v0 * c^2 + n = 0 mod p,
@@ -98,7 +96,8 @@ def extend_c1(field: Field, m: int, k: int) -> CodeArtifact:
     """
     if k < 2:
         raise UsageError(f"extended code needs k >= 2, got {k}")
-    es = subgroup_set(field, m)
+    if es is None:
+        es = subgroup_set(field, m)
     if k > len(es) + 1:
         raise DimensionTooLarge(f"k = {k} exceeds length {len(es) + 1}")
     v0 = field.embed_int(m % field.p)
@@ -188,123 +187,160 @@ def gram_nonzero_mask(artifact: CodeArtifact) -> np.ndarray:
     """k x k boolean mask of the nonzero upper-triangle Gram entries, on
     exponent arrays (table-mode fields).
 
-    Entry (l1, l2) is sum_j X[l1, j] * Y[l2, j] with X[l1, j] =
-    theta^(B_j + l1*E_j), Y[l2, j] = theta^(q*l2*E_j) and
-    B_j = w_j + shift*(q+1)*e_j.  Every entry is computed: for p = 2 by
-    two gather stages over the exponents split mod q - 1 and q + 1, with
-    XOR-reductions of int32 coefficient masks (``_gram_bad_char2``); for
-    odd p by float64 matmuls of coefficient planes in column chunks
-    (``_gram_bad_odd``).
+    Entry (l1, l2) is sum_j theta^(B_j + E_j*(l1 + q*l2)) with
+    B_j = w_j + shift*(q+1)*E_j, plus the border term at (0, 0); every
+    entry is computed by ``_gram_bad``.
     """
     f = artifact.field
     N, q = f.N, f.q
     E = np.asarray(artifact.evalset.points, dtype=np.int64)
-    W = np.asarray(artifact.evalset.weights, dtype=np.int64)
-    B = (W + (artifact.shift * (q + 1) % N) * E) % N
-    QE = (E * q) % N
+    B = np.asarray(artifact.evalset.weights, dtype=np.int64)
+    B += artifact.shift * (q + 1) % N * E
+    B %= N
     border_packed = 0
     if artifact.has_border:
         b = artifact.border_entry
         border_packed = f.backend.exp_packed(f.mul(b, f.frobenius_q(b)))
-    route = _gram_bad_char2 if f.p == 2 else _gram_bad_odd
-    return route(f, artifact.k, B, E, QE, border_packed)
+    return _gram_bad(f, artifact.k, B, E, border_packed)
 
 
-def _gram_bad_char2(f: Field, k: int, B: np.ndarray, E: np.ndarray,
-                    QE: np.ndarray, border_packed: int) -> np.ndarray:
-    """k x k upper-triangular mask of the nonzero Gram entries, p = 2.
+def _unitary_splits(N: int, primes) -> list[tuple[int, int]]:
+    """Every (a1, a2) with a1*a2 = N and gcd(a1, a2) = 1: a1 is the product
+    of some of the prime-power parts of N and a2 of the others."""
+    splits = [(1, N)]
+    for r in primes:
+        part = r
+        while N % (part * r) == 0:
+            part *= r
+        splits += [(a1 * part, a2 // part) for a1, a2 in splits]
+    return splits
 
-    Entry (l1, l2) is sum_j theta^(B_j + E_j*t) with t = l1 + q*l2.  For
-    even q, N = a1*a2 with a1 = q - 1 and a2 = q + 1 coprime, so each point
-    exponent splits as E_j = a2*e1_j + a1*e2_j (mod N), and t is l1 + l2
-    mod a1 and l1 - l2 mod a2.  With s = (l1 + l2) mod a1 and
-    d = (l1 - l2) mod a2 the term is theta^(B_j + a2*(e1_j*s mod a1))
-    times theta^(a1*(e2_j*d mod a2)).  Stage 1 sums the first factor over
-    the points of each class e2_j = g:
-    R[s, g] = sum_(e2_j = g) theta^(B_j + a2*(e1_j*s mod a1)).  Stage 2
-    sums entry(l1, l2) = sum_g R[s, g] * theta^(a1*(g*d mod a2)) over the
-    nonzero R[s, g], one antidiagonal l1 + l2 = T at a time, since s
-    depends on T only.  Every term is still summed exactly; over GF(2)
-    a sum is the XOR of the packed masks of its terms, and every gathered
-    exponent is below 2N, the length of the mask table.  All index
-    arithmetic is int32: table mode has q <= 2^11, so every product is
-    below (q+1)^2 and every index below 2N, both under 2^23.
+
+def _distinct(x: np.ndarray, a: int) -> int:
+    """Number of distinct values of x mod a, with no array longer than x."""
+    if a > len(x):
+        return len(np.unique(x % a))
+    seen = np.zeros(a, dtype=bool)
+    seen[x % a] = True
+    return int(np.count_nonzero(seen))
+
+
+def _choose_split(f: Field, k: int, t: np.ndarray,
+                  E: np.ndarray) -> tuple[int, int]:
+    """The coprime split N = a1*a2 that needs the fewest gathers in
+    ``_gram_bad``: (distinct t mod a1)*n in stage 1 plus
+    len(t)*(distinct E mod a2) in stage 2.
+
+    The residues are counted only for splits whose lower bound on that
+    number is below the best count so far, in the order of the bound.  Mod
+    a1 the t take at least min(a1, k) values, since the last row holds k
+    consecutive ones; and a class mod a1 holds at most ceil(span/a1) of the
+    values in [0, span), each taken at most ceil(k/q) times.  Mod a2 the n
+    distinct points fill at least n/a1 classes of a1 exponents each.
     """
-    q, n = f.q, len(E)
-    a1, a2 = q - 1, q + 1
-    mask = f.np_mask_ext()
-    E = E.astype(np.int32)
-    e1 = E % a1 * pow(a2, -1, a1) % a1
-    e2 = E % a2 * pow(a1, -1, a2) % a2
-    order = np.argsort(e2, kind="stable")
-    e1, B = e1[order], B[order].astype(np.int32)
-    g, starts = np.unique(e2[order], return_index=True)
+    n, K, q = len(E), len(t), f.q
+    distinct_t = -(-K // -(-k // q))
+    span = (k - 1) * (q + 1) + 1
 
-    n_s = min(a1, 2 * k - 1)
-    R = np.empty((n_s, len(g)), dtype=mask.dtype)
-    step = max(1, GRAM_BLOCK // n)
-    for s0 in range(0, n_s, step):
-        s = np.arange(s0, min(s0 + step, n_s), dtype=np.int32)[:, None]
-        terms = mask.take(B + a2 * (e1 * s % a1))
-        R[s0:s0 + step] = np.bitwise_xor.reduceat(terms, starts, axis=1)
+    def bound(a1):
+        s1 = max(min(a1, k), -(-distinct_t // -(-span // a1)))
+        return s1 * n + K * -(-n // a1)
 
-    logR = np.asarray(f.backend.log, dtype=np.int32)[R]
-    acc = np.zeros((k, k), dtype=mask.dtype)
-    for T in range(2 * k - 1):
-        live = logR[T % a1] >= 0
+    best, best_cost = None, 0
+    for low, a1, a2 in sorted((bound(a1), a1, a2)
+                              for a1, a2 in _unitary_splits(f.N, f.n_factors)):
+        if best is not None and low >= best_cost:
+            break
+        cost = _distinct(t, a1) * n + K * _distinct(E, a2)
+        if best is None or cost < best_cost:
+            best, best_cost = (a1, a2), cost
+    return best
+
+
+def _class_sums(f: Field, idx: np.ndarray, starts) -> np.ndarray:
+    """Packed sums of theta^idx over the runs of columns that begin at
+    ``starts``, for exponents below 2N.  For p = 2 a sum is the XOR of the
+    int32 coefficient masks; for odd p each base-p digit is an exact int64
+    sum of int16 digits (at most n terms below p) reduced mod p."""
+    if f.p == 2:
+        return np.bitwise_xor.reduceat(f.np_mask_ext().take(idx), starts,
+                                       axis=1)
+    p = f.p
+    out = np.zeros((idx.shape[0], len(starts)), dtype=np.int64)
+    for d, plane in enumerate(f.np_digits()):
+        sums = np.add.reduceat(plane.take(idx), starts, axis=1,
+                               dtype=np.int64)
+        out += sums % p * p ** d
+    return out
+
+
+def _gram_bad(f: Field, k: int, B: np.ndarray, E: np.ndarray,
+              border_packed: int) -> np.ndarray:
+    """k x k upper-triangular mask of the nonzero Gram entries.
+
+    Entry (l1, l2) is sum_j theta^(B_j + E_j*t) with t = l1 + q*l2, plus
+    ``border_packed`` at (0, 0).  For a split N = a1*a2 into coprime
+    factors (``_choose_split``) each point exponent is
+    E_j = a2*e1_j + a1*e2_j (mod N) with e1 = E*a2^-1 mod a1 and
+    e2 = E*a1^-1 mod a2, so with s = t mod a1 and d = t mod a2 the term
+    is theta^(B_j + a2*(e1_j*s mod a1)) times theta^(a1*(e2_j*d mod a2)).
+    Stage 1 (``_stage1_logs``) sums the first factor over the points of
+    each class e2_j = g, once per distinct s:
+    R[s, g] = sum_(e2_j = g) theta^(B_j + a2*(e1_j*s mod a1)).  Stage 2
+    sums each entry as sum_g R[s, g]*theta^(a1*(g*d mod a2)) over the
+    nonzero R[s, g], all entries of one s at a time.  Either trivial split
+    gives back the direct sum.  Every term is still summed exactly, and
+    every gathered exponent is below 2N (``_class_sums``).  The index
+    arithmetic runs in int32 unless a product of two residues, below
+    max(a1, a2)^2, could overflow it, in blocks of at most ``GRAM_BLOCK``
+    terms.
+    """
+    upper = np.triu(np.ones((k, k), dtype=bool))
+    ls = np.arange(k, dtype=np.int32)
+    t = (ls[:, None] + f.q * ls)[upper]
+    a1, a2 = _choose_split(f, k, t, E)
+    dt = np.int32 if max(a1, a2) ** 2 < 1 << 31 else np.int64
+    by_s = np.argsort(t % a1, kind="stable")
+    s = t[by_s] % a1
+    ends = np.append(np.flatnonzero(s[1:] != s[:-1]) + 1, len(t))
+    firsts = np.append(0, ends[:-1])
+    g, logR = _stage1_logs(f, a1, a2, s[firsts].astype(dt), B, E)
+
+    vals = np.zeros(len(t), dtype=np.int32)
+    for r in range(len(firsts)):
+        live = logR[r] >= 0
         if not live.any():
             continue
-        gs, logs = g[live], logR[T % a1, live]
+        gs, logs = g[live], logR[r, live]
         step = max(1, GRAM_BLOCK // len(gs))
-        for lo in range(max(0, T - k + 1), T // 2 + 1, step):
-            l1 = np.arange(lo, min(lo + step, T // 2 + 1), dtype=np.int32)
-            d = ((2 * l1 - T) % a2)[:, None]
-            terms = mask.take(logs + a1 * (d * gs % a2))
-            acc[l1, T - l1] = np.bitwise_xor.reduce(terms, axis=1)
-    acc[0, 0] ^= border_packed
-    return acc != 0
+        for lo in range(firsts[r], ends[r], step):
+            ent = by_s[lo:min(lo + step, ends[r])]
+            d = (t[ent] % a2).astype(dt)[:, None]
+            vals[ent] = _class_sums(f, logs + a1 * (d * gs % a2), [0])[:, 0]
+    if border_packed:
+        vals[:1] = f.np_packed_add(vals[:1], np.int64(border_packed))
+    upper[upper] = vals != 0
+    return upper
 
 
-def _gram_bad_odd(f: Field, k: int, B: np.ndarray, E: np.ndarray,
-                  QE: np.ndarray, border_packed: int) -> np.ndarray:
-    """k x k upper-triangular mask of the nonzero Gram entries, odd p.
-
-    With X_d and Y_d the degree-d coefficient planes of X and Y, the
-    coefficient of t^s in the unreduced product sum is C_s = sum over
-    d1 + d2 = s of X_d1 @ Y_d2^T.  Per chunk of c columns, one matmul of
-    X_d1 (k x c) with the whole (2h*k) x c stack of Y yields the blocks
-    (d1, d2) for every d2, which are folded into C_(d1+d2).  The float64
-    sums are exact because every partial sum is an integer at most
-    2h*n*(p-1)^2 < 2^53.  C is then reduced mod p, and degrees 2h..4h-2 by
-    the monic modulus t^2h = -sum f_i t^i.
-    """
-    p, N, h2, n = f.p, f.N, 2 * f.h, len(E)
-    if h2 * n * (p - 1) ** 2 >= 1 << 53:
-        raise CapacityExceeded(f"2h*n*(p-1)^2 = {h2 * n * (p - 1) ** 2} "
-                               "is not exact in float64")
-    planes = f.np_planes()
-    rows = np.arange(k, dtype=np.int64)[:, None]
-    C = np.zeros((2 * h2 - 1, k, k))
-    for a in range(0, n, GRAM_CHUNK):
-        cols = slice(a, a + GRAM_CHUNK)
-        U = rows * E[cols]
-        U += B[cols]
-        X = np.take(planes, np.remainder(U, N, out=U), axis=1)
-        np.multiply(rows, QE[cols], out=U)
-        Y = np.take(planes, np.remainder(U, N, out=U), axis=1)
-        Y = Y.reshape(h2 * k, -1).T
-        for d1 in range(h2):
-            blocks = (X[d1] @ Y).reshape(k, h2, k)
-            for d2 in range(h2):
-                C[d1 + d2] += blocks[:, d2]
-    np.fmod(C, p, out=C)
-    low = np.asarray(f.modulus[:h2], dtype=np.float64)[:, None, None]
-    for s in range(2 * h2 - 2, h2 - 1, -1):
-        C[s - h2:s] -= low * np.fmod(C[s], p)
-    C = C[:h2]
-    for d in range(h2):
-        C[d, 0, 0] += border_packed // p ** d % p
-    return np.triu((np.fmod(C, p) != 0).any(axis=0))
+def _stage1_logs(f: Field, a1: int, a2: int, svals: np.ndarray,
+                 B: np.ndarray, E: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stage 1 of ``_gram_bad``: the classes g, sorted, and the logs of
+    R[s, g] for s in ``svals`` (-1 where R[s, g] = 0)."""
+    dt, n = svals.dtype, len(E)
+    e2 = (E % a2 * pow(a1, -1, a2) % a2).astype(dt)
+    order = np.argsort(e2, kind="stable")
+    g, starts = np.unique(e2[order], return_index=True)
+    e1 = (E[order] % a1 * pow(a2, -1, a1) % a1).astype(dt)
+    B = B[order].astype(dt)
+    log = f.np_log32()
+    logR = np.empty((len(svals), len(g)), dtype=np.int32)
+    step = max(1, GRAM_BLOCK // n)
+    for r0 in range(0, len(svals), step):
+        s = svals[r0:r0 + step, None]
+        logR[r0:r0 + step] = log[_class_sums(f, B + a2 * (e1 * s % a1),
+                                             starts)]
+    return g, logR
 
 
 def gram_zero(artifact: CodeArtifact) -> tuple[bool, tuple[int, int] | None]:

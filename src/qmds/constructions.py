@@ -376,7 +376,7 @@ def _certify(construction: str, q: int, k: int | None, want_matrix: str,
         es, extras = _build_evalset(construction, f, params)
         if route.border:
             (m,) = route.ms(params)
-            artifact = extend_c1(f, m, k)
+            artifact = extend_c1(f, m, k, es)
         else:
             artifact = eval_code(f, es, k, route.shift, label=construction)
         ok, witness = gram_zero(artifact)

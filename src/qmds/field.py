@@ -443,10 +443,13 @@ class Field:
 
     # --- bulk tables for the vectorized Gram / enumeration paths -------------
 
-    def _np_exp(self, dtype=np.int64) -> np.ndarray:
+    def _exp_list(self) -> list:
         if self.mode != "table":
             raise CapacityExceeded("vectorized path needs table mode")
-        return np.asarray(self.backend.exp, dtype=dtype)
+        return self.backend.exp
+
+    def _np_exp(self, dtype=np.int64) -> np.ndarray:
+        return np.asarray(self._exp_list(), dtype=dtype)
 
     def np_mask_ext(self) -> np.ndarray:
         """int32 packed GF(2) coefficient masks of theta^e for e in [0, 2N),
@@ -454,7 +457,9 @@ class Field:
         int32 holds every packed element: table mode has q^2 <= 2^22."""
         arr = self._np_cache.get("mask_ext")
         if arr is None:
-            arr = np.tile(self._np_exp(np.int32), 2)
+            arr = np.empty(2 * self.N, dtype=np.int32)
+            arr[:self.N] = self._exp_list()  # no int64 copy of the list
+            arr[self.N:] = arr[:self.N]
             self._np_cache["mask_ext"] = arr
         return arr
 
@@ -470,6 +475,20 @@ class Field:
             self._np_cache["exp_log"] = hit
         return hit
 
+    def np_log32(self) -> np.ndarray:
+        """int32 discrete logs of the packed vectors in [0, q^2), with -1
+        for the zero vector, scattered from the cached table of the Gram
+        route (``np_mask_ext`` or ``np_digits``) on each call: a cached copy
+        would be as large as that table."""
+        if self.p == 2:
+            exp = self.np_mask_ext()[:self.N]
+        else:
+            weights = self.p ** np.arange(2 * self.h, dtype=np.int32)
+            exp = weights @ self.np_digits()[:, :self.N]
+        log = np.full(self.q2, -1, dtype=np.int32)
+        log[exp] = np.arange(self.N, dtype=np.int32)
+        return log
+
     def np_packed_add(self, va: np.ndarray, vb: np.ndarray) -> np.ndarray:
         """Elementwise sum of packed coefficient vectors (broadcasting): XOR
         for p = 2, digit-wise addition mod p over the 2h base-p digits for
@@ -482,16 +501,20 @@ class Field:
             out += (va // w + vb // w) % self.p * w
         return out
 
-    def np_planes(self) -> np.ndarray:
-        """(2h, N) float64 array: row d holds the coefficient of x^d in
-        theta^e for e in [0, N)."""
-        arr = self._np_cache.get("planes")
+    def np_digits(self) -> np.ndarray:
+        """(2h, 2N) int16 array: row d holds the coefficient of x^d in
+        theta^e for e in [0, 2N), so that a sum of two exponents in [0, N)
+        indexes it unreduced.  int16 holds every digit: table mode has
+        p < 2^11."""
+        arr = self._np_cache.get("digits")
         if arr is None:
-            base = self._np_exp()
-            arr = np.empty((2 * self.h, self.N))
+            rest = self._np_exp(np.int32)
+            arr = np.empty((2 * self.h, 2 * self.N), dtype=np.int16)
             for d in range(2 * self.h):
-                arr[d] = base // self.p ** d % self.p
-            self._np_cache["planes"] = arr
+                arr[d, :self.N] = rest % self.p
+                rest //= self.p
+            arr[:, self.N:] = arr[:, :self.N]
+            self._np_cache["digits"] = arr
         return arr
 
 

@@ -205,6 +205,77 @@ def test_verify_budget_skips_reported(capsys):
     assert obj["routes_agree"] is None
 
 
+VERIFY_JSON = {
+    # the full output of qmds verify for c1 at (q, m, k) = (11, 3, 4) and
+    # (9, 5, 3), byte for byte
+    ("11", "3", "4"): (
+        '{\n'
+        '  "construction": "c1",\n'
+        '  "expected_weight": 37,\n'
+        '  "gram_witness": null,\n'
+        '  "k": 4,\n'
+        '  "min_weight": "skipped: q^(2k) = 214358881 exceeds budget 20000000",\n'
+        '  "minors": {\n'
+        '    "checked": 91390,\n'
+        '    "is_mds": true,\n'
+        '    "witness": null\n'
+        '  },\n'
+        '  "n": 40,\n'
+        '  "params": {\n'
+        '    "m": 3\n'
+        '  },\n'
+        '  "q": 11,\n'
+        '  "quantum": [\n'
+        '    40,\n'
+        '    32,\n'
+        '    5\n'
+        '  ],\n'
+        '  "routes_agree": null,\n'
+        '  "self_orthogonal": true\n'
+        '}\n'
+    ),
+    ("9", "5", "3"): (
+        '{\n'
+        '  "construction": "c1",\n'
+        '  "expected_weight": 14,\n'
+        '  "gram_witness": null,\n'
+        '  "k": 3,\n'
+        '  "min_weight": 14,\n'
+        '  "minors": {\n'
+        '    "checked": 560,\n'
+        '    "is_mds": true,\n'
+        '    "witness": null\n'
+        '  },\n'
+        '  "n": 16,\n'
+        '  "params": {\n'
+        '    "m": 5\n'
+        '  },\n'
+        '  "q": 9,\n'
+        '  "quantum": [\n'
+        '    16,\n'
+        '    10,\n'
+        '    4\n'
+        '  ],\n'
+        '  "routes_agree": true,\n'
+        '  "self_orthogonal": true\n'
+        '}\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("q,m,k", sorted(VERIFY_JSON))
+def test_verify_output_bytes(capsys, monkeypatch, q, m, k):
+    from qmds import codes
+
+    def no_render(matrix):
+        raise AssertionError("verify rendered the generator matrix")
+    monkeypatch.setattr(codes, "matrix_to_strings", no_render)
+    rc, out = run(capsys, "verify", "--construction", "c1", "--q", q,
+                  "--m", m, "--k", k)
+    assert rc == 0
+    assert out == VERIFY_JSON[q, m, k]
+
+
 # --- oracle ----------------------------------------------------------------------
 
 

@@ -1,12 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from naive_algebra import is_nonsingular, rank
+from qmds import codes
 from qmds.codes import (
     CodeArtifact,
-    _gram_bad_char2,
+    _gram_bad,
+    _unitary_splits,
     eval_code,
     extend_c1,
     gram_entry,
@@ -116,7 +120,7 @@ def test_gram_routes_agree_extended():
     assert not gram_zero_structured(bad)[0]
 
 
-# odd-q instances with h = 1, 2, 3 for the coefficient-plane matmul route
+# odd-q instances with h = 1, 2, 3
 ODD_POOL = [
     ("half_power", 7, {"m": 6}),
     ("c1", 9, {"m": 5}),
@@ -199,9 +203,12 @@ def test_odd_matmul_route_border_term():
     ("odd_union", 83, {"m1": 3, "m2": 7}, 46, (34, 46)),
     ("half_power_union", 211, {"ms": (6, 10, 14)}, 120, (14, 120)),
     ("mixed_union", 169, {"m1": 5, "m2": 6}, 100, (66, 100)),
-], ids=["q83", "q211", "q169"])
+    ("half_power_union", 631, {"ms": (10, 14, 18)}, 350, (34, 350)),
+    ("half_power_union", 571, {"ms": (6, 10, 38)}, 300, (14, 300)),
+], ids=["q83", "q211", "q169", "q631", "q571"])
 def test_odd_known_bad_witnesses(construction, q, params, k, witness):
-    # first witnesses at k + 1, pinned from the former per-pair loop
+    # first witnesses at k + 1, pinned from the former per-pair loop (q = 83,
+    # 211, 169) and from the former coefficient-plane matmuls (q = 631, 571)
     assert max_dim_oracle(construction, q, params) == k
     assert gram_zero(raw_artifact(construction, q, params, k)) == (True, None)
     assert gram_zero(raw_artifact(construction, q, params, k + 1)) == \
@@ -235,7 +242,7 @@ def scalar_nonzero_mask(art):
                       for l2 in range(art.k)] for l1 in range(art.k)])
 
 
-def check_char2_mask(art):
+def check_route_mask(art):
     assert np.array_equal(gram_nonzero_mask(art), scalar_nonzero_mask(art))
     assert gram_zero_vectorized(art) == \
         gram_zero_scalar(art.field, art.matrix())
@@ -255,7 +262,7 @@ def test_char2_route_where_l1_plus_l2_wraps_mod_q_minus_1(construction, q,
     # l1 + l2 reaches 2k - 2 >= q - 1, so the stage-1 rows are reused
     # modulo q - 1
     assert 2 * k - 1 > q - 1
-    check_char2_mask(raw_artifact(construction, q, params, k))
+    check_route_mask(raw_artifact(construction, q, params, k))
 
 
 def stage1_row(art, s):
@@ -282,7 +289,7 @@ def test_char2_route_skips_zero_stage1_rows(k):
     zero = [s for s in range(7)
             if all(v is None for v in stage1_row(art, s).values())]
     assert zero == [0, 1, 2, 3, 4, 6]
-    check_char2_mask(art)
+    check_route_mask(art)
 
 
 def test_table2_row4_char2_route():
@@ -296,11 +303,11 @@ def test_table2_row4_char2_route():
     assert gram_zero(art) == (False, (245, 264))
 
 
-@given(st.data())
-def test_char2_route_on_arbitrary_point_sets(data):
-    # distinct random points with random GF(q)* weights: no subgroup
-    # structure for the exponent split to rely on
-    q = data.draw(st.sampled_from([2, 4, 8, 16]))
+def draw_point_set_artifact(data, qs):
+    """Distinct random points with random GF(q)* weights, a random shift and
+    an optional border: no subgroup structure for the exponent split to
+    rely on."""
+    q = data.draw(st.sampled_from(qs))
     f = field_for_q(q)
     points = data.draw(st.lists(st.integers(0, f.N - 1), min_size=1,
                                 max_size=min(f.N, 20), unique=True))
@@ -309,19 +316,27 @@ def test_char2_route_on_arbitrary_point_sets(data):
     es = EvalSet(f, tuple(points), tuple((q + 1) * w for w in weights),
                  ((),) * len(points), "random")
     border = data.draw(st.none() | st.integers(0, f.N - 1))
-    art = CodeArtifact(f, es, k=data.draw(st.integers(1, 18)),
-                       shift=data.draw(st.integers(0, f.N - 1)),
-                       has_border=border is not None, border_entry=border)
-    check_char2_mask(art)
+    return CodeArtifact(f, es, k=data.draw(st.integers(1, 18)),
+                        shift=data.draw(st.integers(0, f.N - 1)),
+                        has_border=border is not None, border_entry=border)
 
 
 @given(st.data())
-def test_char2_route_on_arbitrary_exponent_sums(data):
-    # the route's contract for any B and E, not only Gram inputs: entry
-    # (l1, l2) is sum_j theta^(B_j + E_j*(l1 + q*l2)), plus the border at
-    # (0, 0).  Without Hermitian symmetry entries (l1, l2) and (l2, l1)
-    # vanish independently, so the mask also pins the sign of l1 - l2.
-    q = data.draw(st.sampled_from([2, 4, 8]))
+def test_char2_route_on_arbitrary_point_sets(data):
+    check_route_mask(draw_point_set_artifact(data, [2, 4, 8, 16]))
+
+
+@given(st.data())
+def test_odd_route_on_arbitrary_point_sets(data):
+    check_route_mask(draw_point_set_artifact(data, [3, 5, 7, 9]))
+
+
+def check_exponent_sums(data, qs):
+    """The route's contract for any B and E, not only Gram inputs: entry
+    (l1, l2) is sum_j theta^(B_j + E_j*(l1 + q*l2)), plus the border at
+    (0, 0).  Without Hermitian symmetry entries (l1, l2) and (l2, l1)
+    vanish independently, so the mask also pins the sign of l1 - l2."""
+    q = data.draw(st.sampled_from(qs))
     f = field_for_q(q)
     N = f.N
     n = data.draw(st.integers(1, 12))
@@ -329,18 +344,57 @@ def test_char2_route_on_arbitrary_exponent_sums(data):
     B = data.draw(st.lists(st.integers(0, N - 1), min_size=n, max_size=n))
     border = data.draw(st.sampled_from([0] + f.backend.exp[:4]))
     k = data.draw(st.integers(1, 12))
-    E_arr = np.asarray(E, dtype=np.int64)
-    got = _gram_bad_char2(f, k, np.asarray(B, dtype=np.int64), E_arr,
-                          E_arr * q % N, border)
+    got = _gram_bad(f, k, np.asarray(B, dtype=np.int64),
+                    np.asarray(E, dtype=np.int64), border)
     for l1 in range(k):
         for l2 in range(k):
             acc = None
             for b, e in zip(B, E):
                 acc = f.add(acc, (b + e * (l1 + q * l2)) % N)
-            packed = 0 if acc is None else f.backend.exp_packed(acc)
-            if (l1, l2) == (0, 0):
-                packed ^= border
-            assert got[l1, l2] == (l2 >= l1 and packed != 0), (l1, l2)
+            if (l1, l2) == (0, 0) and border:
+                acc = f.add(acc, f.backend.log_packed(border))
+            assert got[l1, l2] == (l2 >= l1 and acc is not None), (l1, l2)
+
+
+@given(st.data())
+def test_char2_route_on_arbitrary_exponent_sums(data):
+    check_exponent_sums(data, [2, 4, 8])
+
+
+@given(st.data())
+def test_odd_route_on_arbitrary_exponent_sums(data):
+    check_exponent_sums(data, [3, 5, 7, 9])
+
+
+@pytest.mark.parametrize("q,k", [(4, 8), (5, 8), (7, 8), (8, 8), (9, 8),
+                                 (13, 8), (25, 8), (331, 64)])
+def test_every_coprime_split_gives_the_scalar_mask(q, k, monkeypatch):
+    # the decomposition holds whichever split is chosen, the trivial ones
+    # (a1 = 1 or a2 = 1: the direct sum) included; at q = 331 and k = 64 the
+    # splits with a factor above 46340 need the int64 index arithmetic
+    f = field_for_q(q)
+    splits = _unitary_splits(f.N, f.n_factors)
+    assert len(set(splits)) == 2 ** len(f.n_factors)
+    assert all(a1 * a2 == f.N and math.gcd(a1, a2) == 1 for a1, a2 in splits)
+    assert {(1, f.N), (f.N, 1)} <= set(splits)
+    m = min(m for m in range(1, f.N + 1) if f.N % m == 0 and f.N // m <= 24)
+    rng = np.random.default_rng(q)
+    points = sorted(rng.choice(f.N, size=12, replace=False).tolist())
+    weights = tuple((q + 1) * int(w) for w in rng.integers(0, q - 1, size=12))
+    arts = [
+        # a subgroup, whose power sums vanish off multiples of its order
+        CodeArtifact(f, subgroup_set(f, m), k=k, shift=1, has_border=True,
+                     border_entry=3),
+        CodeArtifact(f, EvalSet(f, tuple(points), weights, ((),) * 12, "r"),
+                     k=k, shift=int(rng.integers(f.N)), has_border=True,
+                     border_entry=int(rng.integers(f.N))),
+    ]
+    for art in arts:
+        want = scalar_nonzero_mask(art)
+        assert want.any()
+        for split in splits:
+            monkeypatch.setattr(codes, "_choose_split", lambda *a: split)
+            assert np.array_equal(gram_nonzero_mask(art), want), split
 
 
 def test_gram_entry_equals_matrix_inner_product():

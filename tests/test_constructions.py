@@ -139,6 +139,21 @@ def test_c1_certificate_fields():
     assert cert.artifact is not None and cert.artifact.k == 8
 
 
+def test_c1_ext_builds_its_subgroup_once(monkeypatch):
+    # the matrix branch hands the set it built to extend_c1
+    from qmds import codes, evalsets
+    calls, real = [], evalsets.subgroup_set
+
+    def counted(field, m):
+        calls.append(m)
+        return real(field, m)
+    monkeypatch.setattr(evalsets, "subgroup_set", counted)
+    monkeypatch.setattr(codes, "subgroup_set", counted)
+    cert = build("c1_ext", 17, m=9)
+    assert cert.verified_level == "FULL_MATRIX" and cert.artifact.has_border
+    assert calls == [9]
+
+
 def test_k_defaults_and_caps():
     assert construct_c1(17, 9).k == 8
     assert construct_c1_extended(17, 9).k == 9  # one border row on top

@@ -84,10 +84,11 @@ def test_presentation_builds_no_backend():
 @pytest.mark.parametrize("p,h", [(3, 2), (5, 1)])
 def test_np_planes_are_coefficients(p, h):
     f = build_field(p, h)
-    planes = f.np_planes()
-    assert planes.shape == (2 * h, f.N) and planes.dtype.kind == "f"
+    planes = f.np_digits()
+    assert planes.shape == (2 * h, 2 * f.N) and planes.dtype.kind == "i"
     for e in range(f.N):
         assert tuple(planes[:, e]) == f.coeffs(e)
+        assert tuple(planes[:, f.N + e]) == f.coeffs(e)
 
 
 # --- arithmetic against the coefficient-tuple model ----------------------------
