@@ -58,20 +58,28 @@ class CodeArtifact:
         return len(self.evalset) + (1 if self.has_border else 0)
 
     @cached_property
-    def column_scales(self) -> tuple[int, ...]:
-        """Exponent of the (q+1)-st root of each column weight."""
-        return tuple(self.field.norm_root(w) for w in self.evalset.weights)
+    def column_scales(self) -> np.ndarray:
+        """Exponent of the smallest (q+1)-st root of each column weight."""
+        return self.evalset.weights // (self.field.q + 1)
 
     def row(self, l: int) -> tuple[Elt, ...]:
         N = self.field.N
-        body = tuple((t + (self.shift + l) * e) % N
-                     for t, e in zip(self.column_scales, self.evalset.points))
+        cols = self.column_scales + _mulmod(self.shift + l,
+                                            self.evalset.points, N)
+        body = tuple((cols % N).tolist())
         if self.has_border:
             return ((self.border_entry if l == 0 else None),) + body
         return body
 
     def matrix(self) -> tuple[tuple[Elt, ...], ...]:
         return tuple(self.row(l) for l in range(self.k))
+
+
+def _mulmod(c: int, e: np.ndarray, N: int) -> np.ndarray:
+    """c*e mod N for exponents 0 <= e < N <= 2^40, exactly in int64: c is
+    split into 20-bit halves so that no product reaches 2^61."""
+    hi, lo = divmod(c % N, 1 << 20)
+    return (hi * e % N * (1 << 20) + lo * e) % N
 
 
 def eval_code(field: Field, evalset: EvalSet, k: int, shift: int,
@@ -149,7 +157,7 @@ def weighted_pair_sum(field: Field, evalset: EvalSet, shift: int,
     N = field.N
     expo = ((field.q + 1) * shift + l1 + field.q * l2) % N
     acc: Elt = None
-    for e, w in zip(evalset.points, evalset.weights):
+    for e, w in zip(evalset.points.tolist(), evalset.weights.tolist()):
         acc = field.add(acc, (w + e * expo) % N)
     return acc
 
@@ -193,10 +201,8 @@ def gram_nonzero_mask(artifact: CodeArtifact) -> np.ndarray:
     """
     f = artifact.field
     N, q = f.N, f.q
-    E = np.asarray(artifact.evalset.points, dtype=np.int64)
-    B = np.asarray(artifact.evalset.weights, dtype=np.int64)
-    B += artifact.shift * (q + 1) % N * E
-    B %= N
+    E = artifact.evalset.points
+    B = (artifact.evalset.weights + artifact.shift * (q + 1) % N * E) % N
     border_packed = 0
     if artifact.has_border:
         b = artifact.border_entry
@@ -333,7 +339,7 @@ def _stage1_logs(f: Field, a1: int, a2: int, svals: np.ndarray,
     g, starts = np.unique(e2[order], return_index=True)
     e1 = (E[order] % a1 * pow(a2, -1, a1) % a1).astype(dt)
     B = B[order].astype(dt)
-    log = f.np_log32()
+    log = f.backend.log
     logR = np.empty((len(svals), len(g)), dtype=np.int32)
     step = max(1, GRAM_BLOCK // n)
     for r0 in range(0, len(svals), step):

@@ -1,18 +1,22 @@
 """Weighted evaluation sets: unions of multiplicative subgroups.
 
 An evaluation set is a list of distinct nonzero points of GF(q^2) together
-with a nonzero GF(q)-weight per point.  Points are carried by exponent and
-kept sorted ascending, which fixes the column order of every generator
-matrix built from the set.
+with a nonzero GF(q)-weight per point.  Points and weights are carried by
+exponent, as read-only int64 numpy arrays from construction to the Gram
+check; the builders keep the points sorted ascending, which fixes the column
+order of every generator matrix built from the set.
 
 Subgroups are indexed by divisors m of N = q^2 - 1 (the subgroup of order
-N/m, i.e. exponents divisible by m).  Three kinds of unions appear:
+N/m, i.e. the exponents ``arange(0, N, m)``).  Three kinds of unions appear,
+each marked on one boolean mask over the N exponents:
 
   * parity-filtered unions in characteristic two (overlap points cancel,
-    so only odd-membership points are kept, all with weight 1);
+    so only points counted an odd number of times are kept, all with
+    weight 1);
   * weighted unions in odd characteristic, where each constituent carries a
     weight of the form theta^beta * x^alpha and overlap points receive the
-    sum of their constituents' weights;
+    sum of their constituents' weights, added as packed vectors over the
+    points e with e % m == 0;
   * the mixed union, whose even-part weight is shifted by a subfield
     element H picked by ``find_h_shift_exponent`` so that no shared
     point's combined weight vanishes.
@@ -23,6 +27,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import (HypothesisViolated, NoValidH, NotChar2, NotCoprime,
                      WeightSumVanishes)
 from .field import Elt, Field
@@ -32,39 +38,56 @@ from .field import Elt, Field
 class EvalSet:
     """Distinct evaluation points with nonzero subfield weights.
 
-    points and weights are exponent vectors; membership[i] lists which
-    constituent subgroups (by position in the defining divisor list)
-    contain points[i].
+    points and weights are read-only int64 arrays of exponents; sequences
+    are converted on construction.
     """
 
     field: Field
-    points: tuple[int, ...]
-    weights: tuple[int, ...]
-    membership: tuple[tuple[int, ...], ...]
+    points: np.ndarray
+    weights: np.ndarray
     label: str
 
     def __post_init__(self):
-        if len(set(self.points)) != len(self.points):
-            raise HypothesisViolated("evaluation points must be distinct")
-        for w in self.weights:
-            if not self.field.in_subfield(w):
-                raise HypothesisViolated("weight outside the subfield")
+        for name in ("points", "weights"):
+            arr = np.asarray(getattr(self, name), dtype=np.int64)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        pts = self.points
+        if not (pts[1:] > pts[:-1]).all():  # the builders' points ascend
+            pts = np.sort(pts)
+            if (pts[1:] == pts[:-1]).any():
+                raise HypothesisViolated("evaluation points must be distinct")
+        if np.any(self.weights % (self.field.q + 1)):
+            raise HypothesisViolated("weight outside the subfield")
 
     def __len__(self) -> int:
         return len(self.points)
 
 
-def _subgroup_exponents(field: Field, m: int) -> range:
+def _check_divisor(field: Field, m: int) -> None:
     if m < 1 or field.N % m != 0:
         raise HypothesisViolated(f"m = {m} does not divide {field.N}")
-    return range(0, field.N, m)
+
+
+def _union_points(field: Field, ms, parity: bool) -> np.ndarray:
+    """Ascending exponents of the points in some subgroup m in ``ms``, or,
+    with ``parity``, in an odd number of them.  Marking one N-entry mask
+    costs less than sorting or hashing the subgroups' exponents."""
+    mask = np.zeros(field.N, dtype=bool)
+    for m in ms:
+        _check_divisor(field, m)
+        if parity:
+            mask[::m] ^= True
+        else:
+            mask[::m] = True
+    return np.flatnonzero(mask).astype(np.int64, copy=False)
 
 
 def subgroup_set(field: Field, m: int) -> EvalSet:
     """The order-N/m subgroup with unit weights."""
-    pts = tuple(_subgroup_exponents(field, m))
-    return EvalSet(field, pts, (0,) * len(pts), ((0,),) * len(pts),
-                   f"subgroup(m={m})")
+    _check_divisor(field, m)
+    pts = np.arange(0, field.N, m, dtype=np.int64)
+    return EvalSet(field, pts, np.zeros_like(pts), f"subgroup(m={m})")
 
 
 def union_size(N: int, ms: tuple[int, ...]) -> int:
@@ -96,13 +119,8 @@ def parity_union_char2(field: Field, ms: tuple[int, ...]) -> EvalSet:
         for j in range(i + 1, len(ms)):
             if math.gcd(ms[i], ms[j]) != 1:
                 raise NotCoprime(f"gcd({ms[i]}, {ms[j]}) != 1")
-    members: dict[int, list[int]] = {}
-    for i, m in enumerate(ms):
-        for e in _subgroup_exponents(field, m):
-            members.setdefault(e, []).append(i)
-    pts = tuple(sorted(e for e, hit in members.items() if len(hit) % 2 == 1))
-    return EvalSet(field, pts, (0,) * len(pts),
-                   tuple(tuple(members[e]) for e in pts),
+    pts = _union_points(field, ms, parity=True)
+    return EvalSet(field, pts, np.zeros_like(pts),
                    f"parity_union(ms={','.join(map(str, ms))})")
 
 
@@ -112,26 +130,25 @@ def weighted_union(field: Field, parts: tuple[tuple[int, int, int], ...],
                    ) -> EvalSet:
     """Full union where part (m, alpha, beta) weights its subgroup by
     theta^beta * x^alpha; overlap points get the sum of their parts' weights.
+    The sums are taken on packed vectors, so the field needs table mode.
 
-    Raises ``vanish_error`` if any combined weight is zero.
+    Raises ``vanish_error`` at the smallest point whose combined weight is
+    zero.
     """
-    members: dict[int, list[int]] = {}
-    for i, (m, _, _) in enumerate(parts):
-        for e in _subgroup_exponents(field, m):
-            members.setdefault(e, []).append(i)
-    pts = tuple(sorted(members))
-    weights = []
-    for e in pts:
-        w: Elt = None
-        for i in members[e]:
-            _, alpha, beta = parts[i]
-            w = field.add(w, (beta + alpha * e) % field.N)
-        if w is None:
-            raise vanish_error(
-                f"combined weight vanishes at point exponent {e} ({label})")
-        weights.append(w)
-    return EvalSet(field, pts, tuple(weights),
-                   tuple(tuple(members[e]) for e in pts), label)
+    N = field.N
+    pts = _union_points(field, [m for m, _, _ in parts], parity=False)
+    exp0, log = field.np_exp_log()
+    packed = np.zeros(len(pts), dtype=np.int64)
+    for m, alpha, beta in parts:
+        hit = pts % m == 0
+        packed[hit] = field.np_packed_add(
+            packed[hit], exp0[(beta % N + alpha % N * pts[hit]) % N])
+    weights = log[packed]
+    vanish = np.flatnonzero(weights < 0)
+    if vanish.size:
+        raise vanish_error(f"combined weight vanishes at point exponent "
+                           f"{pts[vanish[0]]} ({label})")
+    return EvalSet(field, pts, weights, label)
 
 
 # --------------------------------------------------------------------------

@@ -5,7 +5,9 @@ Elements travel as discrete logarithms of a fixed primitive element theta:
 Multiplication, inversion, powers, the q-power Frobenius, norms and subfield
 membership are then pure integer arithmetic modulo q^2 - 1.  Coefficient
 vectors appear only inside the two backends, which supply the operations a
-logarithm table makes awkward: addition and discrete logs.
+logarithm table makes awkward: addition and discrete logs.  A coefficient
+vector is packed as the integer whose base-p digit i is the coefficient of
+x^i.
 
 The modulus is canonical: coefficients (c_0 .. c_{2h-1}) of candidate monic
 polynomials are read as base-p digits of a counter J with c_0 most
@@ -13,7 +15,13 @@ significant, and the first candidate in increasing J that is irreducible
 with x primitive is selected.  theta is the class of x.
 
 Backends:
-  * table  - full exponential/log tables, fields up to 2^22 elements;
+  * table  - read-only int32 numpy tables ``exp`` (theta^e packed, q^2 - 1
+             entries) and ``log`` (q^2 entries, -1 for zero), fields up to
+             2^22 elements.  The vectorized paths index these arrays, or
+             tables derived from them (``np_mask_ext``, ``np_digits``,
+             ``np_exp_log``), with whole arrays of exponents.  Scalar
+             addition, which only the tests' element-by-element references
+             use, goes through Zech logarithms built on its first call;
   * bsgs   - polynomial arithmetic plus baby-step giant-step logs,
              fields up to 2^40 elements.
 """
@@ -205,49 +213,82 @@ def _odd_exp_table(p: int, n: int, modulus: tuple[int, ...]) -> np.ndarray:
     return P @ p ** np.arange(n, dtype=np.int32)
 
 
+def _char2_exp_table(n: int, modulus: tuple[int, ...]) -> np.ndarray:
+    """Packed theta^e for e in [0, 2^n - 1), by doubling: theta^L ..
+    theta^(2L-1) are theta^0 .. theta^(L-1) times theta^L, a GF(2)-linear
+    map of the coefficient masks, applied a byte of each mask at a time
+    through 256-entry tables of the images of x^0 .. x^(n-1)."""
+    red = sum(c << i for i, c in enumerate(modulus[:n]))
+    top = 1 << n
+    N = top - 1
+    exp = np.empty(N, dtype=np.int32)
+    exp[0] = 1
+    L = 1
+    while L < N:
+        m = min(L, N - L)
+        img, v = [], int(exp[L - 1])
+        for _ in range(n):  # theta^(L+i) = x^i * theta^L, a shift at a time
+            v <<= 1
+            if v & top:
+                v ^= top ^ red
+            img.append(v)
+        out = np.zeros(m, dtype=np.int32)
+        for j in range(0, n, 8):
+            tab = np.zeros(1, dtype=np.int32)
+            for w in img[j:j + 8]:
+                tab = np.concatenate((tab, tab ^ w))
+            out ^= tab[(exp[:m] >> j) & (len(tab) - 1)]
+        exp[L:L + m] = out
+        L += m
+    return exp
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
 class _TableBackend:
+    """Read-only int32 tables: ``exp`` holds the packed theta^e for e in
+    [0, N) and ``log`` the exponent of each packed vector in [0, q^2), -1
+    for the zero vector.  int32 holds both: table mode has q^2 <= 2^22."""
+
     mode = "table"
 
     def __init__(self, p: int, n: int, modulus: tuple[int, ...]):
         self.p = p
         q2 = p ** n
         self.N = q2 - 1
-        if p == 2:  # a shift loop beats the matmul doubling for p = 2
-            exp = [0] * self.N
-            red = 0
-            for i in range(n):
-                red |= modulus[i] << i
-            top = 1 << n
-            v = 1
-            for e in range(self.N):
-                exp[e] = v
-                v <<= 1
-                if v & top:
-                    v = (v ^ top) ^ red
-            exp_arr = np.asarray(exp, dtype=np.int32)
-        else:
-            exp_arr = _odd_exp_table(p, n, modulus)
+        exp = (_char2_exp_table(n, modulus) if p == 2
+               else _odd_exp_table(p, n, modulus))
         log = np.full(q2, -1, dtype=np.int32)
-        log[exp_arr] = np.arange(self.N, dtype=np.int32)
+        log[exp] = np.arange(self.N, dtype=np.int32)
         if np.count_nonzero(log == -1) != 1:  # only the zero vector is missing
             raise ArithmeticError("log table is not a bijection")
-        # Python lists: the scalar arithmetic indexes them one entry at a time
-        self.exp = exp if p == 2 else exp_arr.tolist()
-        del exp_arr  # freed before the log list is built
-        self.log = log.tolist()
+        self.exp = _frozen(exp)
+        self.log = _frozen(log)
 
     def exp_packed(self, e: int) -> int:
-        return self.exp[e]
+        return int(self.exp[e])
 
     def log_packed(self, v: int) -> int:
-        e = self.log[v]
+        e = int(self.log[v])
         if e < 0:
             raise ZeroArgument("discrete log of zero")
         return e
 
+    @functools.cached_property
+    def zech(self) -> memoryview:
+        """Zech logarithms Z[k] = log(1 + theta^k), -1 where 1 + theta^k = 0,
+        built on the first scalar addition; only the scalar references add
+        one element at a time."""
+        one_plus = self.exp - self.exp % self.p + (self.exp + 1) % self.p
+        return memoryview(_frozen(self.log[one_plus]))
+
     def add_exponents(self, a: int, b: int) -> Elt:
-        v = _packed_add(self.exp[a], self.exp[b], self.p)
-        return None if v == 0 else self.log[v]
+        """theta^a + theta^b = theta^(b + Z[a - b])."""
+        z = self.zech[(a - b) % self.N]
+        return None if z < 0 else (b + z) % self.N
 
 
 class _BsgsBackend:
@@ -346,7 +387,8 @@ class Field:
     @functools.cached_property
     def backend(self):
         """Built on first use: the presentation (``to_json``) needs only the
-        modulus, and a table backend holds 2 q^2 Python integers."""
+        modulus, and a table backend holds two int32 tables of about q^2
+        entries each."""
         cls = _TableBackend if self.mode == "table" else _BsgsBackend
         return cls(self.p, 2 * self.h, self.modulus)
 
@@ -443,51 +485,33 @@ class Field:
 
     # --- bulk tables for the vectorized Gram / enumeration paths -------------
 
-    def _exp_list(self) -> list:
+    def _tables(self) -> _TableBackend:
         if self.mode != "table":
             raise CapacityExceeded("vectorized path needs table mode")
-        return self.backend.exp
-
-    def _np_exp(self, dtype=np.int64) -> np.ndarray:
-        return np.asarray(self._exp_list(), dtype=dtype)
+        return self.backend
 
     def np_mask_ext(self) -> np.ndarray:
         """int32 packed GF(2) coefficient masks of theta^e for e in [0, 2N),
-        so that a sum of two exponents in [0, N) indexes it unreduced.
-        int32 holds every packed element: table mode has q^2 <= 2^22."""
+        so that a sum of two exponents in [0, N) indexes it unreduced."""
         arr = self._np_cache.get("mask_ext")
         if arr is None:
-            arr = np.empty(2 * self.N, dtype=np.int32)
-            arr[:self.N] = self._exp_list()  # no int64 copy of the list
-            arr[self.N:] = arr[:self.N]
+            exp = self._tables().exp
+            arr = _frozen(np.concatenate((exp, exp)))
             self._np_cache["mask_ext"] = arr
         return arr
 
     def np_exp_log(self) -> tuple[np.ndarray, np.ndarray]:
-        """int64 tables for arrays of elements in log form, with -1 for zero:
+        """int32 tables for arrays of elements in log form, with -1 for zero:
         ``exp0`` has the packed theta^e for e in [0, N) and a trailing 0, so
-        that exp0[-1] is the zero vector; ``log`` maps a packed vector to its
-        exponent and the zero vector to -1."""
+        that exp0[-1] is the zero vector; ``log`` is the backend's table,
+        which maps a packed vector to its exponent and the zero vector to
+        -1."""
         hit = self._np_cache.get("exp_log")
         if hit is None:
-            hit = (np.append(self._np_exp(), 0),
-                   np.asarray(self.backend.log, dtype=np.int64))
+            tables = self._tables()
+            hit = (_frozen(np.append(tables.exp, np.int32(0))), tables.log)
             self._np_cache["exp_log"] = hit
         return hit
-
-    def np_log32(self) -> np.ndarray:
-        """int32 discrete logs of the packed vectors in [0, q^2), with -1
-        for the zero vector, scattered from the cached table of the Gram
-        route (``np_mask_ext`` or ``np_digits``) on each call: a cached copy
-        would be as large as that table."""
-        if self.p == 2:
-            exp = self.np_mask_ext()[:self.N]
-        else:
-            weights = self.p ** np.arange(2 * self.h, dtype=np.int32)
-            exp = weights @ self.np_digits()[:, :self.N]
-        log = np.full(self.q2, -1, dtype=np.int32)
-        log[exp] = np.arange(self.N, dtype=np.int32)
-        return log
 
     def np_packed_add(self, va: np.ndarray, vb: np.ndarray) -> np.ndarray:
         """Elementwise sum of packed coefficient vectors (broadcasting): XOR
@@ -508,13 +532,13 @@ class Field:
         p < 2^11."""
         arr = self._np_cache.get("digits")
         if arr is None:
-            rest = self._np_exp(np.int32)
+            rest = self._tables().exp
             arr = np.empty((2 * self.h, 2 * self.N), dtype=np.int16)
             for d in range(2 * self.h):
                 arr[d, :self.N] = rest % self.p
-                rest //= self.p
+                rest = rest // self.p  # a new array: exp is not written
             arr[:, self.N:] = arr[:, :self.N]
-            self._np_cache["digits"] = arr
+            self._np_cache["digits"] = _frozen(arr)
         return arr
 
 

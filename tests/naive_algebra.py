@@ -5,15 +5,19 @@ share no code with the package: polynomials are plain coefficient tuples
 (index i is the coefficient of x^i), reduction is long division,
 irreducibility is trial division by every lower-degree monic polynomial, and
 multiplicative orders are found by repeated multiplication.  Only tiny
-fields go through these.  The scalar linear-algebra references at the end
-use only a ``Field``'s element-by-element arithmetic, so they check the
-package's batched numpy kernels against the scalar field operations.
+fields go through these.  The scalar linear-algebra references and the
+evaluation-set builders at the end use only a ``Field``'s
+element-by-element arithmetic, so they check the package's batched numpy
+kernels against the scalar field operations.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+
+from qmds.errors import (HypothesisViolated, NotChar2, NotCoprime,
+                         WeightSumVanishes)
 
 
 def trim(a: tuple[int, ...]) -> tuple[int, ...]:
@@ -263,3 +267,61 @@ def scalar_min_weight(field, rows) -> int:
                 weight += 1
         best = min(best, weight)
     return best
+
+
+# --------------------------------------------------------------------------
+# evaluation sets: dict-and-loop builders, one point and one scalar field
+# addition at a time; each returns (points, weights) as tuples of ints
+# --------------------------------------------------------------------------
+
+def _subgroup_exponents(field, m: int) -> range:
+    if m < 1 or field.N % m != 0:
+        raise HypothesisViolated(f"m = {m} does not divide {field.N}")
+    return range(0, field.N, m)
+
+
+def subgroup_set(field, m: int) -> tuple[tuple, tuple]:
+    """The order-N/m subgroup with unit weights."""
+    pts = tuple(_subgroup_exponents(field, m))
+    return pts, (0,) * len(pts)
+
+
+def parity_union_char2(field, ms: tuple[int, ...]) -> tuple[tuple, tuple]:
+    """Char-2 union keeping points that lie in an odd number of subgroups."""
+    if field.p != 2:
+        raise NotChar2("parity-filtered union needs characteristic 2")
+    for i in range(len(ms)):
+        for j in range(i + 1, len(ms)):
+            if math.gcd(ms[i], ms[j]) != 1:
+                raise NotCoprime(f"gcd({ms[i]}, {ms[j]}) != 1")
+    members: dict[int, list[int]] = {}
+    for i, m in enumerate(ms):
+        for e in _subgroup_exponents(field, m):
+            members.setdefault(e, []).append(i)
+    pts = tuple(sorted(e for e, hit in members.items() if len(hit) % 2 == 1))
+    return pts, (0,) * len(pts)
+
+
+def weighted_union(field, parts: tuple[tuple[int, int, int], ...],
+                   label: str,
+                   vanish_error: type[HypothesisViolated] = WeightSumVanishes,
+                   ) -> tuple[tuple, tuple]:
+    """Full union where part (m, alpha, beta) weights its subgroup by
+    theta^beta * x^alpha; overlap points get the sum of their parts'
+    weights.  Raises ``vanish_error`` if any combined weight is zero."""
+    members: dict[int, list[int]] = {}
+    for i, (m, _, _) in enumerate(parts):
+        for e in _subgroup_exponents(field, m):
+            members.setdefault(e, []).append(i)
+    pts = tuple(sorted(members))
+    weights = []
+    for e in pts:
+        w = None
+        for i in members[e]:
+            _, alpha, beta = parts[i]
+            w = field.add(w, (beta + alpha * e) % field.N)
+        if w is None:
+            raise vanish_error(
+                f"combined weight vanishes at point exponent {e} ({label})")
+        weights.append(w)
+    return pts, tuple(weights)

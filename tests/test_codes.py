@@ -27,7 +27,7 @@ from qmds.codes import (
 from qmds.constructions import _build_evalset, max_dim_oracle
 from qmds.errors import DimensionTooLarge, LengthMismatch, UsageError
 from qmds.evalsets import EvalSet, subgroup_set
-from qmds.field import build_field, field_for_q
+from qmds.field import Field, build_field, field_for_q
 
 # (construction, q, params, max self-orthogonal k) for the Gram agreement pool
 POOL = [
@@ -272,7 +272,8 @@ def stage1_row(art, s):
     f = art.field
     q, N = f.q, f.N
     row = {}
-    for e, w in zip(art.evalset.points, art.evalset.weights):
+    for e, w in zip(art.evalset.points.tolist(),
+                    art.evalset.weights.tolist()):
         e1 = e * pow(q + 1, -1, q - 1) % (q - 1)
         e2 = e * pow(q - 1, -1, q + 1) % (q + 1)
         assert ((q + 1) * e1 + (q - 1) * e2 - e) % N == 0
@@ -314,7 +315,7 @@ def draw_point_set_artifact(data, qs):
     weights = data.draw(st.lists(st.integers(0, q - 2), min_size=len(points),
                                  max_size=len(points)))
     es = EvalSet(f, tuple(points), tuple((q + 1) * w for w in weights),
-                 ((),) * len(points), "random")
+                 "random")
     border = data.draw(st.none() | st.integers(0, f.N - 1))
     return CodeArtifact(f, es, k=data.draw(st.integers(1, 18)),
                         shift=data.draw(st.integers(0, f.N - 1)),
@@ -342,7 +343,7 @@ def check_exponent_sums(data, qs):
     n = data.draw(st.integers(1, 12))
     E = data.draw(st.lists(st.integers(0, N - 1), min_size=n, max_size=n))
     B = data.draw(st.lists(st.integers(0, N - 1), min_size=n, max_size=n))
-    border = data.draw(st.sampled_from([0] + f.backend.exp[:4]))
+    border = data.draw(st.sampled_from([0] + f.backend.exp[:4].tolist()))
     k = data.draw(st.integers(1, 12))
     got = _gram_bad(f, k, np.asarray(B, dtype=np.int64),
                     np.asarray(E, dtype=np.int64), border)
@@ -385,7 +386,7 @@ def test_every_coprime_split_gives_the_scalar_mask(q, k, monkeypatch):
         # a subgroup, whose power sums vanish off multiples of its order
         CodeArtifact(f, subgroup_set(f, m), k=k, shift=1, has_border=True,
                      border_entry=3),
-        CodeArtifact(f, EvalSet(f, tuple(points), weights, ((),) * 12, "r"),
+        CodeArtifact(f, EvalSet(f, tuple(points), weights, "r"),
                      k=k, shift=int(rng.integers(f.N)), has_border=True,
                      border_entry=int(rng.integers(f.N))),
     ]
@@ -433,6 +434,20 @@ def test_column_scales_are_norm_roots():
     f = art.field
     for scale, w in zip(art.column_scales, art.evalset.weights):
         assert f.norm(scale) == w
+
+
+def test_rows_are_exact_where_int64_products_overflow():
+    # GF(3^20) has N = 3^20 - 1 > 2^31.5, so (shift + l)*e passes 2^63 for
+    # a shift near N; the rows must still be the exact exponents
+    f = Field(3, 10)
+    q, N = f.q, f.N
+    assert f.mode == "bsgs" and (N - 1) ** 2 >= 1 << 63
+    points = [j * (N // 8) for j in range(8)]
+    weights = [(q + 1) * (q - 2 - j) for j in range(8)]
+    art = eval_code(f, EvalSet(f, points, weights, "r"), 3, shift=N - 2)
+    for l in range(3):
+        assert art.row(l) == tuple((w // (q + 1) + (N - 2 + l) * e) % N
+                                   for e, w in zip(points, weights))
 
 
 def test_rank_full_for_pool_artifacts():

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -23,7 +24,9 @@ from qmds.evalsets import (
     union_size,
     weighted_union,
 )
+import naive_algebra as na
 from naive_algebra import shared_weight_obstructions
+from qmds import audit, codes, constructions, evalsets, tables
 from qmds.evalsets import shared_weight_obstructions as forbidden_coset
 from qmds.field import build_field, field_for_q
 from qmds.numtheory import divisors, is_prime_power
@@ -31,15 +34,15 @@ from qmds.numtheory import divisors, is_prime_power
 
 def test_evalset_invariants(gf25):
     with pytest.raises(HypothesisViolated):
-        EvalSet(gf25, (0, 0), (0, 0), ((0,), (0,)), "dup")
+        EvalSet(gf25, (0, 0), (0, 0), "dup")
     with pytest.raises(HypothesisViolated):
-        EvalSet(gf25, (0, 1), (0, 1), ((0,), (0,)), "bad weight")  # theta not in GF(5)
+        EvalSet(gf25, (0, 1), (0, 1), "bad weight")  # theta not in GF(5)
 
 
 def test_subgroup_set(gf25):
     es = subgroup_set(gf25, 3)
-    assert es.points == tuple(range(0, 24, 3))
-    assert es.weights == (0,) * 8
+    assert es.points.tolist() == list(range(0, 24, 3))
+    assert es.weights.tolist() == [0] * 8
     assert len(es) == 8
     with pytest.raises(HypothesisViolated):
         subgroup_set(gf25, 5)
@@ -78,7 +81,8 @@ def test_parity_union_char2(gf64):
     es = parity_union_char2(gf64, (3, 7))
     assert len(es) == parity_union_size(63, (3, 7)) == 21 + 9 - 2 * 3
     assert all(w == 0 for w in es.weights)
-    for e, hit in zip(es.points, es.membership):
+    for e in es.points.tolist():
+        hit = [i for i, m in enumerate((3, 7)) if e % m == 0]
         assert len(hit) == 1  # overlap points were dropped
         assert e % (3, 7)[hit[0]] == 0
     with pytest.raises(NotCoprime):
@@ -100,7 +104,8 @@ def test_weighted_union_odd_pair():
     )
     assert len(es) == 392
     two = f.embed_int(2)
-    for e, w, hit in zip(es.points, es.weights, es.membership):
+    for e, w in zip(es.points.tolist(), es.weights.tolist()):
+        hit = [m for m in (3, 5) if e % m == 0]
         assert w == (two if len(hit) == 2 else 0)
         assert (e % 3 == 0 or e % 5 == 0) and (len(hit) == 2) == (e % 15 == 0)
 
@@ -197,8 +202,8 @@ def test_mixed_union_set():
     assert H == 14
     assert len(es) == union_size(168, (7, 6))
     # points sorted ascending with distinct exponents, weights in GF(13)
-    assert es.points == tuple(sorted(es.points))
-    for e, w in zip(es.points, es.weights):
+    assert es.points.tolist() == sorted(es.points.tolist())
+    for e, w in zip(es.points.tolist(), es.weights.tolist()):
         assert f.in_subfield(w)
         expected = f.add(
             f.pow_(e, 14) if e % 7 == 0 else None,
@@ -235,3 +240,150 @@ def test_h_search_agrees_with_enumerated_obstructions():
                     find_h_shift_exponent(q, m1, m2)
             checked += 1
     assert checked > 100
+
+
+# --- the numpy builders against the dict-and-loop references ------------------
+
+BUILDERS = ("subgroup_set", "parity_union_char2", "weighted_union")
+
+
+def builder_calls(monkeypatch, construction, q, params):
+    """The evalsets builder calls, (name, args, kwargs), that building the
+    evaluation set of one construction makes through the module."""
+    calls = []
+    for name in BUILDERS:
+        def record(*args, _real=getattr(evalsets, name), _name=name, **kw):
+            calls.append((_name, args, kw))
+            return _real(*args, **kw)
+        monkeypatch.setattr(evalsets, name, record)
+    try:
+        constructions._build_evalset(construction, field_for_q(q), params)
+    finally:
+        monkeypatch.undo()
+    assert calls
+    return calls
+
+
+def outcome(build, *args, **kw):
+    """(points, weights) as lists, or the (type, message) of the
+    hypothesis the builder raised."""
+    try:
+        points, weights = build(*args, **kw)
+    except HypothesisViolated as exc:
+        return type(exc), str(exc)
+    return list(points), list(weights)
+
+
+def check_against_reference(name, *args, **kw):
+    def numpy_build(*a, **k):
+        es = getattr(evalsets, name)(*a, **k)
+        assert es.points.dtype == es.weights.dtype == np.int64
+        return es.points.tolist(), es.weights.tolist()
+    got = outcome(numpy_build, *args, **kw)
+    assert got == outcome(getattr(na, name), *args, **kw), (name, args)
+    return got
+
+
+def _sweep_cases(q_max):
+    for construction, route in constructions.ROUTES.items():
+        for q in range(2, q_max + 1):
+            pp = is_prime_power(q)
+            if pp is None or route.char2 not in (None, pp[0] == 2):
+                continue
+            for cert in constructions.sweep(construction, q):
+                yield construction, q, cert.params
+
+
+def test_every_sweep_choice_matches_the_reference(monkeypatch):
+    # every choice the sweeps make for q <= 64, for all seven constructions;
+    # each mixed union is also built with the smallest forbidden shift,
+    # whose combined weight must vanish at the same first point
+    seen, vanished = set(), 0
+    for construction, q, params in _sweep_cases(64):
+        seen.add(construction)
+        for name, args, kw in builder_calls(monkeypatch, construction, q,
+                                            params):
+            assert isinstance(check_against_reference(name, *args, **kw)[0],
+                              list)
+        if construction == "mixed_union":
+            f = field_for_q(q)
+            r, _ = forbidden_coset(q, params["m1"], params["m2"])
+            parts = ((params["m1"], q + 1, 0),
+                     (params["m2"], (q + 1) // 2, r))
+            got = check_against_reference("weighted_union", f, parts, "bad H",
+                                          vanish_error=NoValidH)
+            assert got[0] is NoValidH
+            vanished += 1
+    assert seen == set(constructions.ROUTES) and vanished > 20
+
+
+@pytest.mark.parametrize("t", [3, 5, 6])
+def test_odd_table_rows_match_the_reference(t, monkeypatch):
+    construction, locate, _ = audit._TABLES[t]
+    checked = 0
+    for row in tables.ALL_TABLES[t]:
+        q = row["q"]
+        if is_prime_power(q) is None or q % 2 == 0:
+            continue
+        params = constructions.validate(construction, q, locate(row, q, []))
+        for name, args, kw in builder_calls(monkeypatch, construction, q,
+                                            params):
+            assert isinstance(check_against_reference(name, *args, **kw)[0],
+                              list)
+        checked += 1
+    assert checked == len(tables.ALL_TABLES[t])
+
+
+@pytest.mark.parametrize("q, parts", [
+    (5, ((3, 0, 0), (3, 0, 12))),  # the same subgroup with weights 1 and -1
+    (3, ((2, 0, 0), (4, 0, 0), (8, 0, 0))),  # 3 = 0 at the shared point 1
+    (9, ((5, 0, 0), (16, 0, 40))),  # 1 - 1 on the shared subgroup
+])
+def test_vanishing_weight_error_matches_the_reference(q, parts):
+    got = check_against_reference("weighted_union", field_for_q(q), parts,
+                                  "cancelling")
+    assert got[0] is WeightSumVanishes
+
+
+def test_bad_divisors_match_the_reference(gf64, gf25):
+    assert check_against_reference("subgroup_set", gf25, 5)[0] \
+        is HypothesisViolated
+    assert check_against_reference("parity_union_char2", gf64, (3, 9))[0] \
+        is NotCoprime
+    assert check_against_reference("weighted_union", gf25,
+                                   ((3, 0, 0), (7, 0, 0)), "x")[0] \
+        is HypothesisViolated
+
+
+# --- the arrays are shared, so they are read-only ------------------------------
+
+
+def test_evalset_arrays_are_read_only(gf25):
+    es = EvalSet(gf25, [0, 6], [0, 6], "list input")
+    for arr in (es.points, es.weights):
+        assert arr.dtype == np.int64 and not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 1
+
+
+@pytest.mark.parametrize("construction, q, params", [
+    ("mixed_union", 13, {"m1": 7, "m2": 6}),
+    ("odd_union", 29, {"m1": 3, "m2": 5}),
+    ("char2_union", 32, {"m1": 3, "m2": 11}),
+    ("c1_ext", 11, {"m": 3}),
+])
+def test_gram_check_leaves_the_evalset_unchanged(construction, q, params):
+    # twice on one artifact, one row past the bound where the check fails:
+    # the second call must see the same points and weights
+    built = constructions.build(construction, q, want_matrix="require",
+                                **params).artifact
+    es = built.evalset
+    before = (es.points.copy(), es.weights.copy())
+    art = codes.CodeArtifact(es.field, es, built.k + 1, built.shift,
+                             has_border=built.has_border,
+                             border_entry=built.border_entry)
+    first = codes.gram_zero(art)
+    assert first[0] is False
+    assert codes.gram_zero(art) == first
+    for arr, old in zip((es.points, es.weights), before):
+        assert arr.dtype == old.dtype and np.array_equal(arr, old)

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -11,6 +12,8 @@ from qmds.errors import (
     UsageError,
     ZeroArgument,
 )
+from qmds import audit, cli
+from qmds import field as field_module
 from qmds.field import Field, build_field, canonical_modulus, field_for_q
 from qmds.numtheory import is_prime_power
 
@@ -157,8 +160,71 @@ TABLE_FIELDS = [pp for pp in map(is_prime_power, range(2, 257)) if pp] + [(557, 
 def test_table_backend_matches_stepping_reference(p, h):
     f = Field(p, h, mode="table")  # not memoized: the tables die with the test
     exp, log = na.table_backend_reference(p, 2 * h, f.modulus)
-    assert f.backend.exp == exp
-    assert f.backend.log == log
+    assert f.backend.exp.tolist() == exp
+    assert f.backend.log.tolist() == log
+
+
+def _digit_add(va, vb, p):
+    out, scale = 0, 1
+    while va or vb:
+        out += (va % p + vb % p) % p * scale
+        va, vb, scale = va // p, vb // p, scale * p
+    return out
+
+
+@pytest.mark.parametrize("p,h", [(2, 1), (3, 1), (5, 1), (2, 3)])
+def test_zech_add_matches_stepping_reference(p, h):
+    # every pair of GF(4), GF(9), GF(25) and GF(64), zero included
+    f = Field(p, h, mode="table")
+    exp, log = na.table_backend_reference(p, 2 * h, f.modulus)
+    assert "zech" not in vars(f.backend)
+    elems = [None] + list(range(f.N))
+    for a in elems:
+        for b in elems:
+            va = 0 if a is None else exp[a]
+            vb = 0 if b is None else exp[b]
+            want = log[_digit_add(va, vb, p)]
+            assert f.add(a, b) == (None if want < 0 else want), (a, b)
+    assert "zech" in vars(f.backend)
+
+
+@pytest.mark.parametrize("p,h", [(2, 3), (3, 2), (7, 1)])
+def test_derived_tables_leave_the_backend_unchanged(p, h):
+    f = Field(p, h, mode="table")
+    exp, log = f.backend.exp.copy(), f.backend.log.copy()
+    derived = [f.np_digits(), f.np_mask_ext(), *f.np_exp_log()]
+    for arr in (f.backend.exp, f.backend.log):
+        assert arr.dtype == np.int32 and not arr.flags.writeable
+    assert np.array_equal(f.backend.exp, exp)
+    assert np.array_equal(f.backend.log, log)
+    for arr in derived:
+        assert not arr.flags.writeable
+    # a second round reads the cache
+    assert f.np_digits() is derived[0] and f.np_mask_ext() is derived[1]
+
+
+def test_production_paths_build_no_python_tables(monkeypatch, capsys):
+    # every field an audit of Tables 1, 2, 3, 5 and 6 and one verify command
+    # build: the tables stay int32 arrays, and no scalar addition runs
+    built = {}
+
+    def fresh_build(p, h, mode="auto"):
+        if (p, h, mode) not in built:
+            built[p, h, mode] = Field(p, h, mode)
+        return built[p, h, mode]
+
+    monkeypatch.setattr(field_module, "build_field", fresh_build)
+    audit.audit_tables((1, 2, 3, 5, 6))
+    assert cli.main(["verify", "--construction", "c1", "--q", "11",
+                     "--m", "3", "--k", "4"]) == 0
+    capsys.readouterr()
+    with_tables = [f for f in built.values() if "backend" in vars(f)]
+    assert {(2, 9, "auto"), (631, 1, "auto"), (11, 1, "auto")} <= set(built)
+    assert len(with_tables) >= 20
+    for f in with_tables:
+        for arr in (f.backend.exp, f.backend.log):
+            assert isinstance(arr, np.ndarray) and arr.dtype == np.int32
+        assert "zech" not in vars(f.backend), f
 
 
 def test_log_zero_raises(gf25):
