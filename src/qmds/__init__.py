@@ -2,10 +2,8 @@
 parameters, and an audit of the bundled reference tables."""
 
 from .audit import AuditReport, audit_tables
-from .charsums import (power_sum_vanishes, subgroup_power_sum,
-                       subgroup_power_sum_closed, union_power_sum_char2)
-from .codes import (CodeArtifact, eval_code, extend_c1, gram_hermitian,
-                    gram_zero, hermitian_ip)
+from .charsums import power_sum_vanishes, subgroup_power_sum_closed
+from .codes import CodeArtifact, eval_code, extend_c1, gram_zero
 from .constructions import (Certificate, adjacent_pair, build, conditions_for,
                             construct_c1, construct_c1_extended,
                             construct_char2_union, construct_half_power,
@@ -14,7 +12,7 @@ from .constructions import (Certificate, adjacent_pair, build, conditions_for,
                             half_split_pair, max_dim_oracle,
                             quarter_split_pair, searched_pair, sweep)
 from .errors import QmdsError
-from .evalsets import (EvalSet, find_H, find_h_shift_exponent, mixed_union,
+from .evalsets import (EvalSet, find_h_shift_exponent, mixed_union,
                        parity_union_char2, subgroup_set, weighted_union)
 from .field import ZERO, Field, build_field, field_for_q
 from .numtheory import (dirichlet_search, factorize, is_prime, is_prime_power,
@@ -27,10 +25,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AuditReport", "audit_tables",
-    "power_sum_vanishes", "subgroup_power_sum", "subgroup_power_sum_closed",
-    "union_power_sum_char2",
-    "CodeArtifact", "eval_code", "extend_c1", "gram_hermitian", "gram_zero",
-    "hermitian_ip",
+    "power_sum_vanishes", "subgroup_power_sum_closed",
+    "CodeArtifact", "eval_code", "extend_c1", "gram_zero",
     "Certificate", "adjacent_pair", "build", "conditions_for",
     "construct_c1", "construct_c1_extended", "construct_char2_union",
     "construct_half_power", "construct_half_power_union",
@@ -38,7 +34,7 @@ __all__ = [
     "half_split_pair", "max_dim_oracle", "quarter_split_pair",
     "searched_pair", "sweep",
     "QmdsError",
-    "EvalSet", "find_H", "find_h_shift_exponent", "mixed_union",
+    "EvalSet", "find_h_shift_exponent", "mixed_union",
     "parity_union_char2", "subgroup_set", "weighted_union",
     "ZERO", "Field", "build_field", "field_for_q",
     "dirichlet_search", "factorize", "is_prime", "is_prime_power",

@@ -4,15 +4,14 @@ For a divisor m of N = q^2 - 1 let M_m = {theta^(jm)} be the subgroup of
 order N/m.  The basic quantity is S(m, t) = sum of u^t over u in M_m, which
 is zero unless (N/m) | t and otherwise equals (N/m) mod p (nonzero, since
 N is coprime to p).  Everything self-orthogonality-related reduces to
-evaluating such sums, so both a direct accumulation and the closed form are
-provided and cross-checked in the tests.
+evaluating such sums.  Only the closed form lives here; the tests check it
+against direct accumulation over the subgroup, one scalar field addition at
+a time.
 """
 
 from __future__ import annotations
 
-import math
-
-from .errors import BadDivisor, NotChar2, NotCoprime
+from .errors import BadDivisor
 from .field import Elt, Field
 
 
@@ -20,15 +19,6 @@ def _check_divisor(field: Field, m: int) -> int:
     if m < 1 or field.N % m != 0:
         raise BadDivisor(f"m = {m} does not divide {field.N}")
     return field.N // m
-
-
-def subgroup_power_sum(field: Field, m: int, t: int) -> Elt:
-    """S(m, t) by direct accumulation over the order-N/m subgroup."""
-    order = _check_divisor(field, m)
-    acc: Elt = None
-    for j in range(1, order + 1):
-        acc = field.add(acc, (j * t * m) % field.N)
-    return acc
 
 
 def subgroup_power_sum_closed(field: Field, m: int, t: int) -> Elt:
@@ -47,26 +37,3 @@ def power_sum_vanishes(field: Field, m: int, t: int) -> bool:
     """
     order = _check_divisor(field, m)
     return t % order != 0
-
-
-def union_power_sum_char2(field: Field, ms: tuple[int, ...], t: int) -> Elt:
-    """Sum of u^t over the char-2 parity-filtered union of subgroups.
-
-    Points lying in an even number of the subgroups M_{m_i} cancel in
-    characteristic two, so only odd-membership points contribute.  Divisors
-    must be pairwise coprime.
-    """
-    if field.p != 2:
-        raise NotChar2("parity-filtered union needs characteristic 2")
-    for m in ms:
-        _check_divisor(field, m)
-    for i in range(len(ms)):
-        for j in range(i + 1, len(ms)):
-            if math.gcd(ms[i], ms[j]) != 1:
-                raise NotCoprime(f"gcd({ms[i]}, {ms[j]}) != 1")
-    acc: Elt = None
-    for e in range(field.N):
-        hits = sum(1 for m in ms if e % m == 0)
-        if hits % 2 == 1:
-            acc = field.add(acc, (e * t) % field.N)
-    return acc

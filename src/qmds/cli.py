@@ -76,8 +76,6 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("--q", type=int)
     sp.add_argument("--p", type=int)
     sp.add_argument("--h", type=int)
-    sp.add_argument("--mode", choices=("auto", "table", "bsgs"),
-                    default="auto")
     sp.add_argument("--format", choices=("json", "text"), default="json")
     sp.add_argument("--out")
 
@@ -144,17 +142,16 @@ def _cmd_field(args) -> int:
     if args.q is not None:
         if args.p is not None or args.h is not None:
             raise UsageError("give either --q or --p/--h, not both")
-        f = field_for_q(args.q, args.mode)
+        f = field_for_q(args.q)
     elif args.p is not None and args.h is not None:
-        f = build_field(args.p, args.h, args.mode)
+        f = build_field(args.p, args.h)
     else:
         raise UsageError("need --q or both --p and --h")
     if args.format == "json":
         _emit_json(args, f.to_json())
     else:
         _emit(args, f"GF({f.p}^{2 * f.h}), subfield GF({f.q}), "
-                    f"modulus coefficients {list(f.modulus)}, theta = x, "
-                    f"mode {f.mode}\n")
+                    f"modulus coefficients {list(f.modulus)}, theta = x\n")
     return 0
 
 

@@ -6,18 +6,19 @@ a (q+1)-st root of the column weight so that Hermitian inner products of rows
 reproduce the weighted power sums.  The extended variant prepends one border
 column that is nonzero only in row 0.
 
-``gram_zero`` is the self-orthogonality check.  On table-mode fields it
-runs ``gram_zero_vectorized``, which computes every entry of the upper
-triangle by one route for every q.  It splits q^2 - 1 = a1*a2 into coprime
-factors, the split that needs the fewest gathers for the input, so that
-each point exponent splits into its residues mod a1 and mod a2.  It then
-sums in two stages: first over the points of each class mod a2, once per
-value of l1 + q*l2 mod a1; then over the classes, for each entry.  For
-p = 2 a sum is the XOR of packed int32 coefficient masks; for odd p each
-base-p digit is an exact integer sum of int16 digits, reduced mod p.  The
-scalar and structured checks compute each entry directly from the field
-arithmetic.  Every route reports the first offending row pair in row-major
-order as its witness, so they can be cross-checked.
+``gram_zero`` is the self-orthogonality check, and it computes every entry
+of the upper triangle by one route for every q.  It splits q^2 - 1 = a1*a2
+into coprime factors, the split that needs the fewest gathers for the
+input, so that each point exponent splits into its residues mod a1 and mod
+a2.  It then sums in two stages: first over the points of each class mod
+a2, once per value of l1 + q*l2 mod a1; then over the classes, for each
+entry.  For p = 2 a sum is the XOR of packed int32 coefficient masks; for
+odd p each base-p digit is an exact integer sum of int16 digits, reduced
+mod p.  It reads the field's exp/log tables, so it needs a field of at most
+2^22 elements (``CapacityExceeded`` otherwise).  The witness is the first
+offending row pair in row-major order, so the tests' scalar references,
+which compute each entry directly from the field arithmetic, cross-check
+it witness for witness.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionTooLarge, LengthMismatch, UsageError
+from .errors import DimensionTooLarge, UsageError
 from .evalsets import EvalSet, subgroup_set
 from .field import Elt, Field
 
@@ -116,74 +117,13 @@ def extend_c1(field: Field, m: int, k: int,
 
 
 # --------------------------------------------------------------------------
-# Hermitian inner products and Gram matrices
+# the Hermitian Gram check
 # --------------------------------------------------------------------------
 
-def hermitian_ip(field: Field, u: tuple[Elt, ...], v: tuple[Elt, ...]) -> Elt:
-    """<u, v> = sum_i u_i * v_i^q."""
-    if len(u) != len(v):
-        raise LengthMismatch(f"lengths {len(u)} != {len(v)}")
-    acc: Elt = None
-    for a, b in zip(u, v):
-        acc = field.add(acc, field.mul(a, field.frobenius_q(b)))
-    return acc
-
-
-def gram_hermitian(field: Field, matrix) -> tuple[tuple[Elt, ...], ...]:
-    """Full Hermitian Gram matrix of the rows."""
-    rows = [tuple(r) for r in matrix]
-    return tuple(tuple(hermitian_ip(field, ri, rj) for rj in rows)
-                 for ri in rows)
-
-
-def gram_zero_scalar(field: Field, matrix) -> tuple[bool, tuple[int, int] | None]:
-    """Scalar check that the Gram matrix vanishes.
-
-    Only the upper triangle is computed: <r_j, r_i> = <r_i, r_j>^q, so the
-    Gram matrix is zero iff its upper triangle is.
-    """
-    rows = [tuple(r) for r in matrix]
-    for i in range(len(rows)):
-        for j in range(i, len(rows)):
-            if hermitian_ip(field, rows[i], rows[j]) is not None:
-                return False, (i, j)
-    return True, None
-
-
-def weighted_pair_sum(field: Field, evalset: EvalSet, shift: int,
-                      l1: int, l2: int) -> Elt:
-    """Gram entry (l1, l2) straight from the weighted power-sum form:
-    sum_j w_j * x_j^((q+1)shift + l1 + q*l2)."""
-    N = field.N
-    expo = ((field.q + 1) * shift + l1 + field.q * l2) % N
-    acc: Elt = None
-    for e, w in zip(evalset.points.tolist(), evalset.weights.tolist()):
-        acc = field.add(acc, (w + e * expo) % N)
-    return acc
-
-
-def gram_entry(artifact: CodeArtifact, l1: int, l2: int) -> Elt:
-    """Gram entry (l1, l2) of an artifact, including any border column."""
-    f = artifact.field
-    val = weighted_pair_sum(f, artifact.evalset, artifact.shift, l1, l2)
-    if artifact.has_border and l1 == 0 and l2 == 0:
-        b = artifact.border_entry
-        val = f.add(val, f.mul(b, f.frobenius_q(b)))
-    return val
-
-
-def gram_zero_structured(artifact: CodeArtifact) -> tuple[bool, tuple[int, int] | None]:
-    """Scalar Gram check in structured form (no matrix materialization)."""
-    for l1 in range(artifact.k):
-        for l2 in range(l1, artifact.k):
-            if gram_entry(artifact, l1, l2) is not None:
-                return False, (l1, l2)
-    return True, None
-
-
-def gram_zero_vectorized(artifact: CodeArtifact) -> tuple[bool, tuple[int, int] | None]:
-    """Vectorized Gram check (table-mode fields).  The witness is the first
-    nonzero entry of ``gram_nonzero_mask`` in row-major order."""
+def gram_zero(artifact: CodeArtifact) -> tuple[bool, tuple[int, int] | None]:
+    """Whether the Hermitian Gram matrix of the rows vanishes.  Only the
+    upper triangle is computed: <r_j, r_i> = <r_i, r_j>^q.  The witness is
+    the first nonzero entry of ``gram_nonzero_mask`` in row-major order."""
     hits = np.flatnonzero(gram_nonzero_mask(artifact))
     if hits.size:
         l1, l2 = divmod(int(hits[0]), artifact.k)
@@ -193,7 +133,7 @@ def gram_zero_vectorized(artifact: CodeArtifact) -> tuple[bool, tuple[int, int] 
 
 def gram_nonzero_mask(artifact: CodeArtifact) -> np.ndarray:
     """k x k boolean mask of the nonzero upper-triangle Gram entries, on
-    exponent arrays (table-mode fields).
+    exponent arrays.
 
     Entry (l1, l2) is sum_j theta^(B_j + E_j*(l1 + q*l2)) with
     B_j = w_j + shift*(q+1)*E_j, plus the border term at (0, 0); every
@@ -347,13 +287,6 @@ def _stage1_logs(f: Field, a1: int, a2: int, svals: np.ndarray,
         logR[r0:r0 + step] = log[_class_sums(f, B + a2 * (e1 * s % a1),
                                              starts)]
     return g, logR
-
-
-def gram_zero(artifact: CodeArtifact) -> tuple[bool, tuple[int, int] | None]:
-    """Dispatch: vectorized when the field has tables, structured otherwise."""
-    if artifact.field.mode == "table":
-        return gram_zero_vectorized(artifact)
-    return gram_zero_structured(artifact)
 
 
 def matrix_to_strings(matrix) -> list[str]:

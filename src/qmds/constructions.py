@@ -43,7 +43,7 @@ from .field import TABLE_LIMIT, Field, field_for_q
 from .numtheory import divisors, is_prime_power
 from .verify import QuantumParams, quantum_params
 
-# matrix-level verification is attempted when the field fits in table mode
+# matrix-level verification is attempted when the field has exp/log tables
 # and the matrix has at most this many entries
 MATRIX_ENTRY_BUDGET = 100_000_000
 
@@ -464,15 +464,6 @@ def searched_pair(q: int, m_even: int, m_odd: int) -> dict:
     _require((m_even * m_odd) % s == 0,
              f"{m_even} + {m_odd} - 1 must divide {m_even * m_odd}")
     return {"m1": m_odd, "m2": m_even}
-
-
-def doubled_pair_divisors(q: int, a: int, b: int) -> tuple[int, int]:
-    """Even divisors (2a, 2b) for odd coprime a < b with q = 2ab + 1."""
-    _require(a % 2 == 1 and b % 2 == 1 and a < b,
-             f"need odd a < b, got ({a}, {b})")
-    _require(math.gcd(a, b) == 1, f"gcd({a}, {b}) != 1", NotCoprime)
-    _require(q == 2 * a * b + 1, f"q = {q} must equal 2ab + 1 = {2 * a * b + 1}")
-    return (2 * a, 2 * b)
 
 
 # --------------------------------------------------------------------------

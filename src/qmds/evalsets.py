@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import (HypothesisViolated, NoValidH, NotChar2, NotCoprime,
                      WeightSumVanishes)
-from .field import Elt, Field
+from .field import Field
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,7 +130,8 @@ def weighted_union(field: Field, parts: tuple[tuple[int, int, int], ...],
                    ) -> EvalSet:
     """Full union where part (m, alpha, beta) weights its subgroup by
     theta^beta * x^alpha; overlap points get the sum of their parts' weights.
-    The sums are taken on packed vectors, so the field needs table mode.
+    The sums are taken on packed vectors, so the field needs its exp/log
+    tables (at most 2^22 elements).
 
     Raises ``vanish_error`` at the smallest point whose combined weight is
     zero.
@@ -187,11 +188,6 @@ def find_h_shift_exponent(q: int, m1: int, m2: int) -> int:
         if cand % g != r:
             return cand
     raise NoValidH(f"every subfield shift fails for (q={q}, m1={m1}, m2={m2})")
-
-
-def find_H(field: Field, m1: int, m2: int) -> Elt:
-    """Field-level wrapper of ``find_h_shift_exponent``."""
-    return find_h_shift_exponent(field.q, m1, m2)
 
 
 def mixed_union(field: Field, m1: int, m2: int) -> tuple[EvalSet, int]:

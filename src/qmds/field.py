@@ -4,7 +4,7 @@ Elements travel as discrete logarithms of a fixed primitive element theta:
 ``None`` encodes zero and an integer e in [0, q^2 - 2] encodes theta^e.
 Multiplication, inversion, powers, the q-power Frobenius, norms and subfield
 membership are then pure integer arithmetic modulo q^2 - 1.  Coefficient
-vectors appear only inside the two backends, which supply the operations a
+vectors appear only inside the table backend, which supplies the operations a
 logarithm table makes awkward: addition and discrete logs.  A coefficient
 vector is packed as the integer whose base-p digit i is the coefficient of
 x^i.
@@ -14,22 +14,21 @@ polynomials are read as base-p digits of a counter J with c_0 most
 significant, and the first candidate in increasing J that is irreducible
 with x primitive is selected.  theta is the class of x.
 
-Backends:
-  * table  - read-only int32 numpy tables ``exp`` (theta^e packed, q^2 - 1
-             entries) and ``log`` (q^2 entries, -1 for zero), fields up to
-             2^22 elements.  The vectorized paths index these arrays, or
-             tables derived from them (``np_mask_ext``, ``np_digits``,
-             ``np_exp_log``), with whole arrays of exponents.  Scalar
-             addition, which only the tests' element-by-element references
-             use, goes through Zech logarithms built on its first call;
-  * bsgs   - polynomial arithmetic plus baby-step giant-step logs,
-             fields up to 2^40 elements.
+A ``Field`` accepts any q^2 up to 2^40: its presentation (``to_json``) needs
+only the modulus.  The backend is built on first use and holds read-only
+int32 numpy tables ``exp`` (theta^e packed, q^2 - 1 entries) and ``log``
+(q^2 entries, -1 for zero), so it exists only for fields up to 2^22
+elements; past that every operation that needs it raises
+``CapacityExceeded``.  The vectorized paths index these arrays, or tables
+derived from them (``np_mask_ext``, ``np_digits``, ``np_exp_log``), with
+whole arrays of exponents.  Scalar addition, which only the tests'
+element-by-element references use, goes through Zech logarithms built on its
+first call.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from typing import Optional
 
 import numpy as np
@@ -179,25 +178,12 @@ def canonical_modulus(p: int, n: int, n_factors: tuple[int, ...]) -> tuple[int, 
 # backends
 # --------------------------------------------------------------------------
 
-def _packed_add(va: int, vb: int, p: int) -> int:
-    """Carry-free base-p digit addition of packed coefficient vectors."""
-    if p == 2:
-        return va ^ vb
-    out, scale = 0, 1
-    while va or vb:
-        out += ((va + vb) % p) * scale
-        va //= p
-        vb //= p
-        scale *= p
-    return out
-
-
 def _odd_exp_table(p: int, n: int, modulus: tuple[int, ...]) -> np.ndarray:
     """Packed theta^e for e in [0, p^n - 1), by doubling: P holds the
     coefficient rows of theta^0 .. theta^(L-1) and S the matrix of
     multiplication by theta^L, so P @ S holds theta^L .. theta^(2L-1).
-    The int32 products are exact: each sum is at most n(p-1)^2 < 2^27 in
-    table mode."""
+    The int32 products are exact: each sum is at most n(p-1)^2 < 2^27
+    whenever p^n <= 2^22."""
     S = np.zeros((n, n), dtype=np.int32)
     S[np.arange(n - 1), np.arange(1, n)] = 1  # x * x^i = x^(i+1)
     S[n - 1] = [(-c) % p for c in modulus[:n]]  # x^n = -sum f_i x^i
@@ -251,9 +237,7 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 class _TableBackend:
     """Read-only int32 tables: ``exp`` holds the packed theta^e for e in
     [0, N) and ``log`` the exponent of each packed vector in [0, q^2), -1
-    for the zero vector.  int32 holds both: table mode has q^2 <= 2^22."""
-
-    mode = "table"
+    for the zero vector.  int32 holds both: tables exist only for q^2 <= 2^22."""
 
     def __init__(self, p: int, n: int, modulus: tuple[int, ...]):
         self.p = p
@@ -291,65 +275,6 @@ class _TableBackend:
         return None if z < 0 else (b + z) % self.N
 
 
-class _BsgsBackend:
-    mode = "bsgs"
-
-    def __init__(self, p: int, n: int, modulus: tuple[int, ...]):
-        self.p = p
-        self.n = n
-        self.f = modulus
-        self.N = p ** n - 1
-        self._weights = [p ** i for i in range(n)]
-        self._exp_cache: dict[int, int] = {}
-        self._mstep = math.isqrt(self.N) + 1
-        self._baby: dict[int, int] | None = None
-        self._giant: tuple[int, ...] | None = None
-
-    def _pack(self, poly: tuple[int, ...]) -> int:
-        return sum(c * w for c, w in zip(poly, self._weights))
-
-    def _unpack(self, v: int) -> tuple[int, ...]:
-        out = []
-        while v:
-            out.append(v % self.p)
-            v //= self.p
-        return tuple(out)
-
-    def exp_packed(self, e: int) -> int:
-        e %= self.N
-        hit = self._exp_cache.get(e)
-        if hit is None:
-            hit = self._pack(_ppowmod((0, 1), e, self.f, self.p))
-            self._exp_cache[e] = hit
-        return hit
-
-    def _ensure_bsgs(self) -> None:
-        if self._baby is None:
-            baby = {}
-            v = (1,)
-            for j in range(self._mstep):
-                baby[self._pack(v)] = j
-                v = _pmulmod(v, (0, 1), self.f, self.p)
-            self._baby = baby
-            self._giant = _ppowmod((0, 1), self.N - self._mstep, self.f, self.p)
-
-    def log_packed(self, v: int) -> int:
-        if v == 0:
-            raise ZeroArgument("discrete log of zero")
-        self._ensure_bsgs()
-        w = self._unpack(v)
-        for i in range(self.N // self._mstep + 2):
-            j = self._baby.get(self._pack(w))
-            if j is not None:
-                return (i * self._mstep + j) % self.N
-            w = _pmulmod(w, self._giant, self.f, self.p)
-        raise ArithmeticError("BSGS failed")  # pragma: no cover
-
-    def add_exponents(self, a: int, b: int) -> Elt:
-        v = _packed_add(self.exp_packed(a), self.exp_packed(b), self.p)
-        return None if v == 0 else self.log_packed(v)
-
-
 # --------------------------------------------------------------------------
 # the field object
 # --------------------------------------------------------------------------
@@ -357,7 +282,7 @@ class _BsgsBackend:
 class Field:
     """GF(p^(2h)) in discrete-log form; see the module docstring."""
 
-    def __init__(self, p: int, h: int, mode: str = "auto"):
+    def __init__(self, p: int, h: int):
         if h < 1:
             raise UsageError(f"h must be >= 1, got {h}")
         if not is_prime(p):
@@ -369,28 +294,23 @@ class Field:
         self.N = self.q2 - 1
         if self.q2 > SIZE_LIMIT:
             raise CapacityExceeded(f"field size {self.q2} exceeds 2^40")
-        if mode == "auto":
-            mode = "table" if self.q2 <= TABLE_LIMIT else "bsgs"
-        if mode not in ("table", "bsgs"):
-            raise UsageError(f"unknown mode {mode!r}")
-        if mode == "table" and self.q2 > TABLE_LIMIT:
-            raise CapacityExceeded(f"field size {self.q2} exceeds 2^22 (table mode)")
-        self.mode = mode
         self.n_factors = tuple(factorize(self.N))
         self.modulus = canonical_modulus(p, 2 * h, self.n_factors)
         self._np_cache: dict[str, object] = {}
         self._embed_cache: dict[int, Elt] = {}
 
     def __repr__(self) -> str:
-        return f"Field(p={self.p}, h={self.h}, mode={self.mode!r})"
+        return f"Field(p={self.p}, h={self.h})"
 
     @functools.cached_property
-    def backend(self):
+    def backend(self) -> _TableBackend:
         """Built on first use: the presentation (``to_json``) needs only the
-        modulus, and a table backend holds two int32 tables of about q^2
-        entries each."""
-        cls = _TableBackend if self.mode == "table" else _BsgsBackend
-        return cls(self.p, 2 * self.h, self.modulus)
+        modulus, and the backend holds two int32 tables of about q^2 entries
+        each, so fields past 2^22 elements have none."""
+        if self.q2 > TABLE_LIMIT:
+            raise CapacityExceeded(
+                f"field size {self.q2} exceeds 2^22 (no exp/log tables)")
+        return _TableBackend(self.p, 2 * self.h, self.modulus)
 
     # --- arithmetic ---------------------------------------------------------
 
@@ -485,17 +405,12 @@ class Field:
 
     # --- bulk tables for the vectorized Gram / enumeration paths -------------
 
-    def _tables(self) -> _TableBackend:
-        if self.mode != "table":
-            raise CapacityExceeded("vectorized path needs table mode")
-        return self.backend
-
     def np_mask_ext(self) -> np.ndarray:
         """int32 packed GF(2) coefficient masks of theta^e for e in [0, 2N),
         so that a sum of two exponents in [0, N) indexes it unreduced."""
         arr = self._np_cache.get("mask_ext")
         if arr is None:
-            exp = self._tables().exp
+            exp = self.backend.exp
             arr = _frozen(np.concatenate((exp, exp)))
             self._np_cache["mask_ext"] = arr
         return arr
@@ -508,7 +423,7 @@ class Field:
         -1."""
         hit = self._np_cache.get("exp_log")
         if hit is None:
-            tables = self._tables()
+            tables = self.backend
             hit = (_frozen(np.append(tables.exp, np.int32(0))), tables.log)
             self._np_cache["exp_log"] = hit
         return hit
@@ -528,11 +443,11 @@ class Field:
     def np_digits(self) -> np.ndarray:
         """(2h, 2N) int16 array: row d holds the coefficient of x^d in
         theta^e for e in [0, 2N), so that a sum of two exponents in [0, N)
-        indexes it unreduced.  int16 holds every digit: table mode has
-        p < 2^11."""
+        indexes it unreduced.  int16 holds every digit: a field with
+        tables has p < 2^11."""
         arr = self._np_cache.get("digits")
         if arr is None:
-            rest = self._tables().exp
+            rest = self.backend.exp
             arr = np.empty((2 * self.h, 2 * self.N), dtype=np.int16)
             for d in range(2 * self.h):
                 arr[d, :self.N] = rest % self.p
@@ -543,14 +458,14 @@ class Field:
 
 
 @functools.lru_cache(maxsize=None)
-def build_field(p: int, h: int, mode: str = "auto") -> Field:
+def build_field(p: int, h: int) -> Field:
     """Construct (and memoize) GF(p^(2h)) with subfield GF(p^h)."""
-    return Field(p, h, mode)
+    return Field(p, h)
 
 
-def field_for_q(q: int, mode: str = "auto") -> Field:
+def field_for_q(q: int) -> Field:
     """GF(q^2) for a prime power q."""
     pp = is_prime_power(q)
     if pp is None:
         raise NotPrime(f"q must be a prime power, got {q}")
-    return build_field(pp[0], pp[1], mode)
+    return build_field(pp[0], pp[1])

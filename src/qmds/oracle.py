@@ -65,15 +65,6 @@ def first_violation(M: int, s: int, q: int) -> int:
     return lo
 
 
-def brute_first_violation(M: int, s: int, q: int) -> int:
-    """Reference implementation: grow B until a solution appears."""
-    for B in range(M + 1):
-        for t2 in range(B + 1):
-            if (-s - t2 * q) % M <= B:
-                return B
-    raise AssertionError("unreachable")  # pragma: no cover
-
-
 def max_dim(conditions: tuple[tuple[int, int], ...], q: int) -> int:
     """Sharp dimension bound: the minimum first violation over all conditions."""
     return min(first_violation(M, s, q) for M, s in conditions)

@@ -12,8 +12,10 @@ The MDS property is certified by two independent routes that must agree:
                   nonzero coordinate is 1 are enumerated; the budget still
                   counts all q^(2k) messages.
 
-Both routes run on the field's exp/log tables and need a table-mode field
-(``CapacityExceeded`` otherwise); every artifact ``build`` makes has one.
+Both routes run on the field's exp/log tables, which exist only for fields
+of at most 2^22 elements (``CapacityExceeded`` otherwise); every artifact
+``build`` makes lies in such a field.  The tests check both routes against
+scalar Gaussian elimination and a codeword-by-codeword enumeration.
 
 Budgets raise ``BudgetExceeded`` rather than silently skipping, so callers
 always know which route actually ran.
@@ -76,7 +78,10 @@ class MinorsReport:
 
 
 def _log_array(field: Field, matrix) -> np.ndarray:
-    """The matrix as int64 exponents in [0, N), with -1 for zero."""
+    """The matrix as int64 exponents in [0, N), with -1 for zero.  Both
+    routes read the field's tables, so a field without them raises
+    ``CapacityExceeded`` here, before a budget that no size could meet."""
+    field.backend
     return np.array([[-1 if e is None else e % field.N for e in row]
                      for row in matrix], dtype=np.int64)
 

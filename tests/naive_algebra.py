@@ -5,19 +5,23 @@ share no code with the package: polynomials are plain coefficient tuples
 (index i is the coefficient of x^i), reduction is long division,
 irreducibility is trial division by every lower-degree monic polynomial, and
 multiplicative orders are found by repeated multiplication.  Only tiny
-fields go through these.  The scalar linear-algebra references and the
-evaluation-set builders at the end use only a ``Field``'s
+fields go through these.  The scalar linear-algebra, Gram and power-sum
+references and the evaluation-set builders at the end use only a ``Field``'s
 element-by-element arithmetic, so they check the package's batched numpy
-kernels against the scalar field operations.
+kernels and closed forms against the scalar field operations.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
-from qmds.errors import (HypothesisViolated, NotChar2, NotCoprime,
-                         WeightSumVanishes)
+from qmds.codes import CodeArtifact
+from qmds.errors import (BadDivisor, HypothesisViolated, LengthMismatch,
+                         NotChar2, NotCoprime, WeightSumVanishes)
+from qmds.evalsets import EvalSet
+from qmds.field import Elt, Field
 
 
 def trim(a: tuple[int, ...]) -> tuple[int, ...]:
@@ -152,6 +156,15 @@ def scan_first_violation(M: int, s: int, q: int) -> int:
     return best
 
 
+def brute_first_violation(M: int, s: int, q: int) -> int:
+    """Reference implementation: grow B until a solution appears."""
+    for B in range(M + 1):
+        for t2 in range(B + 1):
+            if (-s - t2 * q) % M <= B:
+                return B
+    raise AssertionError("unreachable")  # pragma: no cover
+
+
 def trial_division_sweep_params(construction: str, q: int) -> list[dict]:
     """The parameter choices a sweep tries at q, in its order, found by
     trial division of q + 1 and q - 1 over every candidate below q + 2.
@@ -251,22 +264,143 @@ def minors_scan(field, matrix) -> tuple[bool, int, tuple[int, ...] | None]:
 
 
 def scalar_min_weight(field, rows) -> int:
-    """Minimum weight over all nonzero messages, one codeword at a time."""
+    """Minimum weight over all nonzero messages, one codeword at a time.
+
+    The messages are walked depth first, a row per level: every multiple
+    c*row of each row is computed once, and a level adds one of them to the
+    partial codeword of the levels above, so messages that agree on their
+    leading coordinates share those partial sums.  Every sum is a
+    ``Field.add`` result, memoized per pair of summands (at most q^4
+    entries, for the tiny fields that come here)."""
     k, n = len(rows), len(rows[0])
     elems = [None] + list(range(field.q2 - 1))
+    multiples = [[tuple(field.mul(c, x) for x in row) for c in elems]
+                 for row in rows]
+    add = functools.cache(field.add)
     best = n
-    for msg in itertools.product(elems, repeat=k):
-        if all(c is None for c in msg):
-            continue
-        weight = 0
-        for j in range(n):
-            acc = None
-            for c, row in zip(msg, rows):
-                acc = field.add(acc, field.mul(c, row[j]))
-            if acc is not None:
-                weight += 1
-        best = min(best, weight)
+
+    def walk(level, acc, nonzero):
+        nonlocal best
+        if level == k:
+            if nonzero:
+                best = min(best, n - acc.count(None))
+            return
+        walk(level + 1, acc, nonzero)  # coordinate 0 adds nothing
+        for mult in multiples[level][1:]:
+            walk(level + 1, list(map(add, acc, mult)), True)
+
+    walk(0, [None] * n, False)
     return best
+
+
+# --------------------------------------------------------------------------
+# Hermitian inner products and Gram matrices, one scalar field operation at
+# a time; each Gram check reports the first nonzero upper-triangle entry in
+# row-major order, as ``qmds.codes.gram_zero`` does
+# --------------------------------------------------------------------------
+
+def hermitian_ip(field: Field, u: tuple[Elt, ...], v: tuple[Elt, ...]) -> Elt:
+    """<u, v> = sum_i u_i * v_i^q."""
+    if len(u) != len(v):
+        raise LengthMismatch(f"lengths {len(u)} != {len(v)}")
+    acc: Elt = None
+    for a, b in zip(u, v):
+        acc = field.add(acc, field.mul(a, field.frobenius_q(b)))
+    return acc
+
+
+def gram_hermitian(field: Field, matrix) -> tuple[tuple[Elt, ...], ...]:
+    """Full Hermitian Gram matrix of the rows."""
+    rows = [tuple(r) for r in matrix]
+    return tuple(tuple(hermitian_ip(field, ri, rj) for rj in rows)
+                 for ri in rows)
+
+
+def gram_zero_scalar(field: Field, matrix) -> tuple[bool, tuple[int, int] | None]:
+    """Scalar check that the Gram matrix vanishes.
+
+    Only the upper triangle is computed: <r_j, r_i> = <r_i, r_j>^q, so the
+    Gram matrix is zero iff its upper triangle is.
+    """
+    rows = [tuple(r) for r in matrix]
+    for i in range(len(rows)):
+        for j in range(i, len(rows)):
+            if hermitian_ip(field, rows[i], rows[j]) is not None:
+                return False, (i, j)
+    return True, None
+
+
+def weighted_pair_sum(field: Field, evalset: EvalSet, shift: int,
+                      l1: int, l2: int) -> Elt:
+    """Gram entry (l1, l2) straight from the weighted power-sum form:
+    sum_j w_j * x_j^((q+1)shift + l1 + q*l2)."""
+    N = field.N
+    expo = ((field.q + 1) * shift + l1 + field.q * l2) % N
+    acc: Elt = None
+    for e, w in zip(evalset.points.tolist(), evalset.weights.tolist()):
+        acc = field.add(acc, (w + e * expo) % N)
+    return acc
+
+
+def gram_entry(artifact: CodeArtifact, l1: int, l2: int) -> Elt:
+    """Gram entry (l1, l2) of an artifact, including any border column."""
+    f = artifact.field
+    val = weighted_pair_sum(f, artifact.evalset, artifact.shift, l1, l2)
+    if artifact.has_border and l1 == 0 and l2 == 0:
+        b = artifact.border_entry
+        val = f.add(val, f.mul(b, f.frobenius_q(b)))
+    return val
+
+
+def gram_zero_structured(artifact: CodeArtifact) -> tuple[bool, tuple[int, int] | None]:
+    """Scalar Gram check in structured form (no matrix materialization)."""
+    for l1 in range(artifact.k):
+        for l2 in range(l1, artifact.k):
+            if gram_entry(artifact, l1, l2) is not None:
+                return False, (l1, l2)
+    return True, None
+
+
+# --------------------------------------------------------------------------
+# power sums over subgroups, by direct accumulation
+# --------------------------------------------------------------------------
+
+def _check_divisor(field: Field, m: int) -> int:
+    if m < 1 or field.N % m != 0:
+        raise BadDivisor(f"m = {m} does not divide {field.N}")
+    return field.N // m
+
+
+def subgroup_power_sum(field: Field, m: int, t: int) -> Elt:
+    """S(m, t) by direct accumulation over the order-N/m subgroup."""
+    order = _check_divisor(field, m)
+    acc: Elt = None
+    for j in range(1, order + 1):
+        acc = field.add(acc, (j * t * m) % field.N)
+    return acc
+
+
+def union_power_sum_char2(field: Field, ms: tuple[int, ...], t: int) -> Elt:
+    """Sum of u^t over the char-2 parity-filtered union of subgroups.
+
+    Points lying in an even number of the subgroups M_{m_i} cancel in
+    characteristic two, so only odd-membership points contribute.  Divisors
+    must be pairwise coprime.
+    """
+    if field.p != 2:
+        raise NotChar2("parity-filtered union needs characteristic 2")
+    for m in ms:
+        _check_divisor(field, m)
+    for i in range(len(ms)):
+        for j in range(i + 1, len(ms)):
+            if math.gcd(ms[i], ms[j]) != 1:
+                raise NotCoprime(f"gcd({ms[i]}, {ms[j]}) != 1")
+    acc: Elt = None
+    for e in range(field.N):
+        hits = sum(1 for m in ms if e % m == 0)
+        if hits % 2 == 1:
+            acc = field.add(acc, (e * t) % field.N)
+    return acc
 
 
 # --------------------------------------------------------------------------

@@ -2,12 +2,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qmds.charsums import (
-    power_sum_vanishes,
-    subgroup_power_sum,
-    subgroup_power_sum_closed,
-    union_power_sum_char2,
-)
+from naive_algebra import subgroup_power_sum, union_power_sum_char2
+from qmds.charsums import power_sum_vanishes, subgroup_power_sum_closed
 from qmds.errors import BadDivisor, NotChar2, NotCoprime
 from qmds.field import build_field, field_for_q
 from qmds.numtheory import divisors

@@ -4,6 +4,7 @@ import pytest
 
 from qmds import constructions
 from qmds.cli import main
+from qmds.field import field_for_q
 
 
 def run(capsys, *argv):
@@ -40,14 +41,27 @@ def test_field_conflicting_flags(capsys):
 
 
 def test_field_capacity_errors(capsys):
-    assert run(capsys, "field", "--q", "4096", "--mode", "table")[0] == 1
     assert run(capsys, "field", "--q", str(2**21))[0] == 1  # q^2 > 2^40
+
+
+def test_field_past_the_table_limit(capsys):
+    # GF(4096^2) has 2^24 elements: the presentation needs only the modulus
+    rc, obj = run_json(capsys, "field", "--q", "4096")
+    assert rc == 0 and obj["p"] == 2 and obj["h"] == 12
+    rc, out = run(capsys, "field", "--q", "4096", "--format", "text")
+    assert rc == 0 and out.startswith("GF(2^24), subfield GF(4096)")
+    assert "backend" not in vars(field_for_q(4096))
+
+
+def test_field_has_no_mode_flag(capsys):
+    assert run(capsys, "field", "--q", "5", "--mode", "table")[0] == 2
 
 
 def test_field_text_format(capsys):
     rc, out = run(capsys, "field", "--q", "5", "--format", "text")
     assert rc == 0
     assert "GF(5^2)" in out and "subfield GF(5)" in out
+    assert out.endswith(", theta = x\n")
 
 
 # --- construct -------------------------------------------------------------------

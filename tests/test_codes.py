@@ -5,7 +5,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from naive_algebra import is_nonsingular, rank
+from naive_algebra import (
+    gram_entry,
+    gram_hermitian,
+    gram_zero_scalar,
+    gram_zero_structured,
+    hermitian_ip,
+    is_nonsingular,
+    rank,
+    weighted_pair_sum,
+)
 from qmds import codes
 from qmds.codes import (
     CodeArtifact,
@@ -13,21 +22,14 @@ from qmds.codes import (
     _unitary_splits,
     eval_code,
     extend_c1,
-    gram_entry,
-    gram_hermitian,
     gram_nonzero_mask,
     gram_zero,
-    gram_zero_scalar,
-    gram_zero_structured,
-    gram_zero_vectorized,
-    hermitian_ip,
     matrix_to_strings,
-    weighted_pair_sum,
 )
 from qmds.constructions import _build_evalset, max_dim_oracle
 from qmds.errors import DimensionTooLarge, LengthMismatch, UsageError
 from qmds.evalsets import EvalSet, subgroup_set
-from qmds.field import Field, build_field, field_for_q
+from qmds.field import TABLE_LIMIT, Field, build_field, field_for_q
 
 # (construction, q, params, max self-orthogonal k) for the Gram agreement pool
 POOL = [
@@ -97,12 +99,11 @@ def test_conjugate_symmetry(gf25):
 def test_gram_routes_agree(construction, q, params, kmax):
     good = raw_artifact(construction, q, params, kmax)
     assert gram_zero_structured(good) == (True, None)
-    assert gram_zero_vectorized(good) == (True, None)
-    assert gram_zero_scalar(good.field, good.matrix()) == (True, None)
     assert gram_zero(good) == (True, None)
+    assert gram_zero_scalar(good.field, good.matrix()) == (True, None)
     bad = raw_artifact(construction, q, params, kmax + 1)
     res_structured = gram_zero_structured(bad)
-    assert res_structured == gram_zero_vectorized(bad)
+    assert res_structured == gram_zero(bad)
     assert res_structured == gram_zero_scalar(bad.field, bad.matrix())
     ok, witness = res_structured
     assert not ok and witness is not None
@@ -113,10 +114,10 @@ def test_gram_routes_agree(construction, q, params, kmax):
 def test_gram_routes_agree_extended():
     good = raw_artifact("c1_ext", 17, {"m": 9}, 9)
     assert gram_zero_structured(good) == (True, None)
-    assert gram_zero_vectorized(good) == (True, None)
+    assert gram_zero(good) == (True, None)
     assert gram_zero_scalar(good.field, good.matrix()) == (True, None)
     bad = raw_artifact("c1_ext", 17, {"m": 9}, 10)
-    assert gram_zero_structured(bad) == gram_zero_vectorized(bad)
+    assert gram_zero_structured(bad) == gram_zero(bad)
     assert not gram_zero_structured(bad)[0]
 
 
@@ -160,10 +161,10 @@ def check_vectorized_against_scalar(construction, q, params):
     if construction == "c1_ext":
         kmax += 1  # the border row
     good = raw_artifact(construction, q, params, kmax)
-    assert gram_zero_vectorized(good) == (True, None)
+    assert gram_zero(good) == (True, None)
     assert gram_zero_scalar(good.field, good.matrix()) == (True, None)
     bad = raw_artifact(construction, q, params, kmax + 1)
-    res = gram_zero_vectorized(bad)
+    res = gram_zero(bad)
     assert res == gram_zero_scalar(bad.field, bad.matrix())
     assert not res[0] and kmax in res[1]
 
@@ -188,9 +189,9 @@ def check_border_term(q, m):
     # the border entry enters only Gram entry (0, 0): scaling it by theta
     # must make exactly that entry nonzero
     art = extend_c1(field_for_q(q), m, 3)
-    assert gram_zero_vectorized(art) == (True, None)
+    assert gram_zero(art) == (True, None)
     art.border_entry = art.field.mul(art.border_entry, 1)
-    res = gram_zero_vectorized(art)
+    res = gram_zero(art)
     assert res == (False, (0, 0))
     assert res == gram_zero_scalar(art.field, art.matrix())
 
@@ -244,7 +245,7 @@ def scalar_nonzero_mask(art):
 
 def check_route_mask(art):
     assert np.array_equal(gram_nonzero_mask(art), scalar_nonzero_mask(art))
-    assert gram_zero_vectorized(art) == \
+    assert gram_zero(art) == \
         gram_zero_scalar(art.field, art.matrix())
 
 
@@ -441,7 +442,7 @@ def test_rows_are_exact_where_int64_products_overflow():
     # a shift near N; the rows must still be the exact exponents
     f = Field(3, 10)
     q, N = f.q, f.N
-    assert f.mode == "bsgs" and (N - 1) ** 2 >= 1 << 63
+    assert f.q2 > TABLE_LIMIT and (N - 1) ** 2 >= 1 << 63
     points = [j * (N // 8) for j in range(8)]
     weights = [(q + 1) * (q - 2 - j) for j in range(8)]
     art = eval_code(f, EvalSet(f, points, weights, "r"), 3, shift=N - 2)

@@ -4,8 +4,7 @@ import math
 
 import pytest
 
-from naive_algebra import trial_division_sweep_params
-from qmds.codes import gram_zero_structured
+from naive_algebra import gram_zero_structured, trial_division_sweep_params
 from qmds.constructions import (
     CONSTRUCTION_IDS,
     Certificate,
@@ -20,7 +19,6 @@ from qmds.constructions import (
     construct_half_power_union,
     construct_mixed_union,
     construct_odd_union,
-    doubled_pair_divisors,
     formula_d_max,
     half_split_pair,
     max_dim_oracle,
@@ -318,20 +316,6 @@ def test_searched_pair():
     assert searched_pair(11969, 176, 105) == {"m1": 105, "m2": 176}
     with pytest.raises(HypothesisViolated):
         searched_pair(11969, 176, 103)
-
-
-def test_doubled_pair_divisors():
-    assert doubled_pair_divisors(31, 3, 5) == (6, 10)
-    assert doubled_pair_divisors(71, 5, 7) == (10, 14)
-    with pytest.raises(HypothesisViolated):
-        doubled_pair_divisors(31, 5, 3)
-    with pytest.raises(NotCoprime):
-        doubled_pair_divisors(271, 9, 15)  # 2*9*15 + 1 = 271 but gcd = 3
-    with pytest.raises(HypothesisViolated):
-        doubled_pair_divisors(29, 3, 5)  # q != 2ab + 1
-
-
-# --- sweeps ------------------------------------------------------------------------
 
 
 def test_sweep_c1():

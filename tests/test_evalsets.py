@@ -15,7 +15,6 @@ from qmds.errors import (
 )
 from qmds.evalsets import (
     EvalSet,
-    find_H,
     find_h_shift_exponent,
     mixed_union,
     parity_union_char2,
@@ -146,7 +145,6 @@ def test_shared_weight_obstructions_explicitly():
 def test_find_h_frozen(q, m1, m2):
     expected_H = {(13, 7, 6): 14, (17, 9, 8): 18}[(q, m1, m2)]
     assert find_h_shift_exponent(q, m1, m2) == expected_H
-    assert find_H(field_for_q(q), m1, m2) == expected_H
 
 
 def test_find_h_one_is_always_obstructed_here():

@@ -14,7 +14,10 @@ from qmds.errors import (
 )
 from qmds import audit, cli
 from qmds import field as field_module
-from qmds.field import Field, build_field, canonical_modulus, field_for_q
+from qmds.codes import eval_code, gram_zero
+from qmds.evalsets import EvalSet
+from qmds.field import (TABLE_LIMIT, Field, build_field, canonical_modulus,
+                        field_for_q)
 from qmds.numtheory import is_prime_power
 
 # frozen canonical moduli, coefficient order 1, x, x^2, ...
@@ -58,26 +61,36 @@ def test_build_field_rejects():
         field_for_q(6)
     with pytest.raises(UsageError):
         build_field(5, 0)
-    with pytest.raises(UsageError):
-        Field(5, 1, mode="weird")
 
 
 def test_capacity_limits():
     with pytest.raises(CapacityExceeded):
-        Field(2, 12, mode="table")  # 2^24 > 2^22
+        Field(2, 12).backend  # 2^24 > 2^22
     with pytest.raises(CapacityExceeded):
-        Field(3, 8, mode="table")  # 3^16 > 2^22
+        Field(3, 8).backend  # 3^16 > 2^22
     with pytest.raises(CapacityExceeded):
-        Field(2, 21)  # 2^42 > 2^40 in any mode
-    assert Field(2, 12, mode="auto").mode == "bsgs"
-    assert Field(13, 3, mode="auto").mode == "bsgs"
-    assert Field(2, 11, mode="auto").mode == "table"  # 2^22 is exactly the limit
+        Field(2, 21)  # 2^42 > 2^40
+    assert Field(13, 3).q2 > TABLE_LIMIT
+    assert Field(2, 11).backend.N == TABLE_LIMIT - 1  # 2^22 is exactly the limit
+
+
+def test_fields_past_the_table_limit_have_no_backend():
+    # the modulus is all such a field has; what reads the exp/log tables
+    # says so (test_capacity_limits covers ``backend`` itself)
+    f = Field(2, 12)
+    assert f.q2 > TABLE_LIMIT
+    assert f.to_json()["modulus"] == list(f.modulus)
+    art = eval_code(f, EvalSet(f, [0, f.N // 5], [0, 0], "pair"), 1, shift=1)
+    with pytest.raises(CapacityExceeded):
+        f.embed_int(1)
+    with pytest.raises(CapacityExceeded):
+        gram_zero(art)
+    assert "backend" not in vars(f)
 
 
 def test_presentation_builds_no_backend():
-    # the modulus and mode are fixed at construction; the tables are not
+    # the modulus is fixed at construction; the tables are not
     f = Field(37, 2)
-    assert f.mode == "table"
     assert f.to_json()["modulus"] == list(f.modulus)
     assert "backend" not in vars(f)
     assert f.add(0, 0) is not None  # 2 != 0 in characteristic 37
@@ -126,29 +139,30 @@ def test_exhaustive_arithmetic_matches_poly_model(p, h):
 
 @pytest.mark.parametrize("p,h", [(3, 1), (2, 2), (7, 1)])
 def test_backends_agree_exhaustively(p, h):
-    table = Field(p, h, mode="table")
-    bsgs = Field(p, h, mode="bsgs")
-    assert table.modulus == bsgs.modulus
+    f = Field(p, h)
+    table = f.backend
+    exp, log = na.table_backend_reference(p, 2 * h, f.modulus)
     N = table.N
     for e in range(N):
-        assert table.backend.exp_packed(e) == bsgs.backend.exp_packed(e)
+        assert table.exp_packed(e) == exp[e]
     for v in range(1, N + 1):
-        assert table.backend.log_packed(v % (N + 1)) == bsgs.backend.log_packed(v)
+        assert table.log_packed(v) == log[v]
     for a in range(N):
         for b in range(N):
-            assert table.backend.add_exponents(a, b) == bsgs.backend.add_exponents(a, b)
+            assert table.add_exponents(a, b) == _reference_add(exp, log, a, b, p)
 
 
 def test_backends_agree_sampled_gf25_squared():
     import random
 
-    table = Field(5, 2, mode="table")
-    bsgs = Field(5, 2, mode="bsgs")
+    f = Field(5, 2)
+    table = f.backend
+    exp, log = na.table_backend_reference(5, 4, f.modulus)
     rng = random.Random(20240817)
     for _ in range(400):
         a, b = rng.randrange(table.N), rng.randrange(table.N)
-        assert table.backend.add_exponents(a, b) == bsgs.backend.add_exponents(a, b)
-        assert table.backend.exp_packed(a) == bsgs.backend.exp_packed(a)
+        assert table.add_exponents(a, b) == _reference_add(exp, log, a, b, 5)
+        assert table.exp_packed(a) == exp[a]
 
 
 # every field GF(q^2) with q^2 <= 2^16, plus the largest one the benchmark
@@ -158,7 +172,7 @@ TABLE_FIELDS = [pp for pp in map(is_prime_power, range(2, 257)) if pp] + [(557, 
 
 @pytest.mark.parametrize("p,h", TABLE_FIELDS)
 def test_table_backend_matches_stepping_reference(p, h):
-    f = Field(p, h, mode="table")  # not memoized: the tables die with the test
+    f = Field(p, h)  # not memoized: the tables die with the test
     exp, log = na.table_backend_reference(p, 2 * h, f.modulus)
     assert f.backend.exp.tolist() == exp
     assert f.backend.log.tolist() == log
@@ -172,10 +186,16 @@ def _digit_add(va, vb, p):
     return out
 
 
+def _reference_add(exp, log, a, b, p):
+    """theta^a + theta^b read off the stepping reference's tables."""
+    want = log[_digit_add(exp[a], exp[b], p)]
+    return None if want < 0 else want
+
+
 @pytest.mark.parametrize("p,h", [(2, 1), (3, 1), (5, 1), (2, 3)])
 def test_zech_add_matches_stepping_reference(p, h):
     # every pair of GF(4), GF(9), GF(25) and GF(64), zero included
-    f = Field(p, h, mode="table")
+    f = Field(p, h)
     exp, log = na.table_backend_reference(p, 2 * h, f.modulus)
     assert "zech" not in vars(f.backend)
     elems = [None] + list(range(f.N))
@@ -190,7 +210,7 @@ def test_zech_add_matches_stepping_reference(p, h):
 
 @pytest.mark.parametrize("p,h", [(2, 3), (3, 2), (7, 1)])
 def test_derived_tables_leave_the_backend_unchanged(p, h):
-    f = Field(p, h, mode="table")
+    f = Field(p, h)
     exp, log = f.backend.exp.copy(), f.backend.log.copy()
     derived = [f.np_digits(), f.np_mask_ext(), *f.np_exp_log()]
     for arr in (f.backend.exp, f.backend.log):
@@ -208,10 +228,10 @@ def test_production_paths_build_no_python_tables(monkeypatch, capsys):
     # build: the tables stay int32 arrays, and no scalar addition runs
     built = {}
 
-    def fresh_build(p, h, mode="auto"):
-        if (p, h, mode) not in built:
-            built[p, h, mode] = Field(p, h, mode)
-        return built[p, h, mode]
+    def fresh_build(p, h):
+        if (p, h) not in built:
+            built[p, h] = Field(p, h)
+        return built[p, h]
 
     monkeypatch.setattr(field_module, "build_field", fresh_build)
     audit.audit_tables((1, 2, 3, 5, 6))
@@ -219,7 +239,7 @@ def test_production_paths_build_no_python_tables(monkeypatch, capsys):
                      "--m", "3", "--k", "4"]) == 0
     capsys.readouterr()
     with_tables = [f for f in built.values() if "backend" in vars(f)]
-    assert {(2, 9, "auto"), (631, 1, "auto"), (11, 1, "auto")} <= set(built)
+    assert {(2, 9), (631, 1), (11, 1)} <= set(built)
     assert len(with_tables) >= 20
     for f in with_tables:
         for arr in (f.backend.exp, f.backend.log):
@@ -351,7 +371,7 @@ def test_presentation(gf25):
     assert Field.element_str(None) == "z"
     assert Field.element_str(17) == "17"
     assert gf25.to_json() == {"p": 5, "h": 1, "modulus": [2, 1, 1], "theta": "x"}
-    assert repr(gf25) == "Field(p=5, h=1, mode='table')"
+    assert repr(gf25) == "Field(p=5, h=1)"
 
 
 def test_build_field_is_memoized():

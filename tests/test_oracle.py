@@ -2,9 +2,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from naive_algebra import scan_first_violation
+from naive_algebra import brute_first_violation, scan_first_violation
 from qmds.numtheory import is_prime
-from qmds.oracle import brute_first_violation, first_violation, max_dim
+from qmds.oracle import first_violation, max_dim
 
 # the single-subgroup instances used throughout, frozen from the brute oracle:
 # key (q, m), value the largest k with no solution of q+1 + t1 + q t2 = 0 (mod N/m)

@@ -7,7 +7,7 @@ from naive_algebra import minors_scan, scalar_min_weight
 from qmds.codes import eval_code
 from qmds.errors import BudgetExceeded, CapacityExceeded, InvalidDims
 from qmds.evalsets import subgroup_set
-from qmds.field import Field, field_for_q
+from qmds.field import TABLE_LIMIT, Field, field_for_q
 from qmds.verify import (
     MINOR_ENTRIES,
     check_mds_enumeration,
@@ -148,7 +148,8 @@ def test_enumeration_budget():
 
 
 def test_mds_routes_need_table_mode():
-    f = Field(5, 1, mode="bsgs")
+    f = Field(2, 12)
+    assert f.q2 > TABLE_LIMIT
     rows = [[0, None], [None, 0]]
     with pytest.raises(CapacityExceeded):
         check_mds_rank(f, rows)
