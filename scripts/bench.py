@@ -1,0 +1,217 @@
+#!/usr/bin/env python3
+"""Run the benchmark's workloads through perfbench/run.py and keep every run
+in one BENCH file.
+
+Each run is one ``python3 perfbench/run.py --workload W --seed S --seconds T
+--trace 0`` in a fresh process, with T = ``run_seconds`` from BENCHMARK.json
+so that every run and both sides of a pair run equally long.  This script adds no timing of its own:
+it records the end-to-end metrics run.py prints on its last line, with the
+machine's facts, and summarizes them per workload.  Run it from the root of
+a checkout::
+
+    python3 scripts/bench.py --workloads gram-char2 --seeds 1-10 \\
+        --parent ../parent-checkout --out BENCH_new.json
+    python3 scripts/bench.py --compare BENCH_old.json BENCH_new.json
+
+With ``--parent DIR`` every seed is a pair of runs, one in DIR (another
+checkout, usually the parent commit) and one here, and the side that runs
+first alternates from pair to pair.  Without it only this checkout runs.
+Runs are added to the ``--out`` file if it exists, so one file can hold
+different seeds for different workloads.  ``--compare A B`` reads two BENCH
+files and prints, for each workload and metric, the medians of A's and B's
+runs of their own checkout (side "change"), the relative delta and how many
+seed-matched pairs B wins.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
+METRICS = {m["name"]: m for m in SPEC["end_to_end"]}
+WORKLOADS = [w["name"] for w in SPEC["workloads"]]
+NOTE = ("Noise is not controlled: the runs share a 2-core machine with other "
+        "work, and its speed drifts by 10-20 % over seconds. Compare medians "
+        "of alternating pairs, not single runs.")
+
+
+def _seeds(text: str) -> list[int]:
+    """'1-10' or '3,5,8' or a mix: '1-3,7'."""
+    out = []
+    for part in text.split(","):
+        lo, _, hi = part.partition("-")
+        out += range(int(lo), int(hi or lo) + 1)
+    return out
+
+
+def _parse(argv):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--workloads", nargs="+", choices=WORKLOADS,
+                    default=WORKLOADS)
+    ap.add_argument("--seeds", type=_seeds, default=[1],
+                    help="seeds to run, e.g. 1-10 or 1,4,9 (default 1)")
+    ap.add_argument("--parent", type=Path, metavar="DIR",
+                    help="another checkout to run in alternating pairs")
+    ap.add_argument("--out", type=Path, metavar="BENCH.json",
+                    help="BENCH file to write or add runs to")
+    ap.add_argument("--compare", nargs=2, type=Path, metavar=("A", "B"),
+                    help="print B's medians against A's and exit")
+    args = ap.parse_args(argv)
+    if args.compare is None and args.out is None:
+        ap.error("--out is required unless --compare is given")
+    return args
+
+
+def _describe(tree: Path) -> str | None:
+    """The checkout's commit, with -dirty for uncommitted edits."""
+    out = subprocess.run(["git", "describe", "--always", "--dirty"],
+                         cwd=tree, capture_output=True, text=True)
+    return out.stdout.strip() or None
+
+
+def _machine() -> dict:
+    import numpy
+    return {"nproc": len(os.sched_getaffinity(0)),
+            "python": platform.python_version(), "numpy": numpy.__version__,
+            "machine": platform.machine()}
+
+
+def _run(tree: Path, workload: str, seed: int) -> dict:
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
+           "--seed", str(seed), "--seconds", str(SPEC["run_seconds"]),
+           "--trace", "0"]
+    done = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    if done.returncode != 0:
+        raise SystemExit(f"{' '.join(cmd)} in {tree} exited "
+                         f"{done.returncode}:\n{done.stderr}")
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    return {"correct": result["correct"], "attempted": result["attempted"],
+            "failed": result["failed"],
+            "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
+
+
+def _quartiles(values: list[float]) -> dict:
+    if len(values) == 1:
+        q1 = q3 = values[0]
+    else:
+        q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": statistics.median(values), "q1": q1, "q3": q3,
+            "runs": len(values)}
+
+
+def _pairs(base: list[dict], new: list[dict]) -> list[tuple[dict, dict]]:
+    """Runs matched by workload, seed and repeat."""
+    def key(runs):
+        seen, out = {}, {}
+        for r in runs:
+            k = (r["workload"], r["seed"])
+            seen[k] = seen.get(k, 0) + 1
+            out[k + (seen[k],)] = r
+        return out
+    a, b = key(base), key(new)
+    return [(a[k], b[k]) for k in sorted(a.keys() & b.keys())]
+
+
+def _summary(base: list[dict], new: list[dict]) -> dict:
+    """Per workload and metric: medians and quartiles of each side; with a
+    baseline, the relative delta of the medians and the pairs won."""
+    out = {}
+    for workload in sorted({r["workload"] for r in base + new}):
+        b_runs = [r for r in base if r["workload"] == workload]
+        n_runs = [r for r in new if r["workload"] == workload]
+        pairs = _pairs(b_runs, n_runs)
+        row = {}
+        for name, spec in METRICS.items():
+            entry = {}
+            if n_runs:
+                entry["change"] = _quartiles([r["metrics"][name] for r in n_runs])
+            if b_runs:
+                entry["parent"] = _quartiles([r["metrics"][name] for r in b_runs])
+            if b_runs and n_runs:
+                p, c = entry["parent"]["median"], entry["change"]["median"]
+                entry["delta"] = (c - p) / p if p else None
+                sign = -1 if spec["better"] == "lower" else 1
+                wins = sum(sign * (y["metrics"][name] - x["metrics"][name]) > 0
+                           for x, y in pairs)
+                entry["wins"] = f"{wins}/{len(pairs)}"
+            row[name] = entry
+        out[workload] = row
+    return out
+
+
+def _print_summary(summary: dict, labels=("parent", "change")) -> None:
+    """Median (quartiles) of each side, then the delta and pairs won."""
+    for workload, row in summary.items():
+        print(workload)
+        for name, e in row.items():
+            line = f"  {name:12s}"
+            for side, label in zip(("parent", "change"), labels):
+                if side in e:
+                    s = e[side]
+                    line += (f"  {label} {s['median']:.4g} "
+                             f"({s['q1']:.4g}-{s['q3']:.4g})")
+            if e.get("delta") is not None:
+                line += f"  delta {100 * e['delta']:+.1f} %  wins {e['wins']}"
+            print(line)
+
+
+def _compare(a_path: Path, b_path: Path) -> int:
+    a, b = (json.loads(p.read_text()) for p in (a_path, b_path))
+    own = [[r for r in f["runs"] if r["side"] == "change"] for f in (a, b)]
+    print(f"A = {a_path} ({a['sides'].get('change')}), "
+          f"B = {b_path} ({b['sides'].get('change')})")
+    _print_summary(_summary(*own), labels=("A", "B"))
+    return 0
+
+
+def main(argv=None) -> int:
+    args = _parse(argv)
+    if args.compare:
+        return _compare(*args.compare)
+    here = Path.cwd()
+    if not (here / "perfbench" / "run.py").is_file():
+        sys.stderr.write("run from the root of a qmds checkout\n")
+        return 2
+    sides = {"change": _describe(here)}
+    if args.parent:
+        sides["parent"] = _describe(args.parent)
+    bench = {"note": NOTE, "machine": _machine(), "sides": sides, "runs": []}
+    if args.out.exists():
+        bench = json.loads(args.out.read_text())
+        if any(bench["sides"].get(k) != v for k, v in sides.items()):
+            sys.stderr.write(f"{args.out} holds runs of other checkouts: "
+                             f"{bench['sides']}\n")
+            return 2
+        bench["sides"].update(sides)
+    for workload in args.workloads:
+        for i, seed in enumerate(args.seeds):
+            order = ["change"]
+            if args.parent:
+                order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
+            for side in order:
+                tree = args.parent if side == "parent" else here
+                run = _run(tree, workload, seed)
+                bench["runs"].append({"workload": workload, "seed": seed,
+                                      "side": side, "first": side == order[0],
+                                      "seconds": SPEC["run_seconds"], **run})
+                print(f"{workload} seed {seed} {side}: " + ", ".join(
+                    f"{k} {v:.4g}" for k, v in run["metrics"].items()),
+                    flush=True)
+            bench["summary"] = _summary(
+                [r for r in bench["runs"] if r["side"] == "parent"],
+                [r for r in bench["runs"] if r["side"] == "change"])
+            args.out.write_text(json.dumps(bench, indent=1) + "\n")
+    _print_summary(bench["summary"])
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

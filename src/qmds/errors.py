@@ -84,10 +84,6 @@ class DimensionTooLarge(QmdsError):
 
 # --- verification -------------------------------------------------------------
 
-class LengthMismatch(QmdsError):
-    """Vectors of different lengths passed to an inner product."""
-
-
 class BudgetExceeded(QmdsError):
     """Requested exhaustive check is larger than the allowed budget."""
 

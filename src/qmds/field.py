@@ -11,8 +11,12 @@ x^i.
 
 The modulus is canonical: coefficients (c_0 .. c_{2h-1}) of candidate monic
 polynomials are read as base-p digits of a counter J with c_0 most
-significant, and the first candidate in increasing J that is irreducible
-with x primitive is selected.  theta is the class of x.
+significant, and the first candidate in increasing J with c_0 != 0 in which
+x has order p^(2h) - 1 is selected.  That order is possible only when the
+candidate is irreducible, so this is the first irreducible candidate with x
+primitive.  Each candidate is tested by powering x, left to right: for
+p = 2 on polynomials packed into ints (a product is shifts and XORs), for
+odd p on coefficient lists.  theta is the class of x.
 
 A ``Field`` accepts any q^2 up to 2^40: its presentation (``to_json``) needs
 only the modulus.  The backend is built on first use and holds read-only
@@ -46,116 +50,81 @@ SIZE_LIMIT = 1 << 40
 
 
 # --------------------------------------------------------------------------
-# dense polynomials over GF(p): tuples of coefficients, index i <-> x^i
+# the canonical modulus
 # --------------------------------------------------------------------------
 
-def _ptrim(a: tuple[int, ...]) -> tuple[int, ...]:
-    i = len(a)
-    while i > 0 and a[i - 1] == 0:
-        i -= 1
-    return a[:i]
-
-
-def _pmul(a, b, p):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _ptrim(tuple(out))
-
-
-def _pmod(a, f, p):
-    """a mod f for monic f."""
-    n = len(f) - 1
-    buf = list(a)
-    for d in range(len(buf) - 1, n - 1, -1):
-        c = buf[d]
-        if c:
-            buf[d] = 0
-            for i in range(n):
-                buf[d - n + i] = (buf[d - n + i] - c * f[i]) % p
-    return _ptrim(tuple(buf))
-
-
-def _pmulmod(a, b, f, p):
-    return _pmod(_pmul(a, b, p), f, p)
-
-
-def _ppowmod(base, e, f, p):
-    result = (1,)
-    acc = _pmod(base, f, p)
-    while e:
-        if e & 1:
-            result = _pmulmod(result, acc, f, p)
-        acc = _pmulmod(acc, acc, f, p)
-        e >>= 1
-    return result
-
-
-def _pgcd(a, b, p):
-    a, b = _ptrim(a), _ptrim(b)
-    while b:
-        inv = pow(b[-1], -1, p)
-        bm = tuple(c * inv % p for c in b)  # monic version of b
-        a, b = b, _pmodm(a, bm, p)
+def _x_pow_char2(f: int, n: int, e: int) -> int:
+    """x^e mod f over GF(2), for f of degree n packed into an int (bit i is
+    the coefficient of x^i), left to right.  The binary digits of a, read in
+    base 4, give a(x)^2: squaring over GF(2) only spreads the bits apart."""
+    a = 1
+    for bit in bin(e)[2:]:
+        a = int(format(a, "b"), 4)
+        while a >> n:
+            a ^= f << (a.bit_length() - 1 - n)
+        if bit == "1":
+            a <<= 1
+            if a >> n:
+                a ^= f
     return a
 
 
-def _pmodm(a, f, p):
-    if not f:
-        return _ptrim(a)
-    if len(f) == 1:
-        return ()
-    return _pmod(a, f, p)
-
-
-def _is_irreducible(f, p):
-    """Monic f of degree n >= 1 irreducible over GF(p)."""
+def _x_pow_odd(f: tuple[int, ...], p: int, e: int) -> list[int]:
+    """x^e mod the monic f over GF(p), as the coefficients of x^0 ..
+    x^(n-1), left to right."""
     n = len(f) - 1
-    x = (0, 1)
-    powers = []
-    t = x
-    for _ in range(n):
-        t = _ppowmod(t, p, f, p)
-        powers.append(t)  # powers[i-1] = x^(p^i) mod f
-    if powers[n - 1] != _pmod(x, f, p):
-        return False
-    for r in set(factorize(n)):
-        g = _psub(powers[n // r - 1], x, p)
-        if len(_pgcd(f, g, p)) > 1:
-            return False
-    return True
+    neg = [(-c) % p for c in f[:n]]  # x^n = sum neg[i] x^i
+    a = [1] + [0] * (n - 1)
+    for bit in bin(e)[2:]:
+        sq = [0] * (2 * n - 1)
+        for i, ai in enumerate(a):
+            if ai:
+                for j, aj in enumerate(a):
+                    sq[i + j] += ai * aj
+        for d in range(2 * n - 2, n - 1, -1):
+            c = sq[d] % p
+            if c:
+                for i, ni in enumerate(neg, d - n):
+                    sq[i] += c * ni
+        a = [c % p for c in sq[:n]]
+        if bit == "1":
+            top = a.pop()
+            a.insert(0, 0)
+            if top:
+                a = [(ai + top * ni) % p for ai, ni in zip(a, neg)]
+    return a
 
 
-def _psub(a, b, p):
-    m = max(len(a), len(b))
-    out = [0] * m
-    for i, c in enumerate(a):
-        out[i] = c
-    for i, c in enumerate(b):
-        out[i] = (out[i] - c) % p
-    return _ptrim(tuple(out))
-
-
-def _x_is_primitive(f, p, n_factors):
-    N = p ** (len(f) - 1) - 1
-    for r in n_factors:
-        if _ppowmod((0, 1), N // r, f, p) == (1,):
-            return False
-    return True
+def _is_primitive(f: tuple[int, ...], p: int,
+                  n_factors: tuple[int, ...]) -> bool:
+    """x has order N = p^n - 1 mod f: x^N = 1 and x^(N/r) != 1 for every
+    prime r | N, the primes ``n_factors``."""
+    n = len(f) - 1
+    N = p ** n - 1
+    exponents = (N,) + tuple(N // r for r in n_factors)
+    if p == 2:
+        packed = sum(c << i for i, c in enumerate(f))
+        powers = (_x_pow_char2(packed, n, e) for e in exponents)
+        one = 1
+    else:
+        powers = (_x_pow_odd(f, p, e) for e in exponents)
+        one = [1] + [0] * (n - 1)
+    return next(powers) == one and all(x != one for x in powers)
 
 
 def canonical_modulus(p: int, n: int, n_factors: tuple[int, ...]) -> tuple[int, ...]:
-    """First monic degree-n polynomial (in digit order, constant coefficient
-    most significant) that is irreducible over GF(p) with x primitive.
+    """First monic degree-n polynomial f with f(0) != 0, in digit order
+    (constant coefficient most significant), in which x has order
+    N = p^n - 1: x^N = 1 and x^(N/r) != 1 mod f for every prime r | N, the
+    primes ``n_factors``.  The units of GF(p)[x]/(f) number N only when f
+    is irreducible, so this is the first irreducible f with x primitive
+    (Lidl and Niederreiter, Finite Fields, Thms 3.3 and 3.16), and no
+    separate irreducibility test is needed.
 
     Whole c_0 blocks are skipped when (-1)^n c_0 — the norm of x down to
     GF(p) — fails to generate GF(p)*, a necessary condition for x to be
-    primitive; this prunes only candidates the explicit order test would
-    reject, so the selected polynomial is unchanged.
+    primitive; this prunes only candidates the order test would reject, so
+    the selected polynomial is unchanged.
     """
     pm1_factors = tuple(factorize(p - 1)) if p > 2 else ()
     sign = 1 if n % 2 == 0 else -1
@@ -169,7 +138,7 @@ def canonical_modulus(p: int, n: int, n_factors: tuple[int, ...]) -> tuple[int, 
             for i in range(1, n):  # c_1 is the most significant digit of rest
                 coeffs[i] = (rem // p ** (n - 1 - i)) % p
             f = tuple(coeffs) + (1,)
-            if _is_irreducible(f, p) and _x_is_primitive(f, p, n_factors):
+            if _is_primitive(f, p, n_factors):
                 return f
     raise ArithmeticError("no primitive modulus found")  # pragma: no cover
 

@@ -5,10 +5,12 @@ share no code with the package: polynomials are plain coefficient tuples
 (index i is the coefficient of x^i), reduction is long division,
 irreducibility is trial division by every lower-degree monic polynomial, and
 multiplicative orders are found by repeated multiplication.  Only tiny
-fields go through these.  The scalar linear-algebra, Gram and power-sum
-references and the evaluation-set builders at the end use only a ``Field``'s
-element-by-element arithmetic, so they check the package's batched numpy
-kernels and closed forms against the scalar field operations.
+fields go through these.  ``rabin_canonical_modulus`` selects the canonical
+modulus of larger fields by Rabin's irreducibility test and an explicit
+primitivity test, on the same tuples.  The scalar linear-algebra, Gram and
+power-sum references and the evaluation-set builders at the end use only a
+``Field``'s element-by-element arithmetic, so they check the package's
+batched numpy kernels and closed forms against the scalar field operations.
 """
 
 from __future__ import annotations
@@ -18,10 +20,11 @@ import itertools
 import math
 
 from qmds.codes import CodeArtifact
-from qmds.errors import (BadDivisor, HypothesisViolated, LengthMismatch,
+from qmds.errors import (BadDivisor, HypothesisViolated,
                          NotChar2, NotCoprime, WeightSumVanishes)
 from qmds.evalsets import EvalSet
 from qmds.field import Elt, Field
+from qmds.numtheory import factorize
 
 
 def trim(a: tuple[int, ...]) -> tuple[int, ...]:
@@ -107,6 +110,131 @@ def naive_canonical_modulus(p: int, n: int) -> tuple[int, ...]:
         f = tuple(coeffs) + (1,)
         if naive_is_irreducible(f, p) and naive_order_of_x(f, p) == p**n - 1:
             return f
+    raise AssertionError(f"no candidate found for p={p}, n={n}")
+
+
+# --------------------------------------------------------------------------
+# the canonical modulus by Rabin's irreducibility test followed by the
+# primitivity test, on coefficient tuples; fast enough for every q <= 2048
+# --------------------------------------------------------------------------
+
+def _pmul(a, b, p):
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] = (out[i + j] + ai * bj) % p
+    return trim(tuple(out))
+
+
+def _pmod(a, f, p):
+    """a mod f for monic f."""
+    n = len(f) - 1
+    buf = list(a)
+    for d in range(len(buf) - 1, n - 1, -1):
+        c = buf[d]
+        if c:
+            buf[d] = 0
+            for i in range(n):
+                buf[d - n + i] = (buf[d - n + i] - c * f[i]) % p
+    return trim(tuple(buf))
+
+
+def _pmulmod(a, b, f, p):
+    return _pmod(_pmul(a, b, p), f, p)
+
+
+def _ppowmod(base, e, f, p):
+    result = (1,)
+    acc = _pmod(base, f, p)
+    while e:
+        if e & 1:
+            result = _pmulmod(result, acc, f, p)
+        acc = _pmulmod(acc, acc, f, p)
+        e >>= 1
+    return result
+
+
+def _pgcd(a, b, p):
+    a, b = trim(a), trim(b)
+    while b:
+        inv = pow(b[-1], -1, p)
+        bm = tuple(c * inv % p for c in b)  # monic version of b
+        a, b = b, _pmodm(a, bm, p)
+    return a
+
+
+def _pmodm(a, f, p):
+    if not f:
+        return trim(a)
+    if len(f) == 1:
+        return ()
+    return _pmod(a, f, p)
+
+
+def _is_irreducible(f, p):
+    """Monic f of degree n >= 1 irreducible over GF(p)."""
+    n = len(f) - 1
+    x = (0, 1)
+    powers = []
+    t = x
+    for _ in range(n):
+        t = _ppowmod(t, p, f, p)
+        powers.append(t)  # powers[i-1] = x^(p^i) mod f
+    if powers[n - 1] != _pmod(x, f, p):
+        return False
+    for r in set(factorize(n)):
+        g = _psub(powers[n // r - 1], x, p)
+        if len(_pgcd(f, g, p)) > 1:
+            return False
+    return True
+
+
+def _psub(a, b, p):
+    m = max(len(a), len(b))
+    out = [0] * m
+    for i, c in enumerate(a):
+        out[i] = c
+    for i, c in enumerate(b):
+        out[i] = (out[i] - c) % p
+    return trim(tuple(out))
+
+
+def _x_is_primitive(f, p, n_factors):
+    N = p ** (len(f) - 1) - 1
+    for r in n_factors:
+        if _ppowmod((0, 1), N // r, f, p) == (1,):
+            return False
+    return True
+
+
+def rabin_canonical_modulus(p: int, n: int, n_factors: tuple[int, ...]) -> tuple[int, ...]:
+    """First monic degree-n polynomial (in digit order, constant coefficient
+    most significant) that passes Rabin's irreducibility test and then has
+    x primitive; ``qmds.field.canonical_modulus`` must select the same
+    polynomial by the order of x alone.
+
+    Whole c_0 blocks are skipped when (-1)^n c_0 — the norm of x down to
+    GF(p) — fails to generate GF(p)*, a necessary condition for x to be
+    primitive; this prunes only candidates the explicit order test would
+    reject, so the selected polynomial is unchanged.
+    """
+    pm1_factors = tuple(factorize(p - 1)) if p > 2 else ()
+    sign = 1 if n % 2 == 0 else -1
+    for c0 in range(1, p):
+        norm_x = sign * c0 % p
+        if any(pow(norm_x, (p - 1) // r, p) == 1 for r in pm1_factors):
+            continue
+        for rest in range(p ** (n - 1)):
+            coeffs = [c0] + [0] * (n - 1)
+            rem = rest
+            for i in range(1, n):  # c_1 is the most significant digit of rest
+                coeffs[i] = (rem // p ** (n - 1 - i)) % p
+            f = tuple(coeffs) + (1,)
+            if _is_irreducible(f, p) and _x_is_primitive(f, p, n_factors):
+                return f
     raise AssertionError(f"no candidate found for p={p}, n={n}")
 
 
@@ -302,7 +430,7 @@ def scalar_min_weight(field, rows) -> int:
 def hermitian_ip(field: Field, u: tuple[Elt, ...], v: tuple[Elt, ...]) -> Elt:
     """<u, v> = sum_i u_i * v_i^q."""
     if len(u) != len(v):
-        raise LengthMismatch(f"lengths {len(u)} != {len(v)}")
+        raise ValueError(f"lengths {len(u)} != {len(v)}")
     acc: Elt = None
     for a, b in zip(u, v):
         acc = field.add(acc, field.mul(a, field.frobenius_q(b)))

@@ -27,6 +27,16 @@ FROZEN_MODULI = {
     (5, 1): (2, 1, 1),
     (7, 1): (3, 1, 1),
     (2, 3): (1, 0, 0, 0, 0, 1, 1),  # x^6 + x^5 + 1
+    # Table 2's fields, q = 32, 64, 128, 512
+    (2, 5): (1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1),
+    (2, 6): (1, 0, 0, 0, 0, 0, 1, 0, 1, 0, 0, 1, 1),
+    (2, 7): (1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1, 0, 1, 1),
+    (2, 9): (1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1, 1, 1),
+    (13, 2): (2, 0, 2, 6, 1),
+    (3, 6): (2, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 2, 1),
+    (37, 2): (2, 0, 1, 5, 1),
+    # q^2 = 2^40, the largest field SIZE_LIMIT admits: x^40 + x^37 + x^36 + x^35 + 1
+    (2, 20): (1,) + (0,) * 34 + (1, 1, 1, 0, 0, 1),
 }
 
 
@@ -52,6 +62,20 @@ def test_canonical_modulus_direct_call():
     from qmds.numtheory import factorize
 
     assert canonical_modulus(5, 2, tuple(factorize(24))) == (2, 1, 1)
+
+
+def test_canonical_modulus_against_rabin_scan():
+    # the order of x alone selects what Rabin's irreducibility test plus the
+    # primitivity test select, for every field GF(q^2) with q <= 2048
+    from qmds.numtheory import factorize
+
+    qs = [q for q in range(2, 2049) if is_prime_power(q)]
+    assert len(qs) == 340
+    for q in qs:
+        p, h = is_prime_power(q)
+        n_factors = tuple(factorize(q * q - 1))
+        assert canonical_modulus(p, 2 * h, n_factors) == \
+            na.rabin_canonical_modulus(p, 2 * h, n_factors), q
 
 
 def test_build_field_rejects():
