@@ -2,14 +2,9 @@
 parameters, and an audit of the bundled reference tables."""
 
 from .audit import AuditReport, audit_tables
-from .charsums import power_sum_vanishes, subgroup_power_sum_closed
 from .codes import CodeArtifact, eval_code, extend_c1, gram_zero
 from .constructions import (Certificate, adjacent_pair, build, conditions_for,
-                            construct_c1, construct_c1_extended,
-                            construct_char2_union, construct_half_power,
-                            construct_half_power_union, construct_mixed_union,
-                            construct_odd_union, formula_d_max,
-                            half_split_pair, max_dim_oracle,
+                            formula_d_max, half_split_pair, max_dim_oracle,
                             quarter_split_pair, searched_pair, sweep)
 from .errors import QmdsError
 from .evalsets import (EvalSet, find_h_shift_exponent, mixed_union,
@@ -25,14 +20,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AuditReport", "audit_tables",
-    "power_sum_vanishes", "subgroup_power_sum_closed",
     "CodeArtifact", "eval_code", "extend_c1", "gram_zero",
     "Certificate", "adjacent_pair", "build", "conditions_for",
-    "construct_c1", "construct_c1_extended", "construct_char2_union",
-    "construct_half_power", "construct_half_power_union",
-    "construct_mixed_union", "construct_odd_union", "formula_d_max",
-    "half_split_pair", "max_dim_oracle", "quarter_split_pair",
-    "searched_pair", "sweep",
+    "formula_d_max", "half_split_pair", "max_dim_oracle",
+    "quarter_split_pair", "searched_pair", "sweep",
     "QmdsError",
     "EvalSet", "find_h_shift_exponent", "mixed_union",
     "parity_union_char2", "subgroup_set", "weighted_union",

@@ -26,11 +26,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from . import constructions, tables
 from .constructions import (adjacent_pair, build, code_length, formula_d_max,
-                            max_dim_oracle, quarter_split_pair, searched_pair,
-                            validate)
+                            half_split_pair, max_dim_oracle,
+                            quarter_split_pair, searched_pair, validate)
 from .errors import HypothesisViolated, NotPrime, UsageError
 from .numtheory import is_prime_power, quadratic_family_search
 
@@ -266,144 +267,130 @@ _TABLES = {
 # summary-table (family) crosschecks
 # --------------------------------------------------------------------------
 
-def _floor(x: Fraction) -> int:
-    return x.numerator // x.denominator
+@dataclass(frozen=True)
+class Family:
+    """One Table 9 distance family; ``FAMILIES`` holds one per family, as
+    ``constructions.ROUTES`` holds one ``Route`` per construction.
+    ``instances`` lists the worked instances, each with its q.  ``claimed``
+    gives the row's bound on an instance before the floor, with q a
+    Fraction.  ``derived`` names the bundled route and the parameters that
+    realize an instance; the claim is compared with that route's published
+    bound.  It is None where no route covers the family."""
+
+    instances: Callable[[], tuple[dict, ...]]
+    claimed: Callable[[Fraction, dict], Fraction]
+    derived: tuple[str, Callable[[int, dict], dict]] | None
+    notes: tuple[str, ...] = ()
 
 
-def _family_instances(family: str) -> tuple[dict, ...]:
-    if family == "subgroup_odd":
-        return tuple({"q": q, "m": m} for q, m in ((17, 9), (29, 15), (53, 27)))
-    if family == "subgroup_even":
-        return tuple({"q": q, "m": m} for q, m in ((17, 6), (29, 6), (29, 10)))
-    if family == "half_power":
-        return tuple({"q": q, "m": m} for q, m in ((13, 6), (41, 10), (49, 12)))
-    if family == "subgroup_odd_extended":
-        return tuple({"q": r["q"], "m": r["m"]} for r in tables.TABLE1)
-    if family == "half_split":
-        return tuple({"q": q} for q in (13, 17, 29))
-    if family == "adjacent_pair":
-        return tuple({"q": r["q"], "m": r["m"]} for r in tables.TABLE6)
-    if family == "quarter_split":
-        return tuple({"q": r["q"], "kk": r["kk"]} for r in tables.TABLE7)
-    if family in ("even_pair_doubling", "even_pair_doubling_generic"):
-        return tuple({"q": r["q"], "a": r["a"], "b": r["b"]}
-                     for r in tables.TABLE4 if is_prime_power(r["q"]))
-    if family == "even_triple_doubling":
-        return tuple({"q": r["q"], "a": r["a"], "b": r["b"], "c": r["c"]}
-                     for r in tables.TABLE5)
-    if family == "searched_pair":
-        return tuple({"q": r["q"], "m_even": r["m_even"], "m_odd": r["m_odd"]}
-                     for r in tables.TABLE8)
-    if family == "quadratic_family":
-        return tuple({"q": rec.q, "k": rec.k}
-                     for rec in quadratic_family_search(32))
-    raise UsageError(f"unknown family {family!r}")  # pragma: no cover
+def _qm(*pairs: tuple[int, int]) -> tuple[dict, ...]:
+    return tuple({"q": q, "m": m} for q, m in pairs)
 
 
-def _family_claimed(family: str, inst: dict) -> int:
-    q = Fraction(inst["q"])
-    if family == "subgroup_odd":
-        return _floor((q - 1) / 2 + (q - 1) / (2 * inst["m"]))
-    if family == "subgroup_even":
-        return _floor((q - 1) / 2 + (q - 1) / (2 * inst["m"]) + 1)
-    if family == "half_power":
-        return _floor((q + 1) / 2 + (q - 1) / inst["m"])
-    if family == "subgroup_odd_extended":
-        return _floor((q + 1) / 2 + (q - 1) / (2 * inst["m"]))
-    if family == "half_split":
-        return _floor((q + 1) / 2)
-    if family == "adjacent_pair":
-        return _floor((q - 1) / 2 + (q + 1) / (2 * inst["m"]))
-    if family == "quarter_split":
-        return _floor((q - 1) / 2 + (q + 1) / (2 * (4 * inst["kk"] + 1)))
-    if family == "even_pair_doubling":
-        return _floor((q + 1) / 2 + inst["a"])
-    if family == "even_pair_doubling_generic":
-        return _floor((q + 1) / 2 + (q - 1) / (2 * inst["b"]))
-    if family == "even_triple_doubling":
-        return _floor((q + 1) / 2 + inst["a"] * inst["b"])
-    if family == "searched_pair":
-        return _floor((q - 1) / 2
-                      + min((q + 1) / (2 * inst["m_odd"]),
-                            (q - 1) / inst["m_even"] + 1))
-    if family == "quadratic_family":
-        return _floor((q + 1) / 2 + Fraction(2 * inst["k"] - 1, 3))
-    raise UsageError(f"unknown family {family!r}")  # pragma: no cover
+def _rows(rows, *keys: str) -> tuple[dict, ...]:
+    return tuple({key: row[key] for key in keys} for row in rows)
 
 
-def _family_derived(family: str, inst: dict) -> int | None:
-    q = inst["q"]
-    if family == "subgroup_odd":
-        return formula_d_max("c1", q, {"m": inst["m"]})
-    if family in ("subgroup_even",):
-        return None  # no bundled route covers even divisors of q + 1
-    if family == "half_power":
-        return formula_d_max("half_power", q, {"m": inst["m"]})
-    if family == "subgroup_odd_extended":
-        return formula_d_max("c1_ext", q, {"m": inst["m"]})
-    if family == "half_split":
-        from .constructions import half_split_pair
-        return formula_d_max("mixed_union", q, half_split_pair(q))
-    if family == "adjacent_pair":
-        return formula_d_max("mixed_union", q, adjacent_pair(q, inst["m"]))
-    if family == "quarter_split":
-        return formula_d_max("mixed_union", q, quarter_split_pair(q, inst["kk"]))
-    if family in ("even_pair_doubling", "even_pair_doubling_generic"):
-        ms = (2 * inst["a"], 2 * inst["b"])
-        return formula_d_max("half_power_union", q, {"ms": ms})
-    if family == "even_triple_doubling":
-        ms = (2 * inst["a"], 2 * inst["b"], 2 * inst["c"])
-        return formula_d_max("half_power_union", q, {"ms": ms})
-    if family == "searched_pair":
-        return formula_d_max("mixed_union", q,
-                             searched_pair(q, inst["m_even"], inst["m_odd"]))
-    if family == "quadratic_family":
-        k = inst["k"]
-        return formula_d_max("mixed_union", q,
-                             searched_pair(q, 4 * k, 3 * (4 * k - 1)))
-    raise UsageError(f"unknown family {family!r}")  # pragma: no cover
+def _m(q: int, inst: dict) -> dict:
+    return {"m": inst["m"]}
 
 
-_FAMILY_NOTES = {
-    "subgroup_odd": ("cited to prior work; the bundled subgroup route proves "
-                     "a bound one larger on these instances",),
-    "half_power": ("cited to prior work; identical to the bundled half-power "
-                   "bound",),
-    "even_pair_doubling_generic": ("coincides with the previous row: the lcm "
-                                   "hypothesis forces q = 2ab + 1",),
-    "searched_pair": ("claimed bound is definitionally the bundled formula",),
+def _doubled_ms(q: int, inst: dict) -> dict:
+    return {"ms": tuple(2 * inst[key] for key in ("a", "b", "c")
+                        if key in inst)}
+
+
+def _table4_instances() -> tuple[dict, ...]:
+    return _rows((r for r in tables.TABLE4 if is_prime_power(r["q"])),
+                 "q", "a", "b")
+
+
+FAMILIES = {
+    "subgroup_odd": Family(
+        lambda: _qm((17, 9), (29, 15), (53, 27)),
+        lambda q, i: (q - 1) / 2 + (q - 1) / (2 * i["m"]),
+        ("c1", _m),
+        ("cited to prior work; the bundled subgroup route proves a bound "
+         "one larger on these instances",)),
+    # no bundled route covers even divisors of q + 1
+    "subgroup_even": Family(
+        lambda: _qm((17, 6), (29, 6), (29, 10)),
+        lambda q, i: (q - 1) / 2 + (q - 1) / (2 * i["m"]) + 1, None),
+    "half_power": Family(
+        lambda: _qm((13, 6), (41, 10), (49, 12)),
+        lambda q, i: (q + 1) / 2 + (q - 1) / i["m"],
+        ("half_power", _m),
+        ("cited to prior work; identical to the bundled half-power bound",)),
+    "subgroup_odd_extended": Family(
+        lambda: _rows(tables.TABLE1, "q", "m"),
+        lambda q, i: (q + 1) / 2 + (q - 1) / (2 * i["m"]),
+        ("c1_ext", _m)),
+    "half_split": Family(
+        lambda: tuple({"q": q} for q in (13, 17, 29)),
+        lambda q, i: (q + 1) / 2,
+        ("mixed_union", lambda q, i: half_split_pair(q))),
+    "adjacent_pair": Family(
+        lambda: _rows(tables.TABLE6, "q", "m"),
+        lambda q, i: (q - 1) / 2 + (q + 1) / (2 * i["m"]),
+        ("mixed_union", lambda q, i: adjacent_pair(q, i["m"]))),
+    "quarter_split": Family(
+        lambda: _rows(tables.TABLE7, "q", "kk"),
+        lambda q, i: (q - 1) / 2 + (q + 1) / (2 * (4 * i["kk"] + 1)),
+        ("mixed_union", lambda q, i: quarter_split_pair(q, i["kk"]))),
+    "even_pair_doubling": Family(
+        _table4_instances, lambda q, i: (q + 1) / 2 + i["a"],
+        ("half_power_union", _doubled_ms)),
+    "even_pair_doubling_generic": Family(
+        _table4_instances, lambda q, i: (q + 1) / 2 + (q - 1) / (2 * i["b"]),
+        ("half_power_union", _doubled_ms),
+        ("coincides with the previous row: the lcm hypothesis forces "
+         "q = 2ab + 1",)),
+    "even_triple_doubling": Family(
+        lambda: _rows(tables.TABLE5, "q", "a", "b", "c"),
+        lambda q, i: (q + 1) / 2 + i["a"] * i["b"],
+        ("half_power_union", _doubled_ms)),
+    "searched_pair": Family(
+        lambda: _rows(tables.TABLE8, "q", "m_even", "m_odd"),
+        lambda q, i: (q - 1) / 2 + min((q + 1) / (2 * i["m_odd"]),
+                                       (q - 1) / i["m_even"] + 1),
+        ("mixed_union",
+         lambda q, i: searched_pair(q, i["m_even"], i["m_odd"])),
+        ("claimed bound is definitionally the bundled formula",)),
+    "quadratic_family": Family(
+        lambda: tuple({"q": r.q, "k": r.k}
+                      for r in quadratic_family_search(32)),
+        lambda q, i: (q + 1) / 2 + Fraction(2 * i["k"] - 1, 3),
+        ("mixed_union",
+         lambda q, i: searched_pair(q, 4 * i["k"], 3 * (4 * i["k"] - 1)))),
 }
 
 
 def _audit_families() -> list[FamilyCheck]:
     out = []
     for row in tables.TABLE9:
-        family = row["family"]
+        spec = FAMILIES[row["family"]]
         instances = []
-        statuses = []
-        for inst in _family_instances(family):
-            claimed = _family_claimed(family, inst)
-            derived = _family_derived(family, inst)
-            rec = dict(inst)
-            rec["claimed"] = claimed
-            rec["derived"] = derived
-            instances.append(rec)
-            if derived is not None:
-                statuses.append(claimed == derived)
+        for inst in spec.instances():
+            q = inst["q"]
+            derived = None
+            if spec.derived is not None:
+                construction, params = spec.derived
+                derived = formula_d_max(construction, q, params(q, inst))
+            instances.append({**inst, "derived": derived, "claimed":
+                              math.floor(spec.claimed(Fraction(q), inst))})
+        deltas = sorted({i["claimed"] - i["derived"] for i in instances
+                         if i["derived"] is not None})
+        notes = list(spec.notes)
         if row["external"]:
             status = "EXTERNAL"
-        elif all(statuses):
+        elif set(deltas) <= {0}:
             status = MATCH
         else:
             status = MISMATCH
-        notes = list(_FAMILY_NOTES.get(family, ()))
-        if status == MISMATCH:
-            deltas = sorted({i["claimed"] - i["derived"] for i in instances
-                             if i["derived"] is not None})
             notes.append(f"claimed minus derived bound takes values {deltas} "
                          f"on the worked instances")
-        out.append(FamilyCheck(row["row"], family, status, row["claimed"],
-                               tuple(instances), tuple(notes)))
+        out.append(FamilyCheck(row["row"], row["family"], status,
+                               row["claimed"], tuple(instances), tuple(notes)))
     return out
 
 

@@ -122,8 +122,6 @@ def _parser() -> argparse.ArgumentParser:
                       help="primes in the progression of a given pair")
     mode.add_argument("--family", action="store_true",
                       help="the quadratic family q = 16k^2 - 12k + 1")
-    mode.add_argument("--lemma", choices=("5.1", "5.2"),
-                      help="alias: 5.1 = --primes, 5.2 = --pairs")
     sp.add_argument("--m1", type=int)
     sp.add_argument("--m2", type=int)
     sp.add_argument("--limit", type=int, default=200)
@@ -268,19 +266,16 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    do_pairs = args.pairs or args.lemma == "5.2"
-    do_primes = args.primes or args.lemma == "5.1"
-    if sum((do_pairs, do_primes, args.family)) != 1:
-        raise UsageError("pick exactly one of --pairs/--primes/--family "
-                         "(or --lemma 5.1/5.2)")
-    if do_pairs:
+    if sum((args.pairs, args.primes, args.family)) != 1:
+        raise UsageError("pick exactly one of --pairs/--primes/--family")
+    if args.pairs:
         recs = numtheory.pair_search(args.limit, args.witness_limit)
         obj = [{"m1": r.m1, "m2": r.m2, "m": r.m, "l0": r.l0, "k0": r.k0,
                 "witnesses": list(r.witnesses)} for r in recs]
         text = "".join(
             f"m1={r.m1} m2={r.m2} m={r.m} l0={r.l0} k0={r.k0} "
             f"witnesses={list(r.witnesses)}\n" for r in recs)
-    elif do_primes:
+    elif args.primes:
         if args.m1 is None or args.m2 is None:
             raise UsageError("--primes needs --m1 (even) and --m2 (odd)")
         primes = numtheory.dirichlet_search(args.m1, args.m2, args.limit)

@@ -35,7 +35,8 @@ from dataclasses import dataclass, field as dfield
 from typing import Callable
 
 from . import evalsets, oracle
-from .codes import CodeArtifact, eval_code, extend_c1, gram_zero
+from .codes import (CodeArtifact, eval_code, extend_c1, gram_zero,
+                    matrix_to_strings)
 from .errors import (BadDivisor, CapacityExceeded, DimensionExceedsOracle,
                      HypothesisViolated, NotChar2, NotCoprime, NotPrime,
                      NoValidH, UsageError)
@@ -299,7 +300,6 @@ class Certificate:
 
     def to_json(self, include_matrix: bool | None = None,
                 matrix_entry_cap: int = 100_000) -> dict:
-        from .codes import matrix_to_strings
         out = {
             "construction": self.construction,
             "q": self.q,
@@ -397,40 +397,6 @@ def _certify(construction: str, q: int, k: int | None, want_matrix: str,
         extras=extras,
         artifact=artifact,
     )
-
-
-# convenience wrappers with explicit parameter names ------------------------
-
-def construct_c1(q: int, m: int, k: int | None = None, **kw) -> Certificate:
-    return build("c1", q, k, m=m, **kw)
-
-
-def construct_c1_extended(q: int, m: int, k: int | None = None, **kw) -> Certificate:
-    return build("c1_ext", q, k, m=m, **kw)
-
-
-def construct_char2_union(q: int, m1: int, m2: int, k: int | None = None,
-                          **kw) -> Certificate:
-    return build("char2_union", q, k, m1=m1, m2=m2, **kw)
-
-
-def construct_odd_union(q: int, m1: int, m2: int, k: int | None = None,
-                        **kw) -> Certificate:
-    return build("odd_union", q, k, m1=m1, m2=m2, **kw)
-
-
-def construct_half_power(q: int, m: int, k: int | None = None, **kw) -> Certificate:
-    return build("half_power", q, k, m=m, **kw)
-
-
-def construct_half_power_union(q: int, ms: tuple[int, ...],
-                               k: int | None = None, **kw) -> Certificate:
-    return build("half_power_union", q, k, ms=tuple(ms), **kw)
-
-
-def construct_mixed_union(q: int, m1: int, m2: int, k: int | None = None,
-                          **kw) -> Certificate:
-    return build("mixed_union", q, k, m1=m1, m2=m2, **kw)
 
 
 # --------------------------------------------------------------------------

@@ -62,10 +62,6 @@ class NotCoprime(HypothesisViolated):
     """Parameters must be coprime but are not."""
 
 
-class ZeroWeightAtSharedPoint(HypothesisViolated):
-    """Combined column weight vanishes on an overlap point."""
-
-
 class WeightSumVanishes(HypothesisViolated):
     """Sum of multiplicities is divisible by the characteristic."""
 

@@ -3,7 +3,8 @@
 Elements travel as discrete logarithms of a fixed primitive element theta:
 ``None`` encodes zero and an integer e in [0, q^2 - 2] encodes theta^e.
 Multiplication, inversion, powers, the q-power Frobenius, norms and subfield
-membership are then pure integer arithmetic modulo q^2 - 1.  Coefficient
+membership are then pure integer arithmetic modulo q^2 - 1: (theta^e)^j is
+theta^(e*j), and theta^e lies in GF(q) exactly when (q + 1) | e.  Coefficient
 vectors appear only inside the table backend, which supplies the operations a
 logarithm table makes awkward: addition and discrete logs.  A coefficient
 vector is packed as the integer whose base-p digit i is the coefficient of
@@ -308,15 +309,6 @@ class Field:
             raise DivisionByZero("inverse of zero")
         return (-a) % self.N
 
-    def pow_(self, a: Elt, e: int) -> Elt:
-        if a is None:
-            if e > 0:
-                return None
-            if e == 0:
-                return 0
-            raise DivisionByZero("negative power of zero")
-        return (a * e) % self.N
-
     def frobenius_q(self, a: Elt) -> Elt:
         if a is None:
             return None
@@ -328,19 +320,11 @@ class Field:
             return None
         return (a * (self.q + 1)) % self.N
 
-    def in_subfield(self, a: Elt) -> bool:
-        return a is None or a % (self.q + 1) == 0
-
     def norm_root(self, v: Elt) -> Elt:
         """Smallest-exponent solution of u^(q+1) = v for nonzero v in GF(q)."""
         if v is None or v % (self.q + 1) != 0:
             raise NotInSubfield(f"{v!r} is not a nonzero subfield element")
         return (v % self.N) // (self.q + 1)
-
-    def discrete_log(self, a: Elt) -> int:
-        if a is None:
-            raise ZeroArgument("discrete log of zero")
-        return a % self.N
 
     def embed_int(self, c: int) -> Elt:
         """The integer c mod p as a field element (a constant polynomial)."""

@@ -12,15 +12,8 @@ import time
 import pytest
 
 from naive_algebra import subgroup_power_sum
-from qmds.charsums import power_sum_vanishes
 from qmds.codes import gram_zero
-from qmds.constructions import (
-    construct_c1_extended,
-    construct_char2_union,
-    construct_half_power,
-    construct_mixed_union,
-    max_dim_oracle,
-)
+from qmds.constructions import build, max_dim_oracle
 from qmds.errors import DimensionExceedsOracle
 from qmds.evalsets import find_h_shift_exponent
 from qmds.field import field_for_q
@@ -47,8 +40,10 @@ def test_01_power_sum_predicate_matches_direct_evaluation():
         n_group = q * q - 1
         for m in divisors(n_group):
             for t in range(n_group):
+                # S(m, t) vanishes exactly when the order N/m does not
+                # divide t
                 direct = subgroup_power_sum(f, m, t)
-                assert power_sum_vanishes(f, m, t) == (direct is None), \
+                assert (t % (n_group // m) != 0) == (direct is None), \
                     (q, m, t)
     assert time.monotonic() - t0 < 30
 
@@ -107,8 +102,8 @@ def test_03_minor_scan_and_enumeration_agree_within_budget():
 def test_04_extended_subgroup_reference_rows_rebuild_exactly():
     t0 = time.monotonic()
     for row in TABLE1:
-        cert = construct_c1_extended(row["q"], row["m"], k=row["k"],
-                                     want_matrix="require")
+        cert = build("c1_ext", row["q"], m=row["m"], k=row["k"],
+                     want_matrix="require")
         assert cert.verified_level == "FULL_MATRIX"
         ok, _ = gram_zero(cert.artifact)
         assert ok, row
@@ -125,7 +120,7 @@ def test_04_extended_subgroup_reference_rows_rebuild_exactly():
 
 def test_05_char2_union_full_matrix_and_dimension_conflict_flag(audit_report):
     t0 = time.monotonic()
-    cert = construct_char2_union(32, 3, 11, k=16, want_matrix="require")
+    cert = build("char2_union", 32, m1=3, m2=11, k=16, want_matrix="require")
     assert cert.verified_level == "FULL_MATRIX"
     assert (cert.n, cert.k) == (372, 16)
     ok, _ = gram_zero(cert.artifact)
@@ -158,12 +153,12 @@ def test_06_odd_union_lengths_recompute_with_one_flagged_row(audit_report):
 
 def test_07_half_power_dimension_cap_is_exact():
     t0 = time.monotonic()
-    cert = construct_half_power(13, 6)
+    cert = build("half_power", 13, m=6)
     assert cert.k == 8 and cert.verified_level == "FULL_MATRIX"
     ok, _ = gram_zero(cert.artifact)
     assert ok
     with pytest.raises(DimensionExceedsOracle):
-        construct_half_power(13, 6, k=9)
+        build("half_power", 13, m=6, k=9)
     over, witness = gram_zero(raw_artifact("half_power", 13, {"m": 6}, 9))
     assert not over and witness is not None
     assert time.monotonic() - t0 < 5
@@ -173,7 +168,7 @@ def test_08_mixed_union_shift_search_and_flagged_row(audit_report):
     t0 = time.monotonic()
     assert find_h_shift_exponent(13, 7, 6) == 14
 
-    cert = construct_mixed_union(13, 7, 6)
+    cert = build("mixed_union", 13, m1=7, m2=6)
     assert (cert.n, cert.k) == (48, 6)
     assert cert.verified_level == "FULL_MATRIX"
     ok, _ = gram_zero(cert.artifact)

@@ -7,6 +7,7 @@ oracle, matrices via the Gram check) and were then frozen here so any
 regression in the recomputation pipeline surfaces as a diff.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -174,6 +175,25 @@ def test_to_json_deterministic(audit_report):
     b = json.dumps(audit_report.to_json(), sort_keys=True)
     assert a == b
     assert json.loads(a)["summary"]["rows_total"] == 43
+
+
+def _audit_sha256(report) -> str:
+    """sha256 of the bytes ``qmds audit`` writes for ``report``."""
+    text = json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n"
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_full_audit_bytes_are_pinned(audit_report):
+    # `qmds audit`: any change to a verdict, level, note, instance or the
+    # JSON layout changes this hash
+    assert _audit_sha256(audit_report) == (
+        "f5df2945925ee3a53e28b358661b21436d5c888502db1cdba09aacca93bbeab2")
+
+
+def test_condition_only_audit_bytes_are_pinned():
+    # `qmds audit --condition-only`
+    assert _audit_sha256(audit_tables(full=False)) == (
+        "9caaec18f19d152c0e380d6084288152131352ba751d84c6d2cf8f322ccad265")
 
 
 def test_partial_audit_is_reproducible():

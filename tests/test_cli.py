@@ -414,17 +414,6 @@ def test_search_pairs_membership(capsys):
     assert (36, 175, 30) in found
 
 
-def test_search_lemma_aliases(capsys):
-    a = run(capsys, "search", "--pairs", "--limit", "120")
-    b = run(capsys, "search", "--lemma", "5.2", "--limit", "120")
-    assert a == b
-    c = run(capsys, "search", "--primes", "--m1", "4", "--m2", "3",
-            "--limit", "100")
-    d = run(capsys, "search", "--lemma", "5.1", "--m1", "4", "--m2", "3",
-            "--limit", "100")
-    assert c == d
-
-
 def test_search_primes(capsys):
     rc, obj = run_json(capsys, "search", "--primes", "--m1", "176",
                        "--m2", "105", "--limit", "31000")
@@ -446,3 +435,5 @@ def test_search_usage_errors(capsys):
     assert run(capsys, "search", "--primes")[0] == 2  # missing --m1/--m2
     # argparse rejects two modes at once
     assert run(capsys, "search", "--pairs", "--family")[0] == 2
+    # --pairs and --primes are the only spellings of those modes
+    assert run(capsys, "search", "--lemma", "5.2")[0] == 2

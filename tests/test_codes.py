@@ -80,7 +80,7 @@ def test_hermitian_ip_small(gf25):
     f = gf25
     # <u, v> = sum u_i v_i^5 computed by hand for a 2-vector
     u, v = (1, None), (3, 7)
-    assert hermitian_ip(f, u, v) == f.mul(1, f.pow_(3, 5))
+    assert hermitian_ip(f, u, v) == f.mul(1, (3 * 5) % f.N)
     assert hermitian_ip(f, (None, None), v) is None
     with pytest.raises(ValueError):
         hermitian_ip(f, (1,), (1, 2))

@@ -12,13 +12,6 @@ from qmds.constructions import (
     build,
     code_length,
     conditions_for,
-    construct_c1,
-    construct_c1_extended,
-    construct_char2_union,
-    construct_half_power,
-    construct_half_power_union,
-    construct_mixed_union,
-    construct_odd_union,
     formula_d_max,
     half_split_pair,
     max_dim_oracle,
@@ -45,13 +38,13 @@ from qmds.numtheory import is_prime_power
 
 def test_validation_c1():
     with pytest.raises(HypothesisViolated):
-        construct_c1(17, 6)  # even m
+        build("c1", 17, m=6)  # even m
     with pytest.raises(HypothesisViolated):
-        construct_c1(17, 1)  # too small
+        build("c1", 17, m=1)  # too small
     with pytest.raises(BadDivisor):
-        construct_c1(17, 5)  # 5 does not divide 18
+        build("c1", 17, m=5)  # 5 does not divide 18
     with pytest.raises(NotPrime):
-        construct_c1(6, 3)
+        build("c1", 6, m=3)
     with pytest.raises(UsageError):
         build("mystery", 17, m=3)
     with pytest.raises(UsageError):
@@ -60,59 +53,59 @@ def test_validation_c1():
 
 def test_validation_char2_union():
     with pytest.raises(NotChar2):
-        construct_char2_union(13, 3, 7)
+        build("char2_union", 13, m1=3, m2=7)
     with pytest.raises(HypothesisViolated):
-        construct_char2_union(8, 9, 1)  # m2 = 1 is not admissible
+        build("char2_union", 8, m1=9, m2=1)  # m2 = 1 is not admissible
     with pytest.raises(HypothesisViolated):
-        construct_char2_union(32, 11, 3)  # requires m1 < m2
+        build("char2_union", 32, m1=11, m2=3)  # requires m1 < m2
     with pytest.raises(NotCoprime):
-        construct_char2_union(8, 3, 9)
+        build("char2_union", 8, m1=3, m2=9)
     with pytest.raises(BadDivisor):
-        construct_char2_union(32, 3, 7)
+        build("char2_union", 32, m1=3, m2=7)
 
 
 def test_validation_odd_union():
     with pytest.raises(HypothesisViolated):
-        construct_odd_union(8, 3, 7)  # q must be odd
+        build("odd_union", 8, m1=3, m2=7)  # q must be odd
     with pytest.raises(NotCoprime):
-        construct_odd_union(89, 3, 9)
+        build("odd_union", 89, m1=3, m2=9)
     with pytest.raises(BadDivisor):
-        construct_odd_union(29, 3, 7)
+        build("odd_union", 29, m1=3, m2=7)
 
 
 def test_validation_half_power():
     with pytest.raises(HypothesisViolated):
-        construct_half_power(8, 6)  # q must be odd
+        build("half_power", 8, m=6)  # q must be odd
     with pytest.raises(HypothesisViolated):
-        construct_half_power(13, 4)  # below the minimum 6
+        build("half_power", 13, m=4)  # below the minimum 6
     with pytest.raises(BadDivisor):
-        construct_half_power(13, 8)
+        build("half_power", 13, m=8)
 
 
 def test_validation_half_power_union():
     with pytest.raises(HypothesisViolated):
-        construct_half_power_union(31, (6,))  # need two divisors
+        build("half_power_union", 31, ms=(6,))  # need two divisors
     with pytest.raises(HypothesisViolated):
-        construct_half_power_union(31, (6, 6))
+        build("half_power_union", 31, ms=(6, 6))
     # lcm(8, 10) = 40 = q - 1 at q = 41, so the pair is admissible in either order
-    cert = construct_half_power_union(41, (10, 8), want_matrix="never")
+    cert = build("half_power_union", 41, ms=(10, 8), want_matrix="never")
     assert cert.params["ms"] == (8, 10)
 
 
 def test_validation_half_power_union_lcm():
     # (6, 10) at q = 31: lcm = 30 = q - 1 passes; (6, 30)... lcm 30 passes too
-    construct_half_power_union(31, (6, 10), want_matrix="never")
+    build("half_power_union", 31, ms=(6, 10), want_matrix="never")
     with pytest.raises(HypothesisViolated):
-        construct_half_power_union(61, (6, 10))  # lcm 30 != 60
+        build("half_power_union", 61, ms=(6, 10))  # lcm 30 != 60
 
 
 def test_validation_mixed_union():
     with pytest.raises(HypothesisViolated):
-        construct_mixed_union(8, 3, 2)  # q must be odd
+        build("mixed_union", 8, m1=3, m2=2)  # q must be odd
     with pytest.raises(BadDivisor):
-        construct_mixed_union(13, 3, 6)  # 3 does not divide 14
+        build("mixed_union", 13, m1=3, m2=6)  # 3 does not divide 14
     with pytest.raises(HypothesisViolated):
-        construct_mixed_union(13, 7, 5)  # m2 must be even
+        build("mixed_union", 13, m1=7, m2=5)  # m2 must be even
 
 
 def test_validation_half_power_union_41_8_10_is_wrong_guard():
@@ -124,7 +117,7 @@ def test_validation_half_power_union_41_8_10_is_wrong_guard():
 
 
 def test_c1_certificate_fields():
-    cert = construct_c1(17, 9)
+    cert = build("c1", 17, m=9)
     assert isinstance(cert, Certificate)
     assert (cert.q, cert.p, cert.h) == (17, 17, 1)
     assert cert.n == 32 and cert.k == 8 == cert.max_k_oracle
@@ -153,17 +146,17 @@ def test_c1_ext_builds_its_subgroup_once(monkeypatch):
 
 
 def test_k_defaults_and_caps():
-    assert construct_c1(17, 9).k == 8
-    assert construct_c1_extended(17, 9).k == 9  # one border row on top
-    assert construct_c1(17, 9, k=3).k == 3
+    assert build("c1", 17, m=9).k == 8
+    assert build("c1_ext", 17, m=9).k == 9  # one border row on top
+    assert build("c1", 17, m=9, k=3).k == 3
     with pytest.raises(DimensionExceedsOracle):
-        construct_c1(17, 9, k=9)
+        build("c1", 17, m=9, k=9)
     with pytest.raises(DimensionExceedsOracle):
-        construct_c1_extended(17, 9, k=11)
+        build("c1_ext", 17, m=9, k=11)
     with pytest.raises(UsageError):
-        construct_c1(17, 9, k=0)
+        build("c1", 17, m=9, k=0)
     with pytest.raises(UsageError):
-        construct_c1_extended(17, 9, k=1)
+        build("c1_ext", 17, m=9, k=1)
 
 
 def test_oracle_sharpness_for_single_condition_routes():
@@ -185,7 +178,7 @@ def test_oracle_sharpness_for_single_condition_routes():
 
 def test_build_rejects_unsound_dimension_request():
     with pytest.raises(DimensionExceedsOracle):
-        construct_half_power(13, 6, k=9)
+        build("half_power", 13, m=6, k=9)
 
 
 def test_formula_d_max_frozen():
@@ -231,10 +224,10 @@ def test_conditions_for_shapes():
 
 
 def test_mixed_union_certificate_reports_H():
-    cert = construct_mixed_union(13, 7, 6)
+    cert = build("mixed_union", 13, m1=7, m2=6)
     assert cert.extras["H"] == 14
     assert cert.verified_level == "FULL_MATRIX"
-    cond_only = construct_mixed_union(13, 7, 6, want_matrix="never")
+    cond_only = build("mixed_union", 13, m1=7, m2=6, want_matrix="never")
     assert cond_only.extras["H"] == 14
     assert cond_only.verified_level == "CONDITION_ONLY"
     assert cond_only.artifact is None
@@ -242,8 +235,8 @@ def test_mixed_union_certificate_reports_H():
 
 def test_want_matrix_require_on_oversized_field():
     with pytest.raises(CapacityExceeded):
-        construct_mixed_union(11969, 105, 176, want_matrix="require")
-    cert = construct_mixed_union(11969, 105, 176, want_matrix="never")
+        build("mixed_union", 11969, m1=105, m2=176, want_matrix="require")
+    cert = build("mixed_union", 11969, m1=105, m2=176, want_matrix="never")
     assert cert.verified_level == "CONDITION_ONLY"
     assert cert.max_k_oracle == 6040
     assert cert.extras["H"] > 0
@@ -254,30 +247,30 @@ def test_formula_bound_is_tight_against_oracle():
     # exactly matches the dimension oracle (max k = d_formula - 1), so the
     # certificate carries no discrepancy note
     for cert in [
-        construct_c1(17, 3, want_matrix="never"),
-        construct_c1(17, 9, want_matrix="never"),
-        construct_half_power(13, 6, want_matrix="never"),
-        construct_mixed_union(13, 7, 6, want_matrix="never"),
-        construct_half_power_union(31, (6, 10), want_matrix="never"),
-        construct_odd_union(29, 3, 5, want_matrix="never"),
-        construct_char2_union(32, 3, 11, want_matrix="never"),
+        build("c1", 17, m=3, want_matrix="never"),
+        build("c1", 17, m=9, want_matrix="never"),
+        build("half_power", 13, m=6, want_matrix="never"),
+        build("mixed_union", 13, m1=7, m2=6, want_matrix="never"),
+        build("half_power_union", 31, ms=(6, 10), want_matrix="never"),
+        build("odd_union", 29, m1=3, m2=5, want_matrix="never"),
+        build("char2_union", 32, m1=3, m2=11, want_matrix="never"),
     ]:
         assert cert.max_k_oracle == cert.formula_d_max - 1
         assert cert.discrepancies == ()
 
 
 def test_certificate_to_json_deterministic_and_shaped():
-    a = construct_c1(8, 3, k=4).to_json()
-    b = construct_c1(8, 3, k=4).to_json()
+    a = build("c1", 8, m=3, k=4).to_json()
+    b = build("c1", 8, m=3, k=4).to_json()
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
     assert a["construction"] == "c1"
     assert a["quantum"] == [21, 13, 5]
     assert a["conditions"] == [[21, 9]]
     assert len(a["matrix"]) == 4  # embedded for small FULL_MATRIX certificates
     assert all(isinstance(rowstr, str) for rowstr in a["matrix"])
-    nomat = construct_c1(8, 3, k=4).to_json(include_matrix=False)
+    nomat = build("c1", 8, m=3, k=4).to_json(include_matrix=False)
     assert "matrix" not in nomat
-    cond = construct_c1(8, 3, k=4, want_matrix="never").to_json()
+    cond = build("c1", 8, m=3, k=4, want_matrix="never").to_json()
     assert "matrix" not in cond
 
 

@@ -274,8 +274,6 @@ def test_production_paths_build_no_python_tables(monkeypatch, capsys):
 def test_log_zero_raises(gf25):
     with pytest.raises(ZeroArgument):
         gf25.backend.log_packed(0)
-    with pytest.raises(ZeroArgument):
-        gf25.discrete_log(None)
 
 
 # --- algebraic laws -------------------------------------------------------------
@@ -300,20 +298,14 @@ def test_field_axioms_random(p, h):
         assert f.sub(a, b) == f.add(a, f.neg(b))
         if a is not None:
             assert f.mul(a, f.inv(a)) == 0
-            assert f.pow_(a, f.N) == 0
-        assert f.pow_(a, 3) == f.mul(a, f.mul(a, a))
+            assert f.mul(a, f.mul(a, a)) == (a * 3) % f.N
 
     inner()
 
 
-def test_pow_edge_cases(gf25):
-    assert gf25.pow_(None, 0) == 0
-    assert gf25.pow_(None, 5) is None
-    with pytest.raises(DivisionByZero):
-        gf25.pow_(None, -1)
+def test_inv_of_zero_raises(gf25):
     with pytest.raises(DivisionByZero):
         gf25.inv(None)
-    assert gf25.pow_(7, -1) == gf25.inv(7)
 
 
 @pytest.mark.parametrize("p,h", [(5, 1), (7, 1), (2, 3), (3, 2)])
@@ -324,12 +316,11 @@ def test_frobenius_and_subfield(p, h):
     count = 0
     for e in range(f.N):
         fixed = f.frobenius_q(e) == e
-        assert fixed == f.in_subfield(e)
         assert fixed == (e % (q + 1) == 0)
         count += fixed
         assert f.frobenius_q(f.frobenius_q(e)) == e  # involution over GF(q^2)
     assert count == q - 1
-    assert f.in_subfield(None) and f.frobenius_q(None) is None
+    assert f.frobenius_q(None) is None
 
 
 @pytest.mark.parametrize("p,h", [(5, 1), (2, 3)])
@@ -347,7 +338,7 @@ def test_norm_properties(gf49):
     q = f.q
     for e in range(f.N):
         v = f.norm(e)
-        assert f.in_subfield(v)
+        assert v % (q + 1) == 0
         assert v == f.mul(e, f.frobenius_q(e))
     # multiplicative and surjective onto the subfield
     images = {f.norm(e) for e in range(f.N)}
@@ -388,7 +379,7 @@ def test_embed_int_is_a_ring_map(p, h):
     assert f.embed_int(1) == 0
     embedded = {f.embed_int(c) for c in range(1, p)}
     assert len(embedded) == p - 1
-    assert all(f.in_subfield(e) for e in embedded)
+    assert all(e % (f.q + 1) == 0 for e in embedded)
 
 
 def test_presentation(gf25):
