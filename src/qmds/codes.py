@@ -50,7 +50,6 @@ class CodeArtifact:
     evalset: EvalSet
     k: int
     shift: int
-    label: str = ""
     has_border: bool = False
     border_entry: Elt = None
 
@@ -83,14 +82,14 @@ def _mulmod(c: int, e: np.ndarray, N: int) -> np.ndarray:
     return (hi * e % N * (1 << 20) + lo * e) % N
 
 
-def eval_code(field: Field, evalset: EvalSet, k: int, shift: int,
-              label: str = "") -> CodeArtifact:
+def eval_code(field: Field, evalset: EvalSet, k: int,
+              shift: int) -> CodeArtifact:
     """Rows x^(shift+l), l = 0..k-1, evaluated over the weighted set."""
     if k < 1:
         raise UsageError(f"k must be >= 1, got {k}")
     if k > len(evalset):
         raise DimensionTooLarge(f"k = {k} exceeds length {len(evalset)}")
-    return CodeArtifact(field, evalset, k, shift, label)
+    return CodeArtifact(field, evalset, k, shift)
 
 
 def extend_c1(field: Field, m: int, k: int,
@@ -112,8 +111,8 @@ def extend_c1(field: Field, m: int, k: int,
     v0 = field.embed_int(m % field.p)
     c = field.embed_int(((field.q + 1) // m) % field.p)
     border = field.mul(field.norm_root(v0), c)
-    return CodeArtifact(field, es, k, shift=0, label=f"extended(m={m})",
-                        has_border=True, border_entry=border)
+    return CodeArtifact(field, es, k, shift=0, has_border=True,
+                        border_entry=border)
 
 
 # --------------------------------------------------------------------------
@@ -146,7 +145,7 @@ def gram_nonzero_mask(artifact: CodeArtifact) -> np.ndarray:
     border_packed = 0
     if artifact.has_border:
         b = artifact.border_entry
-        border_packed = f.backend.exp_packed(f.mul(b, f.frobenius_q(b)))
+        border_packed = int(f.tables[0][f.mul(b, f.frobenius_q(b))])
     return _gram_bad(f, artifact.k, B, E, border_packed)
 
 
@@ -209,11 +208,11 @@ def _class_sums(f: Field, idx: np.ndarray, starts) -> np.ndarray:
     int32 coefficient masks; for odd p each base-p digit is an exact int64
     sum of int16 digits (at most n terms below p) reduced mod p."""
     if f.p == 2:
-        return np.bitwise_xor.reduceat(f.np_mask_ext().take(idx), starts,
+        return np.bitwise_xor.reduceat(f.mask_ext.take(idx), starts,
                                        axis=1)
     p = f.p
     out = np.zeros((idx.shape[0], len(starts)), dtype=np.int64)
-    for d, plane in enumerate(f.np_digits()):
+    for d, plane in enumerate(f.digits):
         sums = np.add.reduceat(plane.take(idx), starts, axis=1,
                                dtype=np.int64)
         out += sums % p * p ** d
@@ -279,7 +278,7 @@ def _stage1_logs(f: Field, a1: int, a2: int, svals: np.ndarray,
     g, starts = np.unique(e2[order], return_index=True)
     e1 = (E[order] % a1 * pow(a2, -1, a1) % a1).astype(dt)
     B = B[order].astype(dt)
-    log = f.backend.log
+    log = f.tables[1]
     logR = np.empty((len(svals), len(g)), dtype=np.int32)
     step = max(1, GRAM_BLOCK // n)
     for r0 in range(0, len(svals), step):

@@ -47,6 +47,8 @@ from .verify import QuantumParams, quantum_params
 # matrix-level verification is attempted when the field has exp/log tables
 # and the matrix has at most this many entries
 MATRIX_ENTRY_BUDGET = 100_000_000
+# a FULL_MATRIX certificate's JSON carries its matrix up to this many entries
+MATRIX_JSON_ENTRY_CAP = 100_000
 
 
 def _require(cond: bool, msg: str,
@@ -87,8 +89,8 @@ class Route:
     divisors: tuple[Divisor, ...]
     # published distance bound, from q and the divisors in part order
     formula: Callable[[int, tuple[int, ...]], int]
-    # (construction, field, params) -> (evaluation set, facts found)
-    evalset: Callable[[str, Field, dict], tuple[evalsets.EvalSet, dict]]
+    # (construction, field, params) -> evaluation set
+    evalset: Callable[[str, Field, dict], evalsets.EvalSet]
     shift: int = 0          # rows are x^(shift + l)
     border: bool = False    # c1_ext's border column, one more row
     # q must be even (True), odd (False) or either (None); in characteristic
@@ -150,7 +152,7 @@ def _lcm_pair(q: int, ms: tuple[int, ...]) -> HypothesisViolated | None:
 # wrappers bound on the module are seen.
 
 def _subgroup(construction: str, f: Field, params: dict):
-    return evalsets.subgroup_set(f, params["m"]), {}
+    return evalsets.subgroup_set(f, params["m"])
 
 
 def _weighted(construction: str, f: Field, params: dict):
@@ -158,12 +160,11 @@ def _weighted(construction: str, f: Field, params: dict):
     parts = tuple((m, d.half * (f.q + 1) // 2, 0)
                   for d, m in route.parts(params))
     label = f"{construction}({', '.join(map(str, route.ms(params)))})"
-    return evalsets.weighted_union(f, parts, label), {}
+    return evalsets.weighted_union(f, parts, label)
 
 
 def _mixed(construction: str, f: Field, params: dict):
-    es, H = evalsets.mixed_union(f, params["m1"], params["m2"])
-    return es, {"H": int(H)}
+    return evalsets.mixed_union(f, params["m1"], params["m2"])[0]
 
 
 _ODD = Divisor("m", odd=True)
@@ -174,8 +175,8 @@ ROUTES = {
     "c1_ext": Route((_ODD,), _odd_bound, _subgroup, shift=1, border=True),
     "char2_union": Route(
         _ODD_PAIR, _odd_bound, shift=1, char2=True, rule=_coprime_pair,
-        evalset=lambda c, f, params: (evalsets.parity_union_char2(
-            f, (params["m1"], params["m2"])), {})),
+        evalset=lambda c, f, params: evalsets.parity_union_char2(
+            f, (params["m1"], params["m2"]))),
     "odd_union": Route(_ODD_PAIR, _odd_bound, _weighted, shift=1,
                        char2=False, rule=_coprime_pair),
     "half_power": Route((Divisor("m", odd=False, half=1, least=6),),
@@ -237,8 +238,8 @@ def validate(construction: str, q: int, params: dict) -> dict:
 def code_length(construction: str, q: int, params: dict) -> int:
     """Length of the evaluation set (plus border for c1_ext)."""
     route = _route(construction)
-    size = evalsets.parity_union_size if route.char2 else evalsets.union_size
-    return size(q * q - 1, route.ms(params)) + route.border
+    return (evalsets.union_size(q * q - 1, route.ms(params), route.char2)
+            + route.border)
 
 
 def conditions_for(construction: str, q: int, params: dict
@@ -260,12 +261,6 @@ def formula_d_max(construction: str, q: int, params: dict) -> int:
     """The published closed-form distance bound for the construction."""
     route = _route(construction)
     return route.formula(q, route.ms(params))
-
-
-def _build_evalset(construction: str, f: Field, params: dict
-                   ) -> tuple[evalsets.EvalSet, dict]:
-    """Materialize the weighted evaluation set; returns (set, extras)."""
-    return _route(construction).evalset(construction, f, params)
 
 
 # --------------------------------------------------------------------------
@@ -298,8 +293,7 @@ class Certificate:
     extras: dict = dfield(default_factory=dict)
     artifact: CodeArtifact | None = None
 
-    def to_json(self, include_matrix: bool | None = None,
-                matrix_entry_cap: int = 100_000) -> dict:
+    def to_json(self, include_matrix: bool | None = None) -> dict:
         out = {
             "construction": self.construction,
             "q": self.q,
@@ -319,7 +313,7 @@ class Certificate:
         want = include_matrix
         if want is None:
             want = (self.verified_level == "FULL_MATRIX"
-                    and self.k * self.n <= matrix_entry_cap)
+                    and self.k * self.n <= MATRIX_JSON_ENTRY_CAP)
         if want and self.artifact is not None:
             out["matrix"] = matrix_to_strings(self.artifact.matrix())
         return out
@@ -371,22 +365,21 @@ def _certify(construction: str, q: int, k: int | None, want_matrix: str,
         raise CapacityExceeded(
             f"matrix-level verification infeasible for q^2 = {q2}, "
             f"k*n = {k * n}")
+    extras = route.extras(q, params)
     if want_matrix in ("auto", "require") and feasible:
         f = field_for_q(q)
-        es, extras = _build_evalset(construction, f, params)
+        es = route.evalset(construction, f, params)
         if route.border:
             (m,) = route.ms(params)
             artifact = extend_c1(f, m, k, es)
         else:
-            artifact = eval_code(f, es, k, route.shift, label=construction)
+            artifact = eval_code(f, es, k, route.shift)
         ok, witness = gram_zero(artifact)
         if not ok:
             raise HypothesisViolated(
                 f"Gram entry {witness} is nonzero for {construction} "
                 f"(q={q}, params={params}, k={k}); hypotheses unsound")
         level = "FULL_MATRIX"
-    else:
-        extras = route.extras(q, params)
     return Certificate(
         construction=construction, q=q, p=p, h=h, params=params, n=n, k=k,
         max_k_oracle=base_max, formula_d_max=fd,

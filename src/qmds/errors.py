@@ -36,10 +36,6 @@ class DivisionByZero(QmdsError):
     """Multiplicative inverse of the zero element requested."""
 
 
-class ZeroArgument(QmdsError):
-    """Zero element passed where a nonzero element is required."""
-
-
 class NotInSubfield(QmdsError):
     """Element is not a nonzero element of the designated subfield."""
 

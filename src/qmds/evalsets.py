@@ -90,24 +90,17 @@ def subgroup_set(field: Field, m: int) -> EvalSet:
     return EvalSet(field, pts, np.zeros_like(pts), f"subgroup(m={m})")
 
 
-def union_size(N: int, ms: tuple[int, ...]) -> int:
-    """Size of the full union of the subgroups, by inclusion-exclusion."""
+def union_size(N: int, ms: tuple[int, ...], parity: bool = False) -> int:
+    """Size of the union of the subgroups, or, with ``parity``, of the
+    points in an odd number of them, by inclusion-exclusion: a point in j
+    of the subgroups counts sum_i C(j, i)(-1)^(i-1) = 1 time, or
+    sum_i C(j, i)(-2)^(i-1) = j mod 2 times."""
     total = 0
     k = len(ms)
     for mask in range(1, 1 << k):
         chosen = [ms[i] for i in range(k) if mask >> i & 1]
-        sign = -1 if bin(mask).count("1") % 2 == 0 else 1
+        sign = (-2 if parity else -1) ** (bin(mask).count("1") - 1)
         total += sign * (N // math.lcm(*chosen))
-    return total
-
-
-def parity_union_size(N: int, ms: tuple[int, ...]) -> int:
-    """Size of the parity-filtered union (odd-membership points only)."""
-    total = 0
-    k = len(ms)
-    for mask in range(1, 1 << k):
-        chosen = [ms[i] for i in range(k) if mask >> i & 1]
-        total += (-2) ** (bin(mask).count("1") - 1) * (N // math.lcm(*chosen))
     return total
 
 
@@ -138,7 +131,7 @@ def weighted_union(field: Field, parts: tuple[tuple[int, int, int], ...],
     """
     N = field.N
     pts = _union_points(field, [m for m, _, _ in parts], parity=False)
-    exp0, log = field.np_exp_log()
+    exp0, log = field.exp0, field.tables[1]
     packed = np.zeros(len(pts), dtype=np.int64)
     for m, alpha, beta in parts:
         hit = pts % m == 0

@@ -5,10 +5,10 @@ Elements travel as discrete logarithms of a fixed primitive element theta:
 Multiplication, inversion, powers, the q-power Frobenius, norms and subfield
 membership are then pure integer arithmetic modulo q^2 - 1: (theta^e)^j is
 theta^(e*j), and theta^e lies in GF(q) exactly when (q + 1) | e.  Coefficient
-vectors appear only inside the table backend, which supplies the operations a
-logarithm table makes awkward: addition and discrete logs.  A coefficient
-vector is packed as the integer whose base-p digit i is the coefficient of
-x^i.
+vectors appear only in the exp/log tables, which supply the operations a
+logarithm makes awkward: addition and the logs of packed vectors.  A
+coefficient vector is packed as the integer whose base-p digit i is the
+coefficient of x^i.
 
 The modulus is canonical: coefficients (c_0 .. c_{2h-1}) of candidate monic
 polynomials are read as base-p digits of a counter J with c_0 most
@@ -20,13 +20,13 @@ p = 2 on polynomials packed into ints (a product is shifts and XORs), for
 odd p on coefficient lists.  theta is the class of x.
 
 A ``Field`` accepts any q^2 up to 2^40: its presentation (``to_json``) needs
-only the modulus.  The backend is built on first use and holds read-only
-int32 numpy tables ``exp`` (theta^e packed, q^2 - 1 entries) and ``log``
-(q^2 entries, -1 for zero), so it exists only for fields up to 2^22
-elements; past that every operation that needs it raises
-``CapacityExceeded``.  The vectorized paths index these arrays, or tables
-derived from them (``np_mask_ext``, ``np_digits``, ``np_exp_log``), with
-whole arrays of exponents.  Scalar addition, which only the tests'
+only the modulus.  ``Field.tables``, built on first use, is the pair of
+read-only int32 numpy tables ``exp`` (theta^e packed, q^2 - 1 entries) and
+``log`` (q^2 entries, -1 for zero), so they exist only for fields up to
+2^22 elements; past that every operation that needs them raises
+``CapacityExceeded``.  The vectorized paths index these arrays, or the
+arrays derived from them (``mask_ext``, ``digits``, ``exp0``), with whole
+arrays of exponents.  Scalar addition, which only the tests'
 element-by-element references use, goes through Zech logarithms built on its
 first call.
 """
@@ -39,7 +39,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import (CapacityExceeded, DivisionByZero, NotInSubfield,
-                     NotPrime, UsageError, ZeroArgument)
+                     NotPrime, UsageError)
 from .numtheory import factorize, is_prime, is_prime_power
 
 Elt = Optional[int]
@@ -145,7 +145,7 @@ def canonical_modulus(p: int, n: int, n_factors: tuple[int, ...]) -> tuple[int, 
 
 
 # --------------------------------------------------------------------------
-# backends
+# the exp/log tables
 # --------------------------------------------------------------------------
 
 def _odd_exp_table(p: int, n: int, modulus: tuple[int, ...]) -> np.ndarray:
@@ -204,47 +204,6 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-class _TableBackend:
-    """Read-only int32 tables: ``exp`` holds the packed theta^e for e in
-    [0, N) and ``log`` the exponent of each packed vector in [0, q^2), -1
-    for the zero vector.  int32 holds both: tables exist only for q^2 <= 2^22."""
-
-    def __init__(self, p: int, n: int, modulus: tuple[int, ...]):
-        self.p = p
-        q2 = p ** n
-        self.N = q2 - 1
-        exp = (_char2_exp_table(n, modulus) if p == 2
-               else _odd_exp_table(p, n, modulus))
-        log = np.full(q2, -1, dtype=np.int32)
-        log[exp] = np.arange(self.N, dtype=np.int32)
-        if np.count_nonzero(log == -1) != 1:  # only the zero vector is missing
-            raise ArithmeticError("log table is not a bijection")
-        self.exp = _frozen(exp)
-        self.log = _frozen(log)
-
-    def exp_packed(self, e: int) -> int:
-        return int(self.exp[e])
-
-    def log_packed(self, v: int) -> int:
-        e = int(self.log[v])
-        if e < 0:
-            raise ZeroArgument("discrete log of zero")
-        return e
-
-    @functools.cached_property
-    def zech(self) -> memoryview:
-        """Zech logarithms Z[k] = log(1 + theta^k), -1 where 1 + theta^k = 0,
-        built on the first scalar addition; only the scalar references add
-        one element at a time."""
-        one_plus = self.exp - self.exp % self.p + (self.exp + 1) % self.p
-        return memoryview(_frozen(self.log[one_plus]))
-
-    def add_exponents(self, a: int, b: int) -> Elt:
-        """theta^a + theta^b = theta^(b + Z[a - b])."""
-        z = self.zech[(a - b) % self.N]
-        return None if z < 0 else (b + z) % self.N
-
-
 # --------------------------------------------------------------------------
 # the field object
 # --------------------------------------------------------------------------
@@ -266,30 +225,49 @@ class Field:
             raise CapacityExceeded(f"field size {self.q2} exceeds 2^40")
         self.n_factors = tuple(factorize(self.N))
         self.modulus = canonical_modulus(p, 2 * h, self.n_factors)
-        self._np_cache: dict[str, object] = {}
-        self._embed_cache: dict[int, Elt] = {}
 
     def __repr__(self) -> str:
         return f"Field(p={self.p}, h={self.h})"
 
     @functools.cached_property
-    def backend(self) -> _TableBackend:
-        """Built on first use: the presentation (``to_json``) needs only the
-        modulus, and the backend holds two int32 tables of about q^2 entries
-        each, so fields past 2^22 elements have none."""
+    def tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only int32 ``(exp, log)``: exp holds the packed theta^e for
+        e in [0, N) and log the exponent of each packed vector in [0, q^2),
+        -1 for the zero vector.  Built on first use: the presentation
+        (``to_json``) needs only the modulus, and the tables hold about q^2
+        entries each, so fields past 2^22 elements have none (and int32
+        holds every entry)."""
         if self.q2 > TABLE_LIMIT:
             raise CapacityExceeded(
                 f"field size {self.q2} exceeds 2^22 (no exp/log tables)")
-        return _TableBackend(self.p, 2 * self.h, self.modulus)
+        n = 2 * self.h
+        exp = (_char2_exp_table(n, self.modulus) if self.p == 2
+               else _odd_exp_table(self.p, n, self.modulus))
+        log = np.full(self.q2, -1, dtype=np.int32)
+        log[exp] = np.arange(self.N, dtype=np.int32)
+        if np.count_nonzero(log == -1) != 1:  # only the zero vector is missing
+            raise ArithmeticError("log table is not a bijection")
+        return _frozen(exp), _frozen(log)
+
+    @functools.cached_property
+    def _zech(self) -> memoryview:
+        """Zech logarithms Z[k] = log(1 + theta^k), -1 where 1 + theta^k = 0,
+        built on the first scalar addition; only the scalar references add
+        one element at a time."""
+        exp, log = self.tables
+        one_plus = exp - exp % self.p + (exp + 1) % self.p
+        return memoryview(_frozen(log[one_plus]))
 
     # --- arithmetic ---------------------------------------------------------
 
     def add(self, a: Elt, b: Elt) -> Elt:
+        """theta^a + theta^b = theta^(b + Z[a - b])."""
         if a is None:
             return b
         if b is None:
             return a
-        return self.backend.add_exponents(a % self.N, b % self.N)
+        z = self._zech[(a - b) % self.N]
+        return None if z < 0 else (b + z) % self.N
 
     def neg(self, a: Elt) -> Elt:
         if a is None or self.p == 2:
@@ -329,19 +307,13 @@ class Field:
     def embed_int(self, c: int) -> Elt:
         """The integer c mod p as a field element (a constant polynomial)."""
         c %= self.p
-        if c == 0:
-            return None
-        hit = self._embed_cache.get(c)
-        if hit is None:
-            hit = self.backend.log_packed(c)
-            self._embed_cache[c] = hit
-        return hit
+        return None if c == 0 else int(self.tables[1][c])
 
     # --- presentation ---------------------------------------------------------
 
     def coeffs(self, a: Elt) -> tuple[int, ...]:
         """Coefficient vector of a on the basis 1, x, ..., x^(2h-1)."""
-        v = 0 if a is None else self.backend.exp_packed(a % self.N)
+        v = 0 if a is None else int(self.tables[0][a % self.N])
         out = []
         for _ in range(2 * self.h):
             out.append(v % self.p)
@@ -358,28 +330,19 @@ class Field:
 
     # --- bulk tables for the vectorized Gram / enumeration paths -------------
 
-    def np_mask_ext(self) -> np.ndarray:
+    @functools.cached_property
+    def mask_ext(self) -> np.ndarray:
         """int32 packed GF(2) coefficient masks of theta^e for e in [0, 2N),
         so that a sum of two exponents in [0, N) indexes it unreduced."""
-        arr = self._np_cache.get("mask_ext")
-        if arr is None:
-            exp = self.backend.exp
-            arr = _frozen(np.concatenate((exp, exp)))
-            self._np_cache["mask_ext"] = arr
-        return arr
+        exp = self.tables[0]
+        return _frozen(np.concatenate((exp, exp)))
 
-    def np_exp_log(self) -> tuple[np.ndarray, np.ndarray]:
-        """int32 tables for arrays of elements in log form, with -1 for zero:
-        ``exp0`` has the packed theta^e for e in [0, N) and a trailing 0, so
-        that exp0[-1] is the zero vector; ``log`` is the backend's table,
-        which maps a packed vector to its exponent and the zero vector to
-        -1."""
-        hit = self._np_cache.get("exp_log")
-        if hit is None:
-            tables = self.backend
-            hit = (_frozen(np.append(tables.exp, np.int32(0))), tables.log)
-            self._np_cache["exp_log"] = hit
-        return hit
+    @functools.cached_property
+    def exp0(self) -> np.ndarray:
+        """int32 packed theta^e for e in [0, N) followed by 0, so that
+        exp0[-1] is the zero vector: it maps arrays of elements in log form,
+        -1 for zero, to packed vectors, and ``tables[1]`` maps them back."""
+        return _frozen(np.append(self.tables[0], np.int32(0)))
 
     def np_packed_add(self, va: np.ndarray, vb: np.ndarray) -> np.ndarray:
         """Elementwise sum of packed coefficient vectors (broadcasting): XOR
@@ -393,21 +356,19 @@ class Field:
             out += (va // w + vb // w) % self.p * w
         return out
 
-    def np_digits(self) -> np.ndarray:
+    @functools.cached_property
+    def digits(self) -> np.ndarray:
         """(2h, 2N) int16 array: row d holds the coefficient of x^d in
         theta^e for e in [0, 2N), so that a sum of two exponents in [0, N)
         indexes it unreduced.  int16 holds every digit: a field with
         tables has p < 2^11."""
-        arr = self._np_cache.get("digits")
-        if arr is None:
-            rest = self.backend.exp
-            arr = np.empty((2 * self.h, 2 * self.N), dtype=np.int16)
-            for d in range(2 * self.h):
-                arr[d, :self.N] = rest % self.p
-                rest = rest // self.p  # a new array: exp is not written
-            arr[:, self.N:] = arr[:, :self.N]
-            self._np_cache["digits"] = _frozen(arr)
-        return arr
+        rest = self.tables[0]
+        arr = np.empty((2 * self.h, 2 * self.N), dtype=np.int16)
+        for d in range(2 * self.h):
+            arr[d, :self.N] = rest % self.p
+            rest = rest // self.p  # a new array: exp is not written
+        arr[:, self.N:] = arr[:, :self.N]
+        return _frozen(arr)
 
 
 @functools.lru_cache(maxsize=None)

@@ -81,7 +81,7 @@ def _log_array(field: Field, matrix) -> np.ndarray:
     """The matrix as int64 exponents in [0, N), with -1 for zero.  Both
     routes read the field's tables, so a field without them raises
     ``CapacityExceeded`` here, before a budget that no size could meet."""
-    field.backend
+    field.tables
     return np.array([[-1 if e is None else e % field.N for e in row]
                      for row in matrix], dtype=np.int64)
 
@@ -98,7 +98,7 @@ def _singular_minors(field: Field, M: np.ndarray) -> np.ndarray:
     c, k, _ = M.shape
     N = field.N
     neg = 0 if field.p == 2 else N // 2
-    exp0, log = field.np_exp_log()
+    exp0, log = field.exp0, field.tables[1]
     at = np.arange(c)
     singular = np.zeros(c, dtype=bool)
     for j in range(k):
@@ -147,10 +147,10 @@ def check_mds_rank(field: Field, matrix,
 def _np_multiples(field: Field, row: np.ndarray) -> np.ndarray:
     """(q^2, n) packed coefficient vectors of c * row for every scalar c,
     zero first; ``row`` is in log form."""
-    exp0, _ = field.np_exp_log()
     scalars = np.arange(field.N)[:, None]
     shifted = np.where(row >= 0, (row + scalars) % field.N, -1)
-    return np.vstack((np.zeros((1, len(row)), dtype=np.int64), exp0[shifted]))
+    return np.vstack((np.zeros((1, len(row)), dtype=np.int64),
+                      field.exp0[shifted]))
 
 
 def _np_min_weight(field: Field, logs: np.ndarray) -> int:
@@ -162,11 +162,10 @@ def _np_min_weight(field: Field, logs: np.ndarray) -> int:
     and runs the rows after i over every multiple.
     """
     k, n = logs.shape
-    exp0, _ = field.np_exp_log()
     mults = [_np_multiples(field, r) for r in logs[1:]]
     best = n
     for i in range(k):
-        words = exp0[logs[i]][None, :]
+        words = field.exp0[logs[i]][None, :]
         for m in mults[i:]:
             words = field.np_packed_add(words[:, None, :],
                                         m[None, :, :]).reshape(-1, n)

@@ -315,7 +315,7 @@ def trial_division_sweep_params(construction: str, q: int) -> list[dict]:
     raise ValueError(f"unknown construction {construction!r}")
 
 
-def table_backend_reference(p: int, n: int, modulus) -> tuple[list, list]:
+def stepping_tables(p: int, n: int, modulus) -> tuple[list, list]:
     """exp and log tables of GF(p^n) by stepping theta^e -> theta^(e+1) one
     coefficient vector at a time (exp packs coefficient i as digit i in base
     p; log maps a packed vector to its exponent and the zero vector to -1)."""

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from qmds import constructions
+from qmds import cli, constructions
+from qmds import field as field_module
 from qmds.cli import main
 from qmds.field import field_for_q
 
@@ -50,7 +51,25 @@ def test_field_past_the_table_limit(capsys):
     assert rc == 0 and obj["p"] == 2 and obj["h"] == 12
     rc, out = run(capsys, "field", "--q", "4096", "--format", "text")
     assert rc == 0 and out.startswith("GF(2^24), subfield GF(4096)")
-    assert "backend" not in vars(field_for_q(4096))
+    assert "tables" not in vars(field_for_q(4096))
+
+
+def test_field_command_builds_no_tables(monkeypatch, capsys):
+    # the presentation needs only the modulus, so the exp/log tables of a
+    # field within the table limit stay unbuilt too
+    built = []
+
+    def fresh_build(p, h):
+        built.append(field_module.Field(p, h))
+        return built[-1]
+
+    monkeypatch.setattr(field_module, "build_field", fresh_build)
+    monkeypatch.setattr(cli, "build_field", fresh_build)
+    assert run(capsys, "field", "--q", "1369")[0] == 0
+    assert run(capsys, "field", "--p", "2", "--h", "5",
+               "--format", "text")[0] == 0
+    assert [(f.p, f.h) for f in built] == [(37, 2), (2, 5)]
+    assert all("tables" not in vars(f) for f in built)
 
 
 def test_field_has_no_mode_flag(capsys):

@@ -26,7 +26,7 @@ from qmds.codes import (
     gram_zero,
     matrix_to_strings,
 )
-from qmds.constructions import _build_evalset, max_dim_oracle
+from qmds.constructions import ROUTES, max_dim_oracle
 from qmds.errors import DimensionTooLarge, UsageError
 from qmds.evalsets import EvalSet, subgroup_set
 from qmds.field import TABLE_LIMIT, Field, build_field, field_for_q
@@ -51,8 +51,8 @@ def raw_artifact(construction, q, params, k):
     f = field_for_q(q)
     if construction == "c1_ext":
         return extend_c1(f, params["m"], k)
-    es, _ = _build_evalset(construction, f, params)
-    return eval_code(f, es, k, SHIFT[construction], label=construction)
+    es = ROUTES[construction].evalset(construction, f, params)
+    return eval_code(f, es, k, SHIFT[construction])
 
 
 def test_eval_code_rows_explicitly(gf25):
@@ -344,7 +344,7 @@ def check_exponent_sums(data, qs):
     n = data.draw(st.integers(1, 12))
     E = data.draw(st.lists(st.integers(0, N - 1), min_size=n, max_size=n))
     B = data.draw(st.lists(st.integers(0, N - 1), min_size=n, max_size=n))
-    border = data.draw(st.sampled_from([0] + f.backend.exp[:4].tolist()))
+    border = data.draw(st.sampled_from([0] + f.tables[0][:4].tolist()))
     k = data.draw(st.integers(1, 12))
     got = _gram_bad(f, k, np.asarray(B, dtype=np.int64),
                     np.asarray(E, dtype=np.int64), border)
@@ -354,7 +354,7 @@ def check_exponent_sums(data, qs):
             for b, e in zip(B, E):
                 acc = f.add(acc, (b + e * (l1 + q * l2)) % N)
             if (l1, l2) == (0, 0) and border:
-                acc = f.add(acc, f.backend.log_packed(border))
+                acc = f.add(acc, int(f.tables[1][border]))
             assert got[l1, l2] == (l2 >= l1 and acc is not None), (l1, l2)
 
 

@@ -30,6 +30,8 @@ from qmds.errors import (
     NoValidH,
     UsageError,
 )
+from qmds.evalsets import mixed_union
+from qmds.field import field_for_q
 from qmds.numtheory import is_prime_power
 
 
@@ -93,8 +95,10 @@ def test_validation_half_power_union():
 
 
 def test_validation_half_power_union_lcm():
-    # (6, 10) at q = 31: lcm = 30 = q - 1 passes; (6, 30)... lcm 30 passes too
+    # lcm(6, 10) = lcm(6, 30) = 30 = q - 1 at q = 31: both pairs pass
     build("half_power_union", 31, ms=(6, 10), want_matrix="never")
+    cert = build("half_power_union", 31, ms=(30, 6), want_matrix="never")
+    assert cert.params["ms"] == (6, 30)
     with pytest.raises(HypothesisViolated):
         build("half_power_union", 61, ms=(6, 10))  # lcm 30 != 60
 
@@ -106,11 +110,6 @@ def test_validation_mixed_union():
         build("mixed_union", 13, m1=3, m2=6)  # 3 does not divide 14
     with pytest.raises(HypothesisViolated):
         build("mixed_union", 13, m1=7, m2=5)  # m2 must be even
-
-
-def test_validation_half_power_union_41_8_10_is_wrong_guard():
-    # guard test above asserted no raise; double-check the lcm rule text:
-    assert math.lcm(8, 10) == 40 == 41 - 1
 
 
 # --- certificates ----------------------------------------------------------------
@@ -231,6 +230,25 @@ def test_mixed_union_certificate_reports_H():
     assert cond_only.extras["H"] == 14
     assert cond_only.verified_level == "CONDITION_ONLY"
     assert cond_only.artifact is None
+
+
+def test_mixed_union_matrix_certificate_H_is_the_builders():
+    # on the matrix path the certificate's H comes from the route's extras,
+    # found apart from the evaluation set; it must be the H the set was
+    # built with, for every sweep choice at every odd q <= 61
+    checked = 0
+    for q in range(3, 62, 2):
+        if not is_prime_power(q):
+            continue
+        f = field_for_q(q)
+        for choice in sweep("mixed_union", q):
+            m1, m2 = choice.params["m1"], choice.params["m2"]
+            cert = build("mixed_union", q, m1=m1, m2=m2, want_matrix="require")
+            assert cert.verified_level == "FULL_MATRIX"
+            H = mixed_union(f, m1, m2)[1]
+            assert cert.extras["H"] == cert.to_json()["H"] == H, (q, m1, m2)
+            checked += 1
+    assert checked == 88
 
 
 def test_want_matrix_require_on_oversized_field():

@@ -17,7 +17,6 @@ from qmds.evalsets import (
     find_h_shift_exponent,
     mixed_union,
     parity_union_char2,
-    parity_union_size,
     subgroup_set,
     union_size,
     weighted_union,
@@ -54,10 +53,10 @@ def test_union_size_closed_forms():
     assert union_size(N, (3, 11, 31)) == 341 + 93 + 33 - 31 - 11 - 3 + 1
 
 
-def test_parity_union_size_closed_form():
+def test_union_size_parity_closed_form():
     # overlap points are dropped entirely: coefficient -2 per pairwise term
-    assert parity_union_size(1023, (3, 11)) == 341 + 93 - 2 * 31
-    assert parity_union_size(1023, (3, 11, 31)) == (
+    assert union_size(1023, (3, 11), parity=True) == 341 + 93 - 2 * 31
+    assert union_size(1023, (3, 11, 31), parity=True) == (
         341 + 93 + 33 - 2 * (31 + 11 + 3) + 4 * 1
     )
 
@@ -72,12 +71,12 @@ def test_union_sizes_match_direct_count(N, data):
     odd = {
         e for e in range(N) if (e % m1 == 0) + (e % m2 == 0) == 1
     }
-    assert parity_union_size(N, (m1, m2)) == len(odd)
+    assert union_size(N, (m1, m2), parity=True) == len(odd)
 
 
 def test_parity_union_char2(gf64):
     es = parity_union_char2(gf64, (3, 7))
-    assert len(es) == parity_union_size(63, (3, 7)) == 21 + 9 - 2 * 3
+    assert len(es) == union_size(63, (3, 7), parity=True) == 21 + 9 - 2 * 3
     assert all(w == 0 for w in es.weights)
     for e in es.points.tolist():
         hit = [i for i, m in enumerate((3, 7)) if e % m == 0]
@@ -251,7 +250,8 @@ def builder_calls(monkeypatch, construction, q, params):
             return _real(*args, **kw)
         monkeypatch.setattr(evalsets, name, record)
     try:
-        constructions._build_evalset(construction, field_for_q(q), params)
+        constructions.ROUTES[construction].evalset(construction,
+                                                   field_for_q(q), params)
     finally:
         monkeypatch.undo()
     assert calls

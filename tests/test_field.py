@@ -10,7 +10,6 @@ from qmds.errors import (
     NotInSubfield,
     NotPrime,
     UsageError,
-    ZeroArgument,
 )
 from qmds import audit, cli
 from qmds import field as field_module
@@ -89,18 +88,19 @@ def test_build_field_rejects():
 
 def test_capacity_limits():
     with pytest.raises(CapacityExceeded):
-        Field(2, 12).backend  # 2^24 > 2^22
+        Field(2, 12).tables  # 2^24 > 2^22
     with pytest.raises(CapacityExceeded):
-        Field(3, 8).backend  # 3^16 > 2^22
+        Field(3, 8).tables  # 3^16 > 2^22
     with pytest.raises(CapacityExceeded):
         Field(2, 21)  # 2^42 > 2^40
     assert Field(13, 3).q2 > TABLE_LIMIT
-    assert Field(2, 11).backend.N == TABLE_LIMIT - 1  # 2^22 is exactly the limit
+    exp, log = Field(2, 11).tables  # 2^22 is exactly the limit
+    assert len(exp) == TABLE_LIMIT - 1 and len(log) == TABLE_LIMIT
 
 
-def test_fields_past_the_table_limit_have_no_backend():
+def test_fields_past_the_table_limit_have_no_tables():
     # the modulus is all such a field has; what reads the exp/log tables
-    # says so (test_capacity_limits covers ``backend`` itself)
+    # says so (test_capacity_limits covers ``tables`` itself)
     f = Field(2, 12)
     assert f.q2 > TABLE_LIMIT
     assert f.to_json()["modulus"] == list(f.modulus)
@@ -109,22 +109,22 @@ def test_fields_past_the_table_limit_have_no_backend():
         f.embed_int(1)
     with pytest.raises(CapacityExceeded):
         gram_zero(art)
-    assert "backend" not in vars(f)
+    assert "tables" not in vars(f)
 
 
-def test_presentation_builds_no_backend():
+def test_presentation_builds_no_tables():
     # the modulus is fixed at construction; the tables are not
     f = Field(37, 2)
     assert f.to_json()["modulus"] == list(f.modulus)
-    assert "backend" not in vars(f)
+    assert "tables" not in vars(f)
     assert f.add(0, 0) is not None  # 2 != 0 in characteristic 37
-    assert "backend" in vars(f)
+    assert "tables" in vars(f)
 
 
 @pytest.mark.parametrize("p,h", [(3, 2), (5, 1)])
 def test_np_planes_are_coefficients(p, h):
     f = build_field(p, h)
-    planes = f.np_digits()
+    planes = f.digits
     assert planes.shape == (2 * h, 2 * f.N) and planes.dtype.kind == "i"
     for e in range(f.N):
         assert tuple(planes[:, e]) == f.coeffs(e)
@@ -162,31 +162,32 @@ def test_exhaustive_arithmetic_matches_poly_model(p, h):
 
 
 @pytest.mark.parametrize("p,h", [(3, 1), (2, 2), (7, 1)])
-def test_backends_agree_exhaustively(p, h):
+def test_tables_agree_exhaustively(p, h):
     f = Field(p, h)
-    table = f.backend
-    exp, log = na.table_backend_reference(p, 2 * h, f.modulus)
-    N = table.N
+    exp_t, log_t = f.tables
+    exp, log = na.stepping_tables(p, 2 * h, f.modulus)
+    N = f.N
     for e in range(N):
-        assert table.exp_packed(e) == exp[e]
+        assert exp_t[e] == exp[e]
+    assert log_t[0] == -1  # the zero vector has no log
     for v in range(1, N + 1):
-        assert table.log_packed(v) == log[v]
+        assert log_t[v] == log[v]
     for a in range(N):
         for b in range(N):
-            assert table.add_exponents(a, b) == _reference_add(exp, log, a, b, p)
+            assert f.add(a, b) == _reference_add(exp, log, a, b, p)
 
 
-def test_backends_agree_sampled_gf25_squared():
+def test_tables_agree_sampled_gf25_squared():
     import random
 
     f = Field(5, 2)
-    table = f.backend
-    exp, log = na.table_backend_reference(5, 4, f.modulus)
+    exp_t = f.tables[0]
+    exp, log = na.stepping_tables(5, 4, f.modulus)
     rng = random.Random(20240817)
     for _ in range(400):
-        a, b = rng.randrange(table.N), rng.randrange(table.N)
-        assert table.add_exponents(a, b) == _reference_add(exp, log, a, b, 5)
-        assert table.exp_packed(a) == exp[a]
+        a, b = rng.randrange(f.N), rng.randrange(f.N)
+        assert f.add(a, b) == _reference_add(exp, log, a, b, 5)
+        assert exp_t[a] == exp[a]
 
 
 # every field GF(q^2) with q^2 <= 2^16, plus the largest one the benchmark
@@ -197,9 +198,27 @@ TABLE_FIELDS = [pp for pp in map(is_prime_power, range(2, 257)) if pp] + [(557, 
 @pytest.mark.parametrize("p,h", TABLE_FIELDS)
 def test_table_backend_matches_stepping_reference(p, h):
     f = Field(p, h)  # not memoized: the tables die with the test
-    exp, log = na.table_backend_reference(p, 2 * h, f.modulus)
-    assert f.backend.exp.tolist() == exp
-    assert f.backend.log.tolist() == log
+    exp, log = na.stepping_tables(p, 2 * h, f.modulus)
+    assert [t.tolist() for t in f.tables] == [exp, log]
+
+
+@pytest.mark.parametrize("p,h,builder", [(7, 1, "_odd_exp_table"),
+                                          (2, 3, "_char2_exp_table")])
+def test_tables_reject_a_repeating_exp_table(monkeypatch, p, h, builder):
+    # a repeated exp entry leaves a nonzero vector with no log: the build
+    # raises and no tables are kept
+    real = getattr(field_module, builder)
+
+    def repeating(*args):
+        exp = real(*args)
+        exp[1] = exp[0]
+        return exp
+
+    monkeypatch.setattr(field_module, builder, repeating)
+    f = Field(p, h)
+    with pytest.raises(ArithmeticError, match="bijection"):
+        f.tables
+    assert "tables" not in vars(f)
 
 
 def _digit_add(va, vb, p):
@@ -220,8 +239,8 @@ def _reference_add(exp, log, a, b, p):
 def test_zech_add_matches_stepping_reference(p, h):
     # every pair of GF(4), GF(9), GF(25) and GF(64), zero included
     f = Field(p, h)
-    exp, log = na.table_backend_reference(p, 2 * h, f.modulus)
-    assert "zech" not in vars(f.backend)
+    exp, log = na.stepping_tables(p, 2 * h, f.modulus)
+    assert "_zech" not in vars(f)
     elems = [None] + list(range(f.N))
     for a in elems:
         for b in elems:
@@ -229,22 +248,22 @@ def test_zech_add_matches_stepping_reference(p, h):
             vb = 0 if b is None else exp[b]
             want = log[_digit_add(va, vb, p)]
             assert f.add(a, b) == (None if want < 0 else want), (a, b)
-    assert "zech" in vars(f.backend)
+    assert "_zech" in vars(f)
 
 
 @pytest.mark.parametrize("p,h", [(2, 3), (3, 2), (7, 1)])
 def test_derived_tables_leave_the_backend_unchanged(p, h):
     f = Field(p, h)
-    exp, log = f.backend.exp.copy(), f.backend.log.copy()
-    derived = [f.np_digits(), f.np_mask_ext(), *f.np_exp_log()]
-    for arr in (f.backend.exp, f.backend.log):
+    exp, log = (t.copy() for t in f.tables)
+    derived = [f.digits, f.mask_ext, f.exp0]
+    for arr in f.tables:
         assert arr.dtype == np.int32 and not arr.flags.writeable
-    assert np.array_equal(f.backend.exp, exp)
-    assert np.array_equal(f.backend.log, log)
+    assert np.array_equal(f.tables[0], exp)
+    assert np.array_equal(f.tables[1], log)
     for arr in derived:
         assert not arr.flags.writeable
     # a second round reads the cache
-    assert f.np_digits() is derived[0] and f.np_mask_ext() is derived[1]
+    assert all(a is b for a, b in zip([f.digits, f.mask_ext, f.exp0], derived))
 
 
 def test_production_paths_build_no_python_tables(monkeypatch, capsys):
@@ -262,18 +281,13 @@ def test_production_paths_build_no_python_tables(monkeypatch, capsys):
     assert cli.main(["verify", "--construction", "c1", "--q", "11",
                      "--m", "3", "--k", "4"]) == 0
     capsys.readouterr()
-    with_tables = [f for f in built.values() if "backend" in vars(f)]
+    with_tables = [f for f in built.values() if "tables" in vars(f)]
     assert {(2, 9), (631, 1), (11, 1)} <= set(built)
     assert len(with_tables) >= 20
     for f in with_tables:
-        for arr in (f.backend.exp, f.backend.log):
+        for arr in f.tables:
             assert isinstance(arr, np.ndarray) and arr.dtype == np.int32
-        assert "zech" not in vars(f.backend), f
-
-
-def test_log_zero_raises(gf25):
-    with pytest.raises(ZeroArgument):
-        gf25.backend.log_packed(0)
+        assert "_zech" not in vars(f), f
 
 
 # --- algebraic laws -------------------------------------------------------------
