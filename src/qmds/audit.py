@@ -59,8 +59,8 @@ class AuditRow:
         return {
             "table": self.table, "row": self.row,
             "construction": self.construction,
-            "printed": _jsonable(self.printed),
-            "recomputed": _jsonable(self.recomputed),
+            "printed": self.printed,
+            "recomputed": self.recomputed,
             "verdict": self.verdict, "level": self.level,
             "notes": list(self.notes),
         }
@@ -78,7 +78,7 @@ class FamilyCheck:
     def to_json(self) -> dict:
         return {"row": self.row, "family": self.family, "status": self.status,
                 "claimed": self.claimed,
-                "instances": [_jsonable(i) for i in self.instances],
+                "instances": list(self.instances),
                 "notes": list(self.notes)}
 
 
@@ -121,14 +121,6 @@ class AuditReport:
         return {"rows": [r.to_json() for r in self.rows],
                 "families": [f.to_json() for f in self.families],
                 "summary": self.summary()}
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
 
 
 # --------------------------------------------------------------------------

@@ -21,18 +21,6 @@ from .verify import (ENUM_BUDGET_DEFAULT, MINORS_BUDGET_DEFAULT,
                      BudgetExceeded, verify_artifact)
 
 
-def _emit(args, text: str) -> None:
-    if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _emit_json(args, obj) -> None:
-    _emit(args, json.dumps(obj, indent=2, sort_keys=True) + "\n")
-
-
 def _flags(d: constructions.Divisor) -> tuple[str, ...]:
     """A parameter's flag is its name; a tuple of divisors is given as
     --m1, --m2 and an optional --m3."""
@@ -56,13 +44,14 @@ def _collect_params(args) -> dict:
     return params
 
 
-def _add_construction_flags(sp) -> None:
+def _add_construction_flags(sp, divisors: bool = True) -> None:
     sp.add_argument("--construction", required=True,
                     choices=constructions.CONSTRUCTION_IDS)
     sp.add_argument("--q", type=int, required=True)
-    for flag in dict.fromkeys(f for route in constructions.ROUTES.values()
-                              for d in route.divisors for f in _flags(d)):
-        sp.add_argument(f"--{flag}", type=int)
+    if divisors:
+        for flag in dict.fromkeys(f for route in constructions.ROUTES.values()
+                                  for d in route.divisors for f in _flags(d)):
+            sp.add_argument(f"--{flag}", type=int)
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -73,49 +62,34 @@ def _parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("field", help="canonical field presentation")
-    sp.add_argument("--q", type=int)
-    sp.add_argument("--p", type=int)
-    sp.add_argument("--h", type=int)
-    sp.add_argument("--format", choices=("json", "text"), default="json")
-    sp.add_argument("--out")
+    for flag in ("--q", "--p", "--h"):
+        sp.add_argument(flag, type=int)
 
     sp = sub.add_parser("construct", help="build a certificate")
     _add_construction_flags(sp)
     sp.add_argument("--k", type=int)
     sp.add_argument("--matrix", choices=("auto", "always", "never"),
                     default="auto")
-    sp.add_argument("--format", choices=("json", "text"), default="json")
-    sp.add_argument("--out")
 
     sp = sub.add_parser("verify", help="Gram check plus both MDS routes")
     _add_construction_flags(sp)
     sp.add_argument("--k", type=int)
     sp.add_argument("--budget-minors", type=int, default=MINORS_BUDGET_DEFAULT)
     sp.add_argument("--budget-enum", type=int, default=ENUM_BUDGET_DEFAULT)
-    sp.add_argument("--format", choices=("json", "text"), default="json")
-    sp.add_argument("--out")
 
-    sp = sub.add_parser("oracle", help="dimension oracle and conditions")
-    _add_construction_flags(sp)
-    sp.add_argument("--format", choices=("json", "text"), default="json")
-    sp.add_argument("--out")
-
-    sp = sub.add_parser("sweep", help="all divisor choices at one q")
-    sp.add_argument("--construction", required=True,
-                    choices=constructions.CONSTRUCTION_IDS)
-    sp.add_argument("--q", type=int, required=True)
-    sp.add_argument("--format", choices=("json", "text"), default="json")
-    sp.add_argument("--out")
+    _add_construction_flags(
+        sub.add_parser("oracle", help="dimension oracle and conditions"))
+    _add_construction_flags(
+        sub.add_parser("sweep", help="all divisor choices at one q"),
+        divisors=False)
 
     sp = sub.add_parser("audit", help="recompute the bundled tables")
     sp.add_argument("--tables", help="comma-separated table ids, e.g. 1,3,9")
     sp.add_argument("--condition-only", action="store_true",
                     help="skip matrix-level verification")
-    sp.add_argument("--format", choices=("json", "text"), default="json")
-    sp.add_argument("--out")
 
     sp = sub.add_parser("search", help="parameter searches")
-    mode = sp.add_mutually_exclusive_group()
+    mode = sp.add_mutually_exclusive_group(required=True)
     mode.add_argument("--pairs", action="store_true",
                       help="compatible even/odd divisor pairs")
     mode.add_argument("--primes", action="store_true",
@@ -127,16 +101,21 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("--limit", type=int, default=200)
     sp.add_argument("--witness-limit", type=int)
     sp.add_argument("--k-limit", type=int, default=32)
-    sp.add_argument("--format", choices=("json", "text"), default="json")
-    sp.add_argument("--out")
+    for sp in sub.choices.values():  # every subcommand, last in its help
+        sp.add_argument("--format", choices=("json", "text"), default="json")
+        sp.add_argument("--out")
     return p
 
 
 # --------------------------------------------------------------------------
-# subcommand bodies
+# subcommand bodies: each returns (exit code, JSON object, text)
 # --------------------------------------------------------------------------
 
-def _cmd_field(args) -> int:
+def _lines(obj: dict) -> str:
+    return "".join(f"{k}: {v}\n" for k, v in obj.items())
+
+
+def _cmd_field(args):
     if args.q is not None:
         if args.p is not None or args.h is not None:
             raise UsageError("give either --q or --p/--h, not both")
@@ -145,45 +124,37 @@ def _cmd_field(args) -> int:
         f = build_field(args.p, args.h)
     else:
         raise UsageError("need --q or both --p and --h")
-    if args.format == "json":
-        _emit_json(args, f.to_json())
-    else:
-        _emit(args, f"GF({f.p}^{2 * f.h}), subfield GF({f.q}), "
-                    f"modulus coefficients {list(f.modulus)}, theta = x\n")
-    return 0
+    return 0, f.to_json(), (f"GF({f.p}^{2 * f.h}), subfield GF({f.q}), "
+                            f"modulus coefficients {list(f.modulus)}, "
+                            f"theta = x\n")
 
 
-def _certificate(args):
-    params = _collect_params(args)
-    want = {"auto": "auto", "always": "require", "never": "never"}[
-        getattr(args, "matrix", "auto")]
-    return constructions.build(args.construction, args.q,
-                               getattr(args, "k", None),
-                               want_matrix=want, **params)
+def _certificate(args, want_matrix: str):
+    return constructions.build(args.construction, args.q, args.k,
+                               want_matrix=want_matrix,
+                               **_collect_params(args))
 
 
-def _cmd_construct(args) -> int:
-    cert = _certificate(args)
-    if args.format == "json":
-        _emit_json(args, cert.to_json())
-    else:
-        q = cert.quantum
-        _emit(args,
-              f"{cert.construction} q={cert.q} params={cert.params} "
-              f"n={cert.n} k={cert.k} max_k={cert.max_k_oracle} "
-              f"quantum=[[{q.n},{q.k},{q.d}]]_{q.q} {cert.verified_level}\n")
-    return 0
+def _cmd_construct(args):
+    cert = _certificate(args, {"auto": "auto", "always": "require",
+                               "never": "never"}[args.matrix])
+    q = cert.quantum
+    # the JSON renders the matrix, which the text leaves out
+    obj = cert.to_json() if args.format == "json" else None
+    return 0, obj, (
+        f"{cert.construction} q={cert.q} params={cert.params} "
+        f"n={cert.n} k={cert.k} max_k={cert.max_k_oracle} "
+        f"quantum=[[{q.n},{q.k},{q.d}]]_{q.q} {cert.verified_level}\n")
 
 
-def _cmd_verify(args) -> int:
-    args.matrix = "always"
-    cert = _certificate(args)
+def _cmd_verify(args):
+    cert = _certificate(args, "require")
     report = verify_artifact(cert.artifact, args.budget_minors,
                              args.budget_enum)
     obj = {
         "construction": cert.construction,
         "q": cert.q,
-        "params": cert.to_json(include_matrix=False)["params"],
+        "params": constructions.params_json(cert.params),
         "n": cert.n, "k": cert.k,
         "self_orthogonal": report.self_orthogonal,
         "gram_witness": list(report.gram_witness) if report.gram_witness else None,
@@ -198,14 +169,10 @@ def _cmd_verify(args) -> int:
         "routes_agree": report.routes_agree,
         "quantum": list(report.quantum.triple()),
     }
-    if args.format == "json":
-        _emit_json(args, obj)
-    else:
-        _emit(args, "".join(f"{k}: {v}\n" for k, v in obj.items()))
-    return 0 if report.all_passed else 1
+    return 0 if report.all_passed else 1, obj, _lines(obj)
 
 
-def _cmd_oracle(args) -> int:
+def _cmd_oracle(args):
     params = constructions.validate(args.construction, args.q,
                                     _collect_params(args))
     conds = constructions.conditions_for(args.construction, args.q, params)
@@ -213,32 +180,24 @@ def _cmd_oracle(args) -> int:
     fd = constructions.formula_d_max(args.construction, args.q, params)
     obj = {
         "construction": args.construction, "q": args.q,
-        "params": {k: (list(v) if isinstance(v, tuple) else v)
-                   for k, v in sorted(params.items())},
+        "params": constructions.params_json(params),
         "conditions": [list(c) for c in conds],
         "max_k": max_k,
         "formula_d_max": fd,
         "formula_within_oracle": fd - 1 <= max_k,
     }
-    if args.format == "json":
-        _emit_json(args, obj)
-    else:
-        _emit(args, "".join(f"{k}: {v}\n" for k, v in obj.items()))
-    return 0
+    return 0, obj, _lines(obj)
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args):
     certs = constructions.sweep(args.construction, args.q)
-    if args.format == "json":
-        _emit_json(args, [c.to_json(include_matrix=False) for c in certs])
-    else:
-        lines = [f"{c.construction} q={c.q} params={c.params} n={c.n} "
-                 f"max_k={c.max_k_oracle}\n" for c in certs]
-        _emit(args, "".join(lines) or "no admissible parameters\n")
-    return 0
+    lines = [f"{c.construction} q={c.q} params={c.params} n={c.n} "
+             f"max_k={c.max_k_oracle}\n" for c in certs]
+    return (0, [c.to_json() for c in certs],
+            "".join(lines) or "no admissible parameters\n")
 
 
-def _cmd_audit(args) -> int:
+def _cmd_audit(args):
     table_ids = None
     if args.tables:
         try:
@@ -246,28 +205,23 @@ def _cmd_audit(args) -> int:
         except ValueError as exc:
             raise UsageError(f"bad --tables value {args.tables!r}") from exc
     report = audit_mod.audit_tables(table_ids, full=not args.condition_only)
-    if args.format == "json":
-        _emit_json(args, report.to_json())
-    else:
-        lines = []
-        for r in report.rows:
-            lines.append(f"T{r.table} r{r.row} [{r.construction}] "
-                         f"{r.verdict} ({r.level})\n")
-            for note in r.notes:
-                lines.append(f"    {note}\n")
-        for f in report.families:
-            lines.append(f"summary r{f.row} [{f.family}] {f.status}\n")
-            for note in f.notes:
-                lines.append(f"    {note}\n")
-        s = report.summary()
-        lines.append(", ".join(f"{k}={v}" for k, v in s.items()) + "\n")
-        _emit(args, "".join(lines))
-    return 1 if report.has_hypothesis_fail else 0
+    lines = []
+    for r in report.rows:
+        lines.append(f"T{r.table} r{r.row} [{r.construction}] "
+                     f"{r.verdict} ({r.level})\n")
+        for note in r.notes:
+            lines.append(f"    {note}\n")
+    for f in report.families:
+        lines.append(f"summary r{f.row} [{f.family}] {f.status}\n")
+        for note in f.notes:
+            lines.append(f"    {note}\n")
+    s = report.summary()
+    lines.append(", ".join(f"{k}={v}" for k, v in s.items()) + "\n")
+    rc = 1 if report.has_hypothesis_fail else 0
+    return rc, report.to_json(), "".join(lines)
 
 
-def _cmd_search(args) -> int:
-    if sum((args.pairs, args.primes, args.family)) != 1:
-        raise UsageError("pick exactly one of --pairs/--primes/--family")
+def _cmd_search(args):
     if args.pairs:
         recs = numtheory.pair_search(args.limit, args.witness_limit)
         obj = [{"m1": r.m1, "m2": r.m2, "m": r.m, "l0": r.l0, "k0": r.k0,
@@ -292,11 +246,7 @@ def _cmd_search(args) -> int:
         text = "".join(
             f"k={r.k} q={r.q} n={r.n} d_claimed={r.d_claimed} "
             f"d_derived={r.d_derived}\n" for r in recs)
-    if args.format == "json":
-        _emit_json(args, obj)
-    else:
-        _emit(args, text or "no results\n")
-    return 0
+    return 0, obj, text or "no results\n"
 
 
 _COMMANDS = {
@@ -311,13 +261,12 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return _COMMANDS[args.command](args)
+        rc, obj, text = _COMMANDS[args.command](args)
     except (UsageError, NotPrime) as exc:
         sys.stderr.write(f"usage error: {type(exc).__name__}: {exc}\n")
         return 2
@@ -327,6 +276,14 @@ def main(argv=None) -> int:
     except (HypothesisViolated, QmdsError) as exc:
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
         return 1
+    if args.format == "json":
+        text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+    return rc
 
 
 def console_main() -> None:  # pragma: no cover

@@ -251,6 +251,12 @@ def conditions_for(construction: str, q: int, params: dict
                  for d, m in route.parts(params))
 
 
+def params_json(params: dict) -> dict:
+    """Parameters as JSON: sorted by name, tuples of divisors as lists."""
+    return {k: (list(v) if isinstance(v, tuple) else v)
+            for k, v in sorted(params.items())}
+
+
 def max_dim_oracle(construction: str, q: int, params: dict) -> int:
     """Sharp dimension bound for the underlying (unextended) row family."""
     params = validate(construction, q, params)
@@ -279,8 +285,6 @@ class Certificate:
 
     construction: str
     q: int
-    p: int
-    h: int
     params: dict
     n: int
     k: int
@@ -293,12 +297,11 @@ class Certificate:
     extras: dict = dfield(default_factory=dict)
     artifact: CodeArtifact | None = None
 
-    def to_json(self, include_matrix: bool | None = None) -> dict:
+    def to_json(self) -> dict:
         out = {
             "construction": self.construction,
             "q": self.q,
-            "params": {k: (list(v) if isinstance(v, tuple) else v)
-                       for k, v in sorted(self.params.items())},
+            "params": params_json(self.params),
             "n": self.n,
             "k": self.k,
             "max_k_oracle": self.max_k_oracle,
@@ -310,11 +313,8 @@ class Certificate:
         }
         for key, val in sorted(self.extras.items()):
             out[key] = val
-        want = include_matrix
-        if want is None:
-            want = (self.verified_level == "FULL_MATRIX"
-                    and self.k * self.n <= MATRIX_JSON_ENTRY_CAP)
-        if want and self.artifact is not None:
+        if (self.artifact is not None
+                and self.k * self.n <= MATRIX_JSON_ENTRY_CAP):
             out["matrix"] = matrix_to_strings(self.artifact.matrix())
         return out
 
@@ -325,32 +325,32 @@ def build(construction: str, q: int, k: int | None = None, *,
     if want_matrix not in ("auto", "never", "require"):
         raise UsageError(f"want_matrix must be auto|never|require, "
                          f"got {want_matrix!r}")
-    params = validate(construction, q, params)
-    return _certify(construction, q, k, want_matrix, params,
-                    max_dim_oracle(construction, q, params))
+    return _certify(construction, q, k, want_matrix,
+                    validate(construction, q, params))
 
 
 def _certify(construction: str, q: int, k: int | None, want_matrix: str,
-             params: dict, base_max: int) -> Certificate:
-    """``build`` after validation, given the oracle's bound ``base_max``."""
+             params: dict) -> Certificate:
+    """``build`` after validation."""
     route = ROUTES[construction]
-    p, h = _q_parts(q)
+    conditions = conditions_for(construction, q, params)
+    max_k = oracle.max_dim(conditions, q)
     n = code_length(construction, q, params)
     # a border row needs k >= 2 and adds one to the oracle's bound
-    least, k_cap = 1 + route.border, min(base_max + route.border, n)
-    oracle = f"oracle {base_max}" + ("+1 border row" if route.border else "")
+    least, k_cap = 1 + route.border, min(max_k + route.border, n)
+    bound = f"oracle {max_k}" + ("+1 border row" if route.border else "")
     if k is None:
         if k_cap < least:
             raise DimensionExceedsOracle(
                 f"no admissible k for {construction} (q={q}, params="
-                f"{params}): the range {least}..{k_cap} is empty ({oracle})")
+                f"{params}): the range {least}..{k_cap} is empty ({bound})")
         k = k_cap
     if k < least:
         raise UsageError(f"k = {k} is too small for {construction}")
     if k > k_cap:
         raise DimensionExceedsOracle(
             f"k = {k} exceeds the proven range {k_cap} for {construction} "
-            f"({oracle})")
+            f"({bound})")
     fd = formula_d_max(construction, q, params)
     published = fd - 1 + route.border
     discrepancies = []
@@ -381,9 +381,8 @@ def _certify(construction: str, q: int, k: int | None, want_matrix: str,
                 f"(q={q}, params={params}, k={k}); hypotheses unsound")
         level = "FULL_MATRIX"
     return Certificate(
-        construction=construction, q=q, p=p, h=h, params=params, n=n, k=k,
-        max_k_oracle=base_max, formula_d_max=fd,
-        conditions=conditions_for(construction, q, params),
+        construction=construction, q=q, params=params, n=n, k=k,
+        max_k_oracle=max_k, formula_d_max=fd, conditions=conditions,
         verified_level=level,
         quantum=quantum_params(n, k, q),
         discrepancies=tuple(discrepancies),
@@ -449,8 +448,7 @@ def sweep(construction: str, q: int) -> tuple[Certificate, ...]:
     for ms in choices:
         params = validate(construction, q, route.params_of(ms))
         try:
-            out.append(_certify(construction, q, None, "never", params,
-                                max_dim_oracle(construction, q, params)))
+            out.append(_certify(construction, q, None, "never", params))
         except (DimensionExceedsOracle, NoValidH):
             continue  # no admissible k, or no admissible shift for the pair
     return tuple(out)

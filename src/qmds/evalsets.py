@@ -118,15 +118,13 @@ def parity_union_char2(field: Field, ms: tuple[int, ...]) -> EvalSet:
 
 
 def weighted_union(field: Field, parts: tuple[tuple[int, int, int], ...],
-                   label: str,
-                   vanish_error: type[HypothesisViolated] = WeightSumVanishes,
-                   ) -> EvalSet:
+                   label: str) -> EvalSet:
     """Full union where part (m, alpha, beta) weights its subgroup by
     theta^beta * x^alpha; overlap points get the sum of their parts' weights.
     The sums are taken on packed vectors, so the field needs its exp/log
     tables (at most 2^22 elements).
 
-    Raises ``vanish_error`` at the smallest point whose combined weight is
+    Raises WeightSumVanishes at the smallest point whose combined weight is
     zero.
     """
     N = field.N
@@ -140,7 +138,7 @@ def weighted_union(field: Field, parts: tuple[tuple[int, int, int], ...],
     weights = log[packed]
     vanish = np.flatnonzero(weights < 0)
     if vanish.size:
-        raise vanish_error(f"combined weight vanishes at point exponent "
+        raise WeightSumVanishes(f"combined weight vanishes at point exponent "
                            f"{pts[vanish[0]]} ({label})")
     return EvalSet(field, pts, weights, label)
 
@@ -191,7 +189,5 @@ def mixed_union(field: Field, m1: int, m2: int) -> tuple[EvalSet, int]:
     es = weighted_union(
         field,
         ((m1, q + 1, 0), (m2, (q + 1) // 2, H)),
-        f"mixed_union(m1={m1}, m2={m2})",
-        vanish_error=NoValidH,
-    )
+        f"mixed_union(m1={m1}, m2={m2})")
     return es, H

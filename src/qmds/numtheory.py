@@ -177,8 +177,12 @@ class PairRecord:
     witnesses: tuple[int, ...] = field(default=())
 
 
-def pair_search(limit: int, witness_limit: int | None = None,
-                witness_count: int = 2) -> tuple[PairRecord, ...]:
+# pair_search keeps this many witness primes per pair
+PAIR_WITNESSES = 2
+
+
+def pair_search(limit: int, witness_limit: int | None = None
+                ) -> tuple[PairRecord, ...]:
     """All compatible pairs with m1, m2 <= limit, by brute enumeration."""
     out = []
     for m1 in range(2, limit + 1, 2):
@@ -194,7 +198,7 @@ def pair_search(limit: int, witness_limit: int | None = None,
             l0, k0 = progression_base(m1, m2)
             wits: tuple[int, ...] = ()
             if witness_limit is not None:
-                wits = dirichlet_search(m1, m2, witness_limit)[:witness_count]
+                wits = dirichlet_search(m1, m2, witness_limit)[:PAIR_WITNESSES]
             out.append(PairRecord(m1, m2, m, l0, k0, wits))
     return tuple(sorted(out, key=lambda r: (r.m1, r.m2)))
 

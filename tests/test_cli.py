@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -456,3 +457,61 @@ def test_search_usage_errors(capsys):
     assert run(capsys, "search", "--pairs", "--family")[0] == 2
     # --pairs and --primes are the only spellings of those modes
     assert run(capsys, "search", "--lemma", "5.2")[0] == 2
+
+
+# --- pinned output bytes ---------------------------------------------------------
+
+# every subcommand in both formats, with the usage and hypothesis errors:
+# argv -> (exit code, first 16 hex digits of the sha256 of stdout)
+PINNED_STDOUT = {
+    "field --q 9": (0, "478b00c92b532034"),
+    "field --q 9 --format text": (0, "66f257b0a10ea241"),
+    "field --p 2 --h 3": (0, "9ae5fbcb76714bd6"),
+    "construct --construction c1 --q 17 --m 9": (0, "c656f2e7b8a969da"),
+    "construct --construction c1 --q 17 --m 9 --format text":
+        (0, "499b661a325b319c"),
+    "construct --construction c1_ext --q 17 --m 9": (0, "c27f6fa9bb2b853c"),
+    "construct --construction mixed_union --q 13 --m1 7 --m2 6":
+        (0, "5a94d1f019ecb21c"),
+    "construct --construction c1 --q 17 --m 9 --matrix never":
+        (0, "e8e737922227b02e"),
+    "construct --construction c1 --q 17 --m 9 --matrix always":
+        (0, "c656f2e7b8a969da"),
+    "construct --construction c1 --q 8 --m 3 --k 9": (1, "e3b0c44298fc1c14"),
+    "construct --construction c1 --q 8": (2, "e3b0c44298fc1c14"),
+    "verify --construction c1 --q 5 --m 3": (0, "de4ad876c2629a59"),
+    "verify --construction c1 --q 11 --m 3 --k 4": (0, "682bc80453af71fb"),
+    "verify --construction c1 --q 11 --m 3 --k 4 --format text":
+        (0, "6d7a07250a15669b"),
+    "verify --construction c1 --q 13 --m 7 --budget-minors 10 --budget-enum 10":
+        (0, "b5dc69539b38432c"),
+    "oracle --construction mixed_union --q 13 --m1 7 --m2 6":
+        (0, "e132a97b9990f317"),
+    "oracle --construction mixed_union --q 13 --m1 7 --m2 6 --format text":
+        (0, "35a181d70452515c"),
+    "sweep --construction mixed_union --q 13": (0, "e4f5f306ba51bada"),
+    "sweep --construction mixed_union --q 13 --format text":
+        (0, "52cb4eaf4449d51c"),
+    "sweep --construction c1 --q 2": (0, "37517e5f3dc66819"),
+    "sweep --construction c1 --q 2 --format text": (0, "4ce57f61fb628ec7"),
+    "audit --tables 1,3 --format text": (0, "2763c6d8746893d2"),
+    "audit --tables 9": (0, "88e97c255dfdd155"),
+    "search --pairs --limit 40 --witness-limit 2000": (0, "3e716205dbc465ed"),
+    "search --pairs --limit 40 --witness-limit 2000 --format text":
+        (0, "20f9e789b03ee6e8"),
+    "search --primes --m1 176 --m2 105 --limit 31000": (0, "354796472433f01e"),
+    "search --primes --m1 176 --m2 105 --limit 31000 --format text":
+        (0, "2ca38582b07babb8"),
+    "search --family --k-limit 32": (0, "cae3e984144edbb9"),
+    "search --family --k-limit 32 --format text": (0, "8278c6fb43017d08"),
+    "search": (2, "e3b0c44298fc1c14"),
+    "search --pairs --family": (2, "e3b0c44298fc1c14"),
+}
+
+
+def test_stdout_bytes_are_pinned(capsys):
+    got = {}
+    for argv in PINNED_STDOUT:
+        rc, out = run(capsys, *argv.split())
+        got[argv] = (rc, hashlib.sha256(out.encode()).hexdigest()[:16])
+    assert got == PINNED_STDOUT

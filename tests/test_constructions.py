@@ -5,6 +5,7 @@ import math
 import pytest
 
 from naive_algebra import gram_zero_structured, trial_division_sweep_params
+from qmds import constructions
 from qmds.constructions import (
     CONSTRUCTION_IDS,
     Certificate,
@@ -118,7 +119,7 @@ def test_validation_mixed_union():
 def test_c1_certificate_fields():
     cert = build("c1", 17, m=9)
     assert isinstance(cert, Certificate)
-    assert (cert.q, cert.p, cert.h) == (17, 17, 1)
+    assert cert.q == 17
     assert cert.n == 32 and cert.k == 8 == cert.max_k_oracle
     assert cert.conditions == ((32, 18),)
     assert cert.verified_level == "FULL_MATRIX"
@@ -286,8 +287,6 @@ def test_certificate_to_json_deterministic_and_shaped():
     assert a["conditions"] == [[21, 9]]
     assert len(a["matrix"]) == 4  # embedded for small FULL_MATRIX certificates
     assert all(isinstance(rowstr, str) for rowstr in a["matrix"])
-    nomat = build("c1", 8, m=3, k=4).to_json(include_matrix=False)
-    assert "matrix" not in nomat
     cond = build("c1", 8, m=3, k=4, want_matrix="never").to_json()
     assert "matrix" not in cond
 
@@ -390,6 +389,23 @@ def test_sweep_at_q_near_1e15():
     certs = sweep("c1", q)
     assert len(certs) == 15
     assert [c.params["m"] for c in certs] == odd
+
+
+def test_each_certificate_is_validated_once(monkeypatch):
+    # build validates its parameters once, and a sweep once per choice it
+    # tries, including the mixed_union pairs it drops for want of a shift
+    calls = []
+    validate = constructions.validate
+    monkeypatch.setattr(constructions, "validate",
+                        lambda *a: calls.append(a) or validate(*a))
+    build("half_power_union", 41, ms=(10, 8), want_matrix="never")
+    assert calls == [("half_power_union", 41, {"ms": (10, 8)})]
+    for construction, q in (("c1", 17), ("mixed_union", 29),
+                            ("half_power_union", 61)):
+        calls.clear()
+        sweep(construction, q)
+        assert [params for _, _, params in calls] == \
+            trial_division_sweep_params(construction, q), (construction, q)
 
 
 def test_sweep_deterministic():

@@ -304,9 +304,8 @@ def test_every_sweep_choice_matches_the_reference(monkeypatch):
             r, _ = forbidden_coset(q, params["m1"], params["m2"])
             parts = ((params["m1"], q + 1, 0),
                      (params["m2"], (q + 1) // 2, r))
-            got = check_against_reference("weighted_union", f, parts, "bad H",
-                                          vanish_error=NoValidH)
-            assert got[0] is NoValidH
+            got = check_against_reference("weighted_union", f, parts, "bad H")
+            assert got[0] is WeightSumVanishes
             vanished += 1
     assert seen == set(constructions.ROUTES) and vanished > 20
 

@@ -180,9 +180,9 @@ def test_pair_search_invariants_and_worked_pairs():
 
 
 def test_pair_search_witnesses():
-    recs = pair_search(20, witness_limit=2000, witness_count=3)
+    recs = pair_search(20, witness_limit=2000)
     rec = next(r for r in recs if (r.m1, r.m2) == (16, 9))
-    assert len(rec.witnesses) <= 3
+    assert rec.witnesses == dirichlet_search(16, 9, 2000)[:2] == (17, 449)
     for q in rec.witnesses:
         assert is_prime(q) and (q - 1) % 16 == 0 and (q + 1) % 9 == 0
 
