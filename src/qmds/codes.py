@@ -202,19 +202,26 @@ def _choose_split(f: Field, k: int, t: np.ndarray,
     return best
 
 
-def _class_sums(f: Field, idx: np.ndarray, starts) -> np.ndarray:
-    """Packed sums of theta^idx over the runs of columns that begin at
-    ``starts``, for exponents below 2N.  For p = 2 a sum is the XOR of the
-    int32 coefficient masks; for odd p each base-p digit is an exact int64
-    sum of int16 digits (at most n terms below p) reduced mod p."""
+def packed_sums(f: Field, idx: np.ndarray, starts,
+                zero: np.ndarray | None = None) -> np.ndarray:
+    """Packed sums of theta^idx over the runs of the last axis that begin
+    at ``starts``, for exponents below 2N.  The terms that the boolean
+    array ``zero`` marks, if given, are zero and add nothing; their idx
+    need only be a valid index.  For p = 2 a sum is the XOR of the int32
+    coefficient masks; for odd p each base-p digit is an exact int64 sum of
+    int16 digits (one per term, below p) reduced mod p."""
     if f.p == 2:
-        return np.bitwise_xor.reduceat(f.mask_ext.take(idx), starts,
-                                       axis=1)
+        vals = f.mask_ext.take(idx)
+        if zero is not None:
+            vals[zero] = 0
+        return np.bitwise_xor.reduceat(vals, starts, axis=-1)
     p = f.p
-    out = np.zeros((idx.shape[0], len(starts)), dtype=np.int64)
+    out = np.zeros(idx.shape[:-1] + (len(starts),), dtype=np.int64)
     for d, plane in enumerate(f.digits):
-        sums = np.add.reduceat(plane.take(idx), starts, axis=1,
-                               dtype=np.int64)
+        vals = plane.take(idx)
+        if zero is not None:
+            vals[zero] = 0
+        sums = np.add.reduceat(vals, starts, axis=-1, dtype=np.int64)
         out += sums % p * p ** d
     return out
 
@@ -235,7 +242,7 @@ def _gram_bad(f: Field, k: int, B: np.ndarray, E: np.ndarray,
     sums each entry as sum_g R[s, g]*theta^(a1*(g*d mod a2)) over the
     nonzero R[s, g], all entries of one s at a time.  Either trivial split
     gives back the direct sum.  Every term is still summed exactly, and
-    every gathered exponent is below 2N (``_class_sums``).  The index
+    every gathered exponent is below 2N (``packed_sums``).  The index
     arithmetic runs in int32 unless a product of two residues, below
     max(a1, a2)^2, could overflow it, in blocks of at most ``GRAM_BLOCK``
     terms.
@@ -261,7 +268,7 @@ def _gram_bad(f: Field, k: int, B: np.ndarray, E: np.ndarray,
         for lo in range(firsts[r], ends[r], step):
             ent = by_s[lo:min(lo + step, ends[r])]
             d = (t[ent] % a2).astype(dt)[:, None]
-            vals[ent] = _class_sums(f, logs + a1 * (d * gs % a2), [0])[:, 0]
+            vals[ent] = packed_sums(f, logs + a1 * (d * gs % a2), [0])[:, 0]
     if border_packed:
         vals[:1] = f.np_packed_add(vals[:1], np.int64(border_packed))
     upper[upper] = vals != 0
@@ -283,7 +290,7 @@ def _stage1_logs(f: Field, a1: int, a2: int, svals: np.ndarray,
     step = max(1, GRAM_BLOCK // n)
     for r0 in range(0, len(svals), step):
         s = svals[r0:r0 + step, None]
-        logR[r0:r0 + step] = log[_class_sums(f, B + a2 * (e1 * s % a1),
+        logR[r0:r0 + step] = log[packed_sums(f, B + a2 * (e1 * s % a1),
                                              starts)]
     return g, logR
 

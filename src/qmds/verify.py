@@ -3,9 +3,21 @@
 The MDS property is certified by two independent routes that must agree:
 
   * rank route  - every k-subset of columns has a nonsingular k x k minor
-                  (budgeted by C(n, k)); the minors are taken in
-                  ``itertools.combinations`` order and eliminated in numpy
-                  chunks, and the first singular one is the witness;
+                  (budgeted by C(n, k)).  The minors that share their first
+                  k - 1 columns P share their elimination: expanding along
+                  the last column, det[G_P | g_c] = lambda * (y_P . g_c)
+                  with lambda != 0, where y_P spans the left null space of
+                  the k x (k - 1) block G_P.  So the column prefixes are
+                  walked as a tree, depth first in
+                  ``itertools.combinations`` order, in blocks of at most
+                  ``MINOR_ENTRIES`` entries per level.  Each node keeps a
+                  basis W of the left null space of its columns, the
+                  identity at the root; extending it by column c gives
+                  u = W.g_c, which is zero exactly when the columns become
+                  dependent, and otherwise one pivot step drops one basis
+                  vector.  At depth k - 1 one length-k dot per column
+                  decides each minor exactly.  The first singular minor in
+                  combinations order is the witness;
   * enumeration - the minimum weight over all nonzero codewords equals
                   n - k + 1.  Weight is invariant under nonzero scalars,
                   so only the (q^(2k) - 1)/(q^2 - 1) messages whose first
@@ -14,7 +26,9 @@ The MDS property is certified by two independent routes that must agree:
 
 Both routes run on the field's exp/log tables, which exist only for fields
 of at most 2^22 elements (``CapacityExceeded`` otherwise); every artifact
-``build`` makes lies in such a field.  The tests check both routes against
+``build`` makes lies in such a field.  Both take a k x n matrix with
+1 <= k <= n and raise ``InvalidDims`` for any other shape, so neither can
+certify something that is not a code.  The tests check both routes against
 scalar Gaussian elimination and a codeword-by-codeword enumeration.
 
 Budgets raise ``BudgetExceeded`` rather than silently skipping, so callers
@@ -23,13 +37,12 @@ always know which route actually ran.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import CodeArtifact, gram_zero
+from .codes import CodeArtifact, gram_zero, packed_sums
 from .errors import BudgetExceeded, InvalidDims
 from .field import Field
 
@@ -64,10 +77,10 @@ def quantum_params(n: int, k: int, q: int) -> QuantumParams:
 # MDS route 1: all maximal minors are nonsingular
 # --------------------------------------------------------------------------
 
-# Entries of the (c, k, k) stack of minors eliminated at once: a chunk holds
-# c = MINOR_ENTRIES // k^2 column sets (4096 at k = 4), which bounds the
-# stack and its temporaries whatever k is.
-MINOR_ENTRIES = 1 << 16
+# Entries per block of the prefix walk: a block of children of depth-d
+# prefixes holds at most MINOR_ENTRIES // ((k - d) * k) of them, which
+# bounds every level's arrays and temporaries whatever k and n are.
+MINOR_ENTRIES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -78,66 +91,120 @@ class MinorsReport:
 
 
 def _log_array(field: Field, matrix) -> np.ndarray:
-    """The matrix as int64 exponents in [0, N), with -1 for zero.  Both
-    routes read the field's tables, so a field without them raises
-    ``CapacityExceeded`` here, before a budget that no size could meet."""
+    """The k x n matrix, 1 <= k <= n, as int32 exponents in [0, N), with -1
+    for zero.  Both routes read the field's tables, so a field without them
+    raises ``CapacityExceeded`` here, before a budget that no size could
+    meet."""
+    rows = [list(row) for row in matrix]
+    k, n = len(rows), len(rows[0]) if rows else 0
+    if any(len(row) != n for row in rows):
+        raise InvalidDims("rows of unequal lengths "
+                          f"{sorted({len(row) for row in rows})}")
+    if not 1 <= k <= n:
+        raise InvalidDims(f"need a k x n matrix with 1 <= k <= n, "
+                          f"got {k} x {n}")
     field.tables
     return np.array([[-1 if e is None else e % field.N for e in row]
-                     for row in matrix], dtype=np.int64)
+                     for row in rows], dtype=np.int32)
 
 
-def _singular_minors(field: Field, M: np.ndarray) -> np.ndarray:
-    """Mask of the singular matrices in a (c, k, k) stack in log form,
-    by Gaussian elimination of the whole stack at once; M is overwritten.
+def _dot(field: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products along the last axis of a and b (broadcasting), all in
+    log form with -1 for zero.  A product adds logs, so its exponent stays
+    below 2N, as ``packed_sums`` needs; it is zero when a factor is."""
+    zero = (a < 0) | (b < 0)
+    sums = packed_sums(field, a + b, [0], zero if zero.any() else None)
+    return field.tables[1][sums[..., 0]]
 
-    Column j pivots on the first nonzero entry at or below the diagonal and
-    subtracts (a_i / pivot) * pivot row from each row i below.  Products
-    add logs mod N (-1 is theta^(N/2) for odd p); sums go through the
-    packed vectors.  A matrix is singular when some column has no pivot.
-    """
-    c, k, _ = M.shape
-    N = field.N
-    neg = 0 if field.p == 2 else N // 2
-    exp0, log = field.exp0, field.tables[1]
-    at = np.arange(c)
-    singular = np.zeros(c, dtype=bool)
-    for j in range(k):
-        nonzero = M[:, j:, j] >= 0
-        singular |= ~nonzero.any(axis=1)
-        piv = j + nonzero.argmax(axis=1)
-        prow = M[at, piv, j:]
-        M[at, piv, j:] = M[:, j, j:]  # row j is not read again
-        a = M[:, j + 1:, j, None]
-        b = prow[:, None, 1:]
-        term = np.where((a >= 0) & (b >= 0),
-                        (a - prow[:, :1, None] + neg + b) % N, -1)
-        rest = M[:, j + 1:, j + 1:]
-        rest[...] = log[field.np_packed_add(exp0[rest], exp0[term])]
-    return singular
+
+def _lex_rank(cols: tuple[int, ...], n: int) -> int:
+    """Index of the k-subset ``cols`` of range(n) in combinations order: at
+    each position i, the subsets that agree before i and take a smaller
+    column at i, summed in closed form by the hockey-stick identity."""
+    k, rank, prev = len(cols), 0, -1
+    for i, c in enumerate(cols):
+        rank += math.comb(n - prev - 1, k - i) - math.comb(n - c, k - i)
+        prev = c
+    return rank
+
+
+def _pivot_out(field: Field, W: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Null-space bases of the children: for each row of the (b, r, k) stack
+    W with u = W.g != 0, the r - 1 rows u_i*w_j - u_j*w_i (j != i), i the
+    first nonzero entry of u, span the vectors of span(W) orthogonal to g."""
+    b, r, k = W.shape
+    neg = 0 if field.p == 2 else field.N // 2
+    piv = (u >= 0).argmax(axis=1)
+    at = np.arange(b)
+    keep = np.arange(r) != piv[:, None]
+    rest, u_rest = W[keep].reshape(b, r - 1, k), u[keep].reshape(b, r - 1)
+    minus_u = np.where(u_rest >= 0, (u_rest + neg) % field.N, -1)[:, :, None]
+    w_i, u_i = W[at, None, piv], u[at, piv, None, None]  # u_i != 0
+    terms = np.stack((rest + u_i, w_i + minus_u), axis=-1)
+    zero = np.stack((rest < 0, (w_i < 0) | (minus_u < 0)), axis=-1)
+    return field.tables[1][packed_sums(field, terms, [0], zero)[..., 0]]
+
+
+def _first_singular(field: Field, logs: np.ndarray, prefixes: np.ndarray,
+                    W: np.ndarray) -> tuple[int, ...] | None:
+    """The first singular minor, in combinations order, among those whose
+    columns begin with one of the lex-ordered, independent depth-d
+    ``prefixes`` (m, d); W (m, k - d, k) holds a basis of the left null space
+    of each prefix's columns, in log form.
+
+    The children of the prefixes, taken in order in blocks of at most
+    ``MINOR_ENTRIES`` entries, are each a prefix P and one more column c,
+    and u = W_P.g_c is zero exactly when g_c lies in the span of P's
+    columns.  At depth k - 1 the child is a whole minor, singular exactly
+    when u = 0.  Above it, every minor below a dependent child is singular,
+    and the first is the child followed by the next columns; the children
+    before it are searched first, a depth deeper."""
+    k, n = logs.shape
+    m, d = prefixes.shape
+    r = k - d
+    last = prefixes[:, -1] if d else np.full(m, -1)
+    counts = n - r - last  # children take columns last + 1 .. n - r
+    ends = np.cumsum(counts)
+    step = max(1, MINOR_ENTRIES // (r * k))
+    for lo in range(0, int(ends[-1]), step):
+        pos = np.arange(lo, min(lo + step, int(ends[-1])))
+        node = np.searchsorted(ends, pos, side="right")
+        col = last[node] + 1 + pos - (ends[node] - counts[node])
+        g = logs[:, col].T
+        u = _dot(field, W[node], g[:, None, :]) if d else g  # W = I at d = 0
+        dependent = ~(u >= 0).any(axis=1)
+        stop = int(dependent.argmax()) if dependent.any() else len(pos)
+        if r > 1 and stop:
+            found = _first_singular(
+                field, logs,
+                np.column_stack((prefixes[node[:stop]], col[:stop])),
+                _pivot_out(field, W[node[:stop]], u[:stop]))
+            if found is not None:
+                return found
+        if stop < len(pos):
+            c = int(col[stop])
+            return (tuple(prefixes[node[stop]].tolist())
+                    + tuple(range(c, c + r)))
+    return None
 
 
 def check_mds_rank(field: Field, matrix,
                    budget: int = MINORS_BUDGET_DEFAULT) -> MinorsReport:
-    """Scan the maximal minors in ``itertools.combinations`` order, a chunk
-    of column sets at a time, and report the first singular one."""
+    """Decide every maximal minor exactly, walking the column prefixes
+    depth first from the root, whose null-space basis is the identity, and
+    report the first singular minor in ``itertools.combinations`` order and
+    its 1-based index there."""
     logs = _log_array(field, matrix)
     k, n = logs.shape
     total = math.comb(n, k)
     if total > budget:
         raise BudgetExceeded(f"C({n},{k}) = {total} exceeds budget {budget}")
-    chunk = max(1, MINOR_ENTRIES // (k * k))
-    combos = itertools.combinations(range(n), k)
-    for offset in range(0, total, chunk):
-        c = min(chunk, total - offset)
-        cols = np.fromiter(
-            itertools.chain.from_iterable(itertools.islice(combos, c)),
-            dtype=np.int64, count=c * k).reshape(c, k)
-        M = logs[:, cols].transpose(1, 0, 2).copy()
-        hits = np.flatnonzero(_singular_minors(field, M))
-        if hits.size:
-            i = int(hits[0])
-            return MinorsReport(False, offset + i + 1, tuple(cols[i].tolist()))
-    return MinorsReport(True, total, None)
+    identity = np.eye(k, dtype=np.int32)[None] - 1  # logs: 0 is 1, -1 is 0
+    witness = _first_singular(field, logs, np.empty((1, 0), dtype=np.int64),
+                              identity)
+    if witness is None:
+        return MinorsReport(True, total, None)
+    return MinorsReport(False, _lex_rank(witness, n) + 1, witness)
 
 
 # --------------------------------------------------------------------------

@@ -1,7 +1,11 @@
+import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from naive_algebra import minors_scan, scalar_min_weight
 from qmds.codes import eval_code
@@ -69,13 +73,15 @@ def _random_matrix(rng, f, k, n, zero_share=0.2):
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 9])
 def test_minor_scan_matches_scalar_scan_on_random_matrices(q):
-    # GF(4), GF(9), GF(16), GF(25), GF(49), GF(81): the batched scan must
-    # give the scalar scan's verdict, count and first witness
+    # GF(4), GF(9), GF(16), GF(25), GF(49), GF(81): the prefix walk must
+    # give the scalar scan's verdict, count and first witness, for k <= 6
+    # and zero shares up to 0.5
     f = field_for_q(q)
     rng = random.Random(1000 + q)
     for trial in range(40):
-        k = rng.randint(1, 4)
-        rows = _random_matrix(rng, f, k, rng.randint(k, 8))
+        k = rng.randint(1, 6)
+        rows = _random_matrix(rng, f, k, rng.randint(k, max(8, k + 4)),
+                              zero_share=rng.uniform(0, 0.5))
         if trial % 3 == 0 and len(rows[0]) > 1:  # duplicate a column
             src, dst = rng.sample(range(len(rows[0])), 2)
             for row in rows:
@@ -85,6 +91,66 @@ def test_minor_scan_matches_scalar_scan_on_random_matrices(q):
             minors_scan(f, rows), (q, rows)
 
 
+@given(st.data())
+def test_minor_scan_matches_scalar_scan_on_drawn_matrices(data):
+    f = field_for_q(data.draw(st.sampled_from([2, 3, 4, 5, 7, 9])))
+    k = data.draw(st.integers(1, 5))
+    n = data.draw(st.integers(k, k + 4))
+    entry = st.none() | st.integers(0, f.N - 1)
+    rows = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                              min_size=k, max_size=k))
+    report = check_mds_rank(f, rows)
+    assert (report.is_mds, report.minors_checked, report.witness) == \
+        minors_scan(f, rows)
+
+
+def _vandermonde(f, k, n):
+    """Rows x^0 .. x^(k-1) at the distinct points theta^0 .. theta^(n-1):
+    every maximal minor is nonsingular."""
+    return [[i * j % f.N for j in range(n)] for i in range(k)]
+
+
+def _first_containing(n, k, cols):
+    """1-based index and value of the first k-subset of range(n), in
+    combinations order, that contains ``cols``."""
+    for i, combo in enumerate(itertools.combinations(range(n), k), 1):
+        if set(cols) <= set(combo):
+            return i, combo
+
+
+@pytest.mark.parametrize("q", [4, 5])
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_minor_scan_rank_deficient_prefixes(q, k):
+    # a zero column, or two equal columns among the first k - 1 of a minor,
+    # make every minor through them singular: the first such minor is the
+    # witness, whether its prefix dies above the last level or at it
+    f = field_for_q(q)
+    n = k + 4
+    cases = [(c,) for c in range(n)] + \
+        list(itertools.combinations(range(n), 2))
+    for cols in cases:
+        rows = _vandermonde(f, k, n)
+        for row in rows:
+            if len(cols) == 1:
+                row[cols[0]] = None
+            else:
+                row[cols[1]] = row[cols[0]]
+        report = check_mds_rank(f, rows)
+        expected = (False,) + _first_containing(n, k, cols)
+        assert (report.is_mds, report.minors_checked, report.witness) == \
+            expected == minors_scan(f, rows), cols
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def test_minor_scan_duplicate_rows(k):
+    f = field_for_q(5)
+    rows = _vandermonde(f, k, k + 3)
+    rows[-1] = list(rows[0])
+    report = check_mds_rank(f, rows)
+    assert (report.is_mds, report.minors_checked, report.witness) == \
+        (False, 1, tuple(range(k)))
+
+
 def test_minor_scan_first_singular_minor_past_first_chunk():
     # 2 x 200 over GF(256) with columns (1, theta^j): only the pair of
     # duplicated columns (150, 199) is singular, at index 18 724 of C(200, 2)
@@ -92,15 +158,72 @@ def test_minor_scan_first_singular_minor_past_first_chunk():
     rows = [[0] * 200, list(range(200))]
     rows[1][199] = 150
     report = check_mds_rank(f, rows)
-    assert report.minors_checked > MINOR_ENTRIES // 4  # past the first chunk
+    assert report.minors_checked > MINOR_ENTRIES // 4
     assert (report.is_mds, report.minors_checked, report.witness) == \
         minors_scan(f, rows) == (False, 18724, (150, 199))
+
+
+@pytest.mark.parametrize("k,n,cols,expected", [
+    (2, 300, (150, 299), 33824),
+    (3, 220, (160, 219), 22160),
+    (4, 190, (180, 189), 17542),
+])
+def test_minor_scan_first_singular_minor_past_first_block(k, n, cols,
+                                                          expected):
+    # a Vandermonde matrix over GF(1024) whose columns cols are equal: the
+    # first singular minor is (0, .., cols), past the first block of
+    # MINOR_ENTRIES // k minors at the last level; C(190, 4) is past the
+    # default budget, which the walk's early stop does not need
+    f = field_for_q(32)
+    rows = _vandermonde(f, k, n)
+    for row in rows:
+        row[cols[1]] = row[cols[0]]
+    witness = tuple(range(k - 2)) + cols
+    report = check_mds_rank(f, rows, budget=math.comb(n, k))
+    assert expected > MINOR_ENTRIES // k
+    assert (report.is_mds, report.minors_checked, report.witness) == \
+        minors_scan(f, rows) == (False, expected, witness)
+
+
+@pytest.mark.parametrize("k,n", [(8, 20), (6, 28), (4, 60), (3, 200),
+                                 (2, 2000)])
+def test_minor_scan_memory_is_bounded_on_mds_inputs(k, n):
+    # every minor is decided, and the walk's blocks keep each level's
+    # arrays small whatever k and n are
+    f = field_for_q(64)
+    f.tables, f.mask_ext  # built before tracing: the walk only reads them
+    rows = _vandermonde(f, k, n)
+    tracemalloc.start()
+    try:
+        report = check_mds_rank(f, rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.is_mds and report.witness is None
+    assert report.minors_checked == math.comb(n, k)
+    assert peak <= 10 * 2 ** 20, peak
 
 
 def test_minor_scan_budget():
     art = raw_artifact("c1", 13, {"m": 7}, 6)  # C(24, 6) = 134596 minors
     with pytest.raises(BudgetExceeded):
         check_mds_rank(art.field, art.matrix(), budget=1000)
+
+
+@pytest.mark.parametrize("rows", [
+    [[0, 1], [2, 3], [4, 5]],  # 3 x 2: more rows than columns
+    [[0], [1]],  # 2 x 1
+    [],  # no rows
+    [[0, 1, 2], [3, 4]],  # ragged
+], ids=["3x2", "2x1", "empty", "ragged"])
+def test_mds_routes_reject_degenerate_matrices(rows):
+    # neither route may certify, or fail on, something that is not a k x n
+    # matrix with 1 <= k <= n
+    f = field_for_q(3)
+    with pytest.raises(InvalidDims):
+        check_mds_rank(f, rows)
+    with pytest.raises(InvalidDims):
+        check_mds_enumeration(f, rows)
 
 
 def test_enumeration_routes_agree_small_odd():
