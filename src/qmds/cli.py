@@ -10,6 +10,7 @@ emitted.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -54,7 +55,9 @@ def _add_construction_flags(sp, divisors: bool = True) -> None:
             sp.add_argument(f"--{flag}", type=int)
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged."""
     p = argparse.ArgumentParser(
         prog="qmds",
         description="Hermitian self-orthogonal MDS codes over GF(q^2) and "

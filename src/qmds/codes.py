@@ -12,10 +12,16 @@ into coprime factors, the split that needs the fewest gathers for the
 input, so that each point exponent splits into its residues mod a1 and mod
 a2.  It then sums in two stages: first over the points of each class mod
 a2, once per value of l1 + q*l2 mod a1; then over the classes, for each
-entry.  For p = 2 a sum is the XOR of packed int32 coefficient masks; for
-odd p each base-p digit is an exact integer sum of int16 digits, reduced
-mod p.  It reads the field's exp/log tables, so it needs a field of at most
-2^22 elements (``CapacityExceeded`` otherwise).  The witness is the first
+entry.  For p = 2 a sum is the XOR of packed int32 coefficient masks.  For
+odd p a term is one row of ``Field.digits``, its 2h base-p digits as
+16-bit lanes of one or a few words, and the terms' words are added as
+integers: a lane of at most 65535 // (p-1) digits cannot carry into the
+next, so each lane is an exact digit sum, reduced mod p once per sum
+(longer runs are added in sub-runs of that many terms).  Stage 1 looks
+up each point's residue times l1 + q*l2, mod a1, in a table of a1 entries
+rather than taking a ``%`` per point.  It reads the field's exp/log
+tables, so it needs a field of at most 2^22 elements
+(``CapacityExceeded`` otherwise).  The witness is the first
 offending row pair in row-major order, so the tests' scalar references,
 which compute each entry directly from the field arithmetic, cross-check
 it witness for witness.
@@ -204,25 +210,55 @@ def _choose_split(f: Field, k: int, t: np.ndarray,
 
 def packed_sums(f: Field, idx: np.ndarray, starts,
                 zero: np.ndarray | None = None) -> np.ndarray:
-    """Packed sums of theta^idx over the runs of the last axis that begin
-    at ``starts``, for exponents below 2N.  The terms that the boolean
-    array ``zero`` marks, if given, are zero and add nothing; their idx
-    need only be a valid index.  For p = 2 a sum is the XOR of the int32
-    coefficient masks; for odd p each base-p digit is an exact int64 sum of
-    int16 digits (one per term, below p) reduced mod p."""
+    """int32 packed sums of theta^idx over the runs of the last axis that
+    begin at ``starts`` (strictly increasing), for exponents below 2N.  The
+    terms that the boolean array ``zero`` marks, if given, are zero and add
+    nothing; their idx need only be a valid index."""
+    return _pack(f, _lane_sums(f, idx, starts, zero))
+
+
+def _lane_sums(f: Field, idx: np.ndarray, starts,
+               zero: np.ndarray | None = None) -> np.ndarray:
+    """The sums of ``packed_sums`` before packing.  For p = 2 they are the
+    XOR of the int32 coefficient masks, already packed.  For odd p they are
+    2h uint16 lanes per sum, each congruent mod p to the sum of one base-p
+    digit: the terms' rows of ``Field.digits`` are added as whole words,
+    lane by lane, and a lane of at most 65535 // (p-1) digits cannot carry
+    into the next.  Longer runs are added in sub-runs of that many terms,
+    whose lanes are reduced mod p and added again."""
     if f.p == 2:
         vals = f.mask_ext.take(idx)
         if zero is not None:
             vals[zero] = 0
         return np.bitwise_xor.reduceat(vals, starts, axis=-1)
-    p = f.p
-    out = np.zeros(idx.shape[:-1] + (len(starts),), dtype=np.int64)
-    for d, plane in enumerate(f.digits):
-        vals = plane.take(idx)
-        if zero is not None:
-            vals[zero] = 0
-        sums = np.add.reduceat(vals, starts, axis=-1, dtype=np.int64)
-        out += sums % p * p ** d
+    p, words = f.p, f.digits
+    vals = words.take(idx, axis=0)
+    if zero is not None:
+        vals[zero] = 0
+    axis, cap = idx.ndim - 1, 65535 // (p - 1)
+    starts = np.asarray(starts)
+    runs = np.concatenate((starts[1:], [idx.shape[-1]])) - starts
+    if runs.max() <= cap:
+        return np.add.reduceat(vals, starts, axis=axis,
+                               dtype=words.dtype).view(np.uint16)
+    parts = -(-runs // cap)
+    first = np.cumsum(parts) - parts
+    subs = np.repeat(starts - cap * first, parts) + cap * np.arange(parts.sum())
+    lanes = np.add.reduceat(vals, subs, axis=axis,
+                            dtype=words.dtype).view(np.uint16) % p
+    return (np.add.reduceat(lanes, first, axis=-2, dtype=np.int64)
+            % p).astype(np.uint16)
+
+
+def _pack(f: Field, lanes: np.ndarray) -> np.ndarray:
+    """Packed vectors from ``_lane_sums``: for odd p the lanes reduced mod
+    p are the base-p digits, lowest first."""
+    if f.p == 2:
+        return lanes
+    digits = lanes % f.p
+    out = digits[..., -1].astype(np.int32)
+    for d in range(2 * f.h - 2, -1, -1):
+        out = out * f.p + digits[..., d]
     return out
 
 
@@ -278,21 +314,40 @@ def _gram_bad(f: Field, k: int, B: np.ndarray, E: np.ndarray,
 def _stage1_logs(f: Field, a1: int, a2: int, svals: np.ndarray,
                  B: np.ndarray, E: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Stage 1 of ``_gram_bad``: the classes g, sorted, and the logs of
-    R[s, g] for s in ``svals`` (-1 where R[s, g] = 0)."""
+    R[s, g] for s in ``svals`` (-1 where R[s, g] = 0).  The lane sums of all the
+    blocks of s are collected first, then packed and looked up at once."""
     dt, n = svals.dtype, len(E)
     e2 = (E % a2 * pow(a1, -1, a2) % a2).astype(dt)
     order = np.argsort(e2, kind="stable")
     g, starts = np.unique(e2[order], return_index=True)
     e1 = (E[order] % a1 * pow(a2, -1, a1) % a1).astype(dt)
     B = B[order].astype(dt)
-    log = f.tables[1]
-    logR = np.empty((len(svals), len(g)), dtype=np.int32)
-    step = max(1, GRAM_BLOCK // n)
-    for r0 in range(0, len(svals), step):
-        s = svals[r0:r0 + step, None]
-        logR[r0:r0 + step] = log[packed_sums(f, B + a2 * (e1 * s % a1),
-                                             starts)]
-    return g, logR
+    sums = np.concatenate([
+        _lane_sums(f, index, starts)
+        for index in _stage1_index(a1, a2, B, e1, svals,
+                                   max(1, GRAM_BLOCK // n))])
+    return g, f.tables[1][_pack(f, sums)]
+
+
+def _stage1_index(a1: int, a2: int, B: np.ndarray, e1: np.ndarray,
+                  svals: np.ndarray, step: int):
+    """B + a2*(e1*s mod a1), one row per s, in blocks of ``step`` values of
+    s.  The products come from a table of the a1 values a2*(x*s mod a1)
+    per s, read with one flat take at e1 plus a1 times the row, so no point
+    pays a ``%``.  When a1 exceeds the number of points the table would be
+    the longer array, and the products are taken directly."""
+    dt = svals.dtype
+    blocks = (svals[r0:r0 + step, None] for r0 in range(0, len(svals), step))
+    if a1 > len(e1):
+        for s in blocks:
+            yield B + a2 * (e1 * s % a1)
+        return
+    at = e1 + a1 * np.arange(min(step, len(svals)), dtype=dt)[:, None]
+    x = np.arange(a1, dtype=dt)
+    for s in blocks:
+        index = (a2 * (x * s % a1)).take(at[:len(s)])
+        index += B
+        yield index
 
 
 def matrix_to_strings(matrix) -> list[str]:

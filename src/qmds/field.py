@@ -26,9 +26,12 @@ read-only int32 numpy tables ``exp`` (theta^e packed, q^2 - 1 entries) and
 2^22 elements; past that every operation that needs them raises
 ``CapacityExceeded``.  The vectorized paths index these arrays, or the
 arrays derived from them (``mask_ext``, ``digits``, ``exp0``), with whole
-arrays of exponents.  Scalar addition, which only the tests'
-element-by-element references use, goes through Zech logarithms built on its
-first call.
+arrays of exponents.  ``digits`` holds the base-p digits point-major: the
+row of exponent e is 2h uint16 lanes, lane d the coefficient of x^d,
+viewed as one uint32 word (h = 1), one uint64 word (h = 2) or a few words,
+so that summing rows word by word sums every digit at once.  Scalar
+addition, which only the tests' element-by-element references use, goes
+through Zech logarithms built on its first call.
 """
 
 from __future__ import annotations
@@ -358,17 +361,22 @@ class Field:
 
     @functools.cached_property
     def digits(self) -> np.ndarray:
-        """(2h, 2N) int16 array: row d holds the coefficient of x^d in
-        theta^e for e in [0, 2N), so that a sum of two exponents in [0, N)
-        indexes it unreduced.  int16 holds every digit: a field with
-        tables has p < 2^11."""
+        """The base-p digits of theta^e for e in [0, 2N), point-major, so
+        that a sum of two exponents in [0, N) indexes it unreduced: row e
+        holds 2h uint16 lanes, lane d the coefficient of x^d, viewed as
+        words.  2h lanes are 2h/4 uint64 words when 4 divides 2h, else h
+        uint32 words, so ``digits.view(np.uint16)`` is the (2N, 2h) lane
+        array and one word holds every lane when h <= 2.  A field with
+        tables has p < 2^11, so a lane holds the sum of up to
+        65535 // (p-1) >= 32 digits without carrying into the next."""
+        n = 2 * self.h
+        lanes = np.empty((2 * self.N, n), dtype=np.uint16)
         rest = self.tables[0]
-        arr = np.empty((2 * self.h, 2 * self.N), dtype=np.int16)
-        for d in range(2 * self.h):
-            arr[d, :self.N] = rest % self.p
+        for d in range(n):
+            lanes[:self.N, d] = rest % self.p
             rest = rest // self.p  # a new array: exp is not written
-        arr[:, self.N:] = arr[:, :self.N]
-        return _frozen(arr)
+        lanes[self.N:] = lanes[:self.N]
+        return _frozen(lanes.view(np.uint64 if n % 4 == 0 else np.uint32))
 
 
 @functools.lru_cache(maxsize=None)

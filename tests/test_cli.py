@@ -515,3 +515,26 @@ def test_stdout_bytes_are_pinned(capsys):
         rc, out = run(capsys, *argv.split())
         got[argv] = (rc, hashlib.sha256(out.encode()).hexdigest()[:16])
     assert got == PINNED_STDOUT
+
+
+def test_one_parser_serves_a_usage_error_then_a_command(capsys):
+    # the parser is built once per process, so a usage error must leave it
+    # as it was: what follows prints the bytes a fresh parser prints
+    def call(argv):
+        rc = main(argv.split())
+        captured = capsys.readouterr()
+        return rc, captured.out, captured.err
+
+    def fresh_call(argv):
+        cli._parser.cache_clear()
+        return call(argv)
+
+    bad, good = "search --pairs --family", "oracle --construction c1 --q 17 --m 9"
+    fresh = {argv: fresh_call(argv) for argv in (bad, good)}
+    cli._parser.cache_clear()
+    parser = cli._parser()
+    assert [call(argv) for argv in (bad, good, bad)] == [
+        fresh[bad], fresh[good], fresh[bad]]
+    assert fresh[bad][0] == 2 and "not allowed with argument" in fresh[bad][2]
+    assert fresh[good][0] == 0 and fresh[good][1]
+    assert cli._parser() is parser

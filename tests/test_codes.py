@@ -19,12 +19,14 @@ from qmds import codes
 from qmds.codes import (
     CodeArtifact,
     _gram_bad,
+    _stage1_index,
     _unitary_splits,
     eval_code,
     extend_c1,
     gram_nonzero_mask,
     gram_zero,
     matrix_to_strings,
+    packed_sums,
 )
 from qmds.constructions import ROUTES, max_dim_oracle
 from qmds.errors import DimensionTooLarge, UsageError
@@ -397,6 +399,82 @@ def test_every_coprime_split_gives_the_scalar_mask(q, k, monkeypatch):
         for split in splits:
             monkeypatch.setattr(codes, "_choose_split", lambda *a: split)
             assert np.array_equal(gram_nonzero_mask(art), want), split
+
+
+# --- the digit-lane sums ------------------------------------------------------
+
+
+def add_chain_logs(f, idx, starts, zero):
+    """Log of each run's sum by a ``Field.add`` chain, -1 for zero: the
+    scalar reference for ``packed_sums``."""
+    bounds = list(starts) + [idx.shape[-1]]
+    out = np.empty(idx.shape[:-1] + (len(starts),), dtype=np.int64)
+    for pos in np.ndindex(idx.shape[:-1]):
+        for r, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+            acc = None
+            for j in range(lo, hi):
+                if not zero[pos + (j,)]:
+                    acc = f.add(acc, int(idx[pos + (j,)]) % f.N)
+            out[pos + (r,)] = -1 if acc is None else acc
+    return out
+
+
+def high_digit_terms(f, rng, shape):
+    """Exponents below 2N of elements whose every digit is p - 1 or p - 2,
+    so that runs of 65535 // (p-1) + 1 terms overflow a 16-bit lane."""
+    p, n = f.p, 2 * f.h
+    digits = rng.integers(p - 2, p, size=shape + (n,))
+    packed = digits @ p ** np.arange(n)
+    return f.tables[1][packed] + f.N * rng.integers(0, 2, size=shape)
+
+
+@pytest.mark.parametrize("q,starts,length", [
+    (1021, [0], 300),  # one run of every term
+    (1021, [0, 5, 100, 101, 250], 300),
+    (2039, [0], 300),
+    (2039, [0, 31, 33, 70, 200], 300),
+    (27, [0, 3], 40),  # three uint32 words of lanes
+    (81, [0, 3], 40),  # two uint64 words of lanes
+    (27, [0, 1, 50000], 2 * 32768 + 40),  # h = 3 runs past the cap
+])
+def test_packed_sums_equal_the_add_chain(q, starts, length):
+    f = field_for_q(q)
+    words = f.digits
+    n_words = 2 * f.h // (words.itemsize // 2)
+    assert words.shape == (2 * f.N, n_words)
+    rng = np.random.default_rng(q + len(starts))
+    idx = high_digit_terms(f, rng, (2, length))
+    cap = 65535 // (f.p - 1)
+    runs = np.diff(starts + [length])
+    if runs.max() > cap:  # the terms would carry out of a lane unsplit
+        run = idx[0, starts[runs.argmax()]:][:runs.max()]
+        assert max(sum(f.coeffs(int(e) % f.N)[d] for e in run)
+                   for d in range(2 * f.h)) > 65535
+    zero = rng.random(idx.shape) < 0.2
+    for mask in (None, zero):
+        want = add_chain_logs(f, idx, starts,
+                              np.zeros(idx.shape, bool) if mask is None else mask)
+        got = packed_sums(f, idx, starts, mask)
+        assert got.shape == want.shape
+        assert np.array_equal(f.tables[1][got], want)
+
+
+@pytest.mark.parametrize("a1,n,step", [(7, 40, 3), (7, 40, 1), (40, 7, 3),
+                                       (40, 7, 1), (7, 7, 8)])
+def test_stage1_index_is_the_residue_product(a1, n, step):
+    # the table of a1 products per s (a1 <= n) and the direct products
+    # (a1 > n) both give B + a2*(e1*s mod a1), in multi-row blocks (the
+    # last one short) and in single-row blocks
+    a2 = 9
+    rng = np.random.default_rng(a1 * n + step)
+    B = rng.integers(0, a1 * a2, size=n).astype(np.int32)
+    e1 = rng.integers(0, a1, size=n).astype(np.int32)
+    svals = rng.integers(0, a1, size=5).astype(np.int32)
+    blocks = list(_stage1_index(a1, a2, B, e1, svals, step))
+    assert [len(b) for b in blocks] == [len(svals[i:i + step])
+                                        for i in range(0, 5, step)]
+    assert np.array_equal(np.concatenate(blocks),
+                          B + a2 * (e1 * svals[:, None] % a1))
 
 
 def test_gram_entry_equals_matrix_inner_product():

@@ -121,14 +121,19 @@ def test_presentation_builds_no_tables():
     assert "tables" in vars(f)
 
 
-@pytest.mark.parametrize("p,h", [(3, 2), (5, 1)])
+@pytest.mark.parametrize("p,h", [(3, 2), (5, 1), (3, 3), (3, 4)])
 def test_np_planes_are_coefficients(p, h):
+    # 2h uint16 lanes per exponent: one word when h <= 2, else h uint32
+    # words (2h not a multiple of 4) or h/2 uint64 words
     f = build_field(p, h)
-    planes = f.digits
-    assert planes.shape == (2 * h, 2 * f.N) and planes.dtype.kind == "i"
+    words = f.digits
+    word, n_words = (np.uint64, h // 2) if h % 2 == 0 else (np.uint32, h)
+    assert words.shape == (2 * f.N, n_words) and words.dtype == word
+    lanes = words.view(np.uint16)
+    assert lanes.shape == (2 * f.N, 2 * h)
     for e in range(f.N):
-        assert tuple(planes[:, e]) == f.coeffs(e)
-        assert tuple(planes[:, f.N + e]) == f.coeffs(e)
+        assert tuple(lanes[e]) == f.coeffs(e)
+        assert tuple(lanes[f.N + e]) == f.coeffs(e)
 
 
 # --- arithmetic against the coefficient-tuple model ----------------------------
@@ -260,7 +265,7 @@ def test_derived_tables_leave_the_backend_unchanged(p, h):
         assert arr.dtype == np.int32 and not arr.flags.writeable
     assert np.array_equal(f.tables[0], exp)
     assert np.array_equal(f.tables[1], log)
-    for arr in derived:
+    for arr in derived + [f.digits.view(np.uint16)]:
         assert not arr.flags.writeable
     # a second round reads the cache
     assert all(a is b for a, b in zip([f.digits, f.mask_ext, f.exp0], derived))
