@@ -243,7 +243,8 @@ def _lane_sums(f: Field, idx: np.ndarray, starts,
                                dtype=words.dtype).view(np.uint16)
     parts = -(-runs // cap)
     first = np.cumsum(parts) - parts
-    subs = np.repeat(starts - cap * first, parts) + cap * np.arange(parts.sum())
+    subs = (np.repeat(starts - cap * first, parts)
+            + cap * np.arange(parts.sum()))
     lanes = np.add.reduceat(vals, subs, axis=axis,
                             dtype=words.dtype).view(np.uint16) % p
     return (np.add.reduceat(lanes, first, axis=-2, dtype=np.int64)
@@ -314,8 +315,9 @@ def _gram_bad(f: Field, k: int, B: np.ndarray, E: np.ndarray,
 def _stage1_logs(f: Field, a1: int, a2: int, svals: np.ndarray,
                  B: np.ndarray, E: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Stage 1 of ``_gram_bad``: the classes g, sorted, and the logs of
-    R[s, g] for s in ``svals`` (-1 where R[s, g] = 0).  The lane sums of all the
-    blocks of s are collected first, then packed and looked up at once."""
+    R[s, g] for s in ``svals`` (-1 where R[s, g] = 0).  The lane sums of
+    all the blocks of s are collected first, then packed and looked up at
+    once."""
     dt, n = svals.dtype, len(E)
     e2 = (E % a2 * pow(a1, -1, a2) % a2).astype(dt)
     order = np.argsort(e2, kind="stable")
@@ -342,7 +344,9 @@ def _stage1_index(a1: int, a2: int, B: np.ndarray, e1: np.ndarray,
         for s in blocks:
             yield B + a2 * (e1 * s % a1)
         return
-    at = e1 + a1 * np.arange(min(step, len(svals)), dtype=dt)[:, None]
+    rows = min(step, len(svals))  # one row needs no offset, nor a copy of e1
+    at = (e1[None] if rows == 1
+          else e1 + a1 * np.arange(rows, dtype=dt)[:, None])
     x = np.arange(a1, dtype=dt)
     for s in blocks:
         index = (a2 * (x * s % a1)).take(at[:len(s)])

@@ -529,7 +529,8 @@ def test_one_parser_serves_a_usage_error_then_a_command(capsys):
         cli._parser.cache_clear()
         return call(argv)
 
-    bad, good = "search --pairs --family", "oracle --construction c1 --q 17 --m 9"
+    bad = "search --pairs --family"
+    good = "oracle --construction c1 --q 17 --m 9"
     fresh = {argv: fresh_call(argv) for argv in (bad, good)}
     cli._parser.cache_clear()
     parser = cli._parser()

@@ -452,8 +452,8 @@ def test_packed_sums_equal_the_add_chain(q, starts, length):
                    for d in range(2 * f.h)) > 65535
     zero = rng.random(idx.shape) < 0.2
     for mask in (None, zero):
-        want = add_chain_logs(f, idx, starts,
-                              np.zeros(idx.shape, bool) if mask is None else mask)
+        want = add_chain_logs(
+            f, idx, starts, np.zeros(idx.shape, bool) if mask is None else mask)
         got = packed_sums(f, idx, starts, mask)
         assert got.shape == want.shape
         assert np.array_equal(f.tables[1][got], want)
