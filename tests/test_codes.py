@@ -439,9 +439,6 @@ def high_digit_terms(f, rng, shape):
 ])
 def test_packed_sums_equal_the_add_chain(q, starts, length):
     f = field_for_q(q)
-    words = f.digits
-    n_words = 2 * f.h // (words.itemsize // 2)
-    assert words.shape == (2 * f.N, n_words)
     rng = np.random.default_rng(q + len(starts))
     idx = high_digit_terms(f, rng, (2, length))
     cap = 65535 // (f.p - 1)
