@@ -17,10 +17,12 @@ With ``--parent DIR`` every seed is a pair of runs, one in DIR (another
 checkout, usually the parent commit) and one here, and the side that runs
 first alternates from pair to pair.  Without it only this checkout runs.
 Runs are added to the ``--out`` file if it exists, so one file can hold
-different seeds for different workloads.  ``--compare A B`` reads two BENCH
-files and prints, for each workload and metric, the medians of A's and B's
-runs of their own checkout (side "change"), the relative delta and how many
-seed-matched pairs B wins.
+different seeds for different workloads.  Each run also records the median
+time of each of its operations over its passes, read from the result file
+run.py leaves in ``perfbench/out`` of the checkout that ran.  ``--compare A
+B`` reads two BENCH files and prints, for each workload and metric, and for
+each operation, the medians of A's and B's runs of their own checkout (side
+"change"), the relative delta and how many seed-matched pairs B wins.
 """
 
 from __future__ import annotations
@@ -95,7 +97,18 @@ def _run(tree: Path, workload: str, seed: int) -> dict:
     result = json.loads(done.stdout.strip().splitlines()[-1])
     return {"correct": result["correct"], "attempted": result["attempted"],
             "failed": result["failed"],
-            "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
+            "metrics": {k: v["value"] for k, v in result["metrics"].items()},
+            "ops": _op_medians(tree, workload, seed)}
+
+
+def _op_medians(tree: Path, workload: str, seed: int) -> dict:
+    """Each operation's median time over the passes of the run just made,
+    from the result file run.py wrote in ``tree``."""
+    name = f"result-{workload}-seed{seed}-trace0.json"
+    detail = json.loads((tree / "perfbench" / "out" / name).read_text())
+    by_op = zip(*detail["op_s_by_pass"])
+    return {name: statistics.median(times)
+            for name, times in zip(detail["ops"], by_op)}
 
 
 def _quartiles(values: list[float]) -> dict:
@@ -120,47 +133,76 @@ def _pairs(base: list[dict], new: list[dict]) -> list[tuple[dict, dict]]:
     return [(a[k], b[k]) for k in sorted(a.keys() & b.keys())]
 
 
+def _entry(b_runs: list[dict], n_runs: list[dict], pairs, value,
+           better: str) -> dict:
+    """Medians and quartiles of ``value(run)`` on each side, over the runs
+    where it is not None; with both sides, the relative delta of the
+    medians and the pairs won."""
+    entry = {}
+    for side, runs in (("change", n_runs), ("parent", b_runs)):
+        values = [v for v in map(value, runs) if v is not None]
+        if values:
+            entry[side] = _quartiles(values)
+    if "parent" in entry and "change" in entry:
+        p, c = entry["parent"]["median"], entry["change"]["median"]
+        entry["delta"] = (c - p) / p if p else None
+        sign = -1 if better == "lower" else 1
+        both = [(value(x), value(y)) for x, y in pairs]
+        both = [(x, y) for x, y in both if x is not None and y is not None]
+        wins = sum(sign * (y - x) > 0 for x, y in both)
+        entry["wins"] = f"{wins}/{len(both)}"
+    return entry
+
+
 def _summary(base: list[dict], new: list[dict]) -> dict:
     """Per workload and metric: medians and quartiles of each side; with a
-    baseline, the relative delta of the medians and the pairs won."""
+    baseline, the relative delta of the medians and the pairs won.  Under
+    "ops", the same for each operation's per-run median time, pooled over
+    the runs that have it (runs recorded before operations were kept have
+    none)."""
     out = {}
     for workload in sorted({r["workload"] for r in base + new}):
         b_runs = [r for r in base if r["workload"] == workload]
         n_runs = [r for r in new if r["workload"] == workload]
         pairs = _pairs(b_runs, n_runs)
-        row = {}
-        for name, spec in METRICS.items():
-            entry = {}
-            if n_runs:
-                entry["change"] = _quartiles([r["metrics"][name] for r in n_runs])
-            if b_runs:
-                entry["parent"] = _quartiles([r["metrics"][name] for r in b_runs])
-            if b_runs and n_runs:
-                p, c = entry["parent"]["median"], entry["change"]["median"]
-                entry["delta"] = (c - p) / p if p else None
-                sign = -1 if spec["better"] == "lower" else 1
-                wins = sum(sign * (y["metrics"][name] - x["metrics"][name]) > 0
-                           for x, y in pairs)
-                entry["wins"] = f"{wins}/{len(pairs)}"
-            row[name] = entry
+        row = {name: _entry(b_runs, n_runs, pairs,
+                            lambda r, name=name: r["metrics"][name],
+                            spec["better"])
+               for name, spec in METRICS.items()}
+        ops = dict.fromkeys(op for r in b_runs + n_runs
+                            for op in r.get("ops", {}))
+        row["ops"] = {op: _entry(b_runs, n_runs, pairs,
+                                 lambda r, op=op: r.get("ops", {}).get(op),
+                                 "lower")
+                      for op in ops}
         out[workload] = row
     return out
 
 
+def _line(name: str, e: dict, labels) -> str:
+    line = f"  {name:12s}"
+    for side, label in zip(("parent", "change"), labels):
+        if side in e:
+            s = e[side]
+            line += (f"  {label} {s['median']:.4g} "
+                     f"({s['q1']:.4g}-{s['q3']:.4g})")
+    if e.get("delta") is not None:
+        line += f"  delta {100 * e['delta']:+.1f} %  wins {e['wins']}"
+    return line
+
+
 def _print_summary(summary: dict, labels=("parent", "change")) -> None:
-    """Median (quartiles) of each side, then the delta and pairs won."""
+    """Median (quartiles) of each side, then the delta and pairs won: per
+    metric, then per operation (its median seconds per run)."""
     for workload, row in summary.items():
         print(workload)
         for name, e in row.items():
-            line = f"  {name:12s}"
-            for side, label in zip(("parent", "change"), labels):
-                if side in e:
-                    s = e[side]
-                    line += (f"  {label} {s['median']:.4g} "
-                             f"({s['q1']:.4g}-{s['q3']:.4g})")
-            if e.get("delta") is not None:
-                line += f"  delta {100 * e['delta']:+.1f} %  wins {e['wins']}"
-            print(line)
+            if name != "ops":
+                print(_line(name, e, labels))
+        if row.get("ops"):
+            print("  per operation, s:")
+            for op, e in row["ops"].items():
+                print("  " + _line(op, e, labels))
 
 
 def _compare(a_path: Path, b_path: Path) -> int:

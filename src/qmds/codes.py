@@ -17,8 +17,11 @@ odd p a term is one row of ``Field.digits``, its 2h base-p digits as
 16-bit lanes of one or a few words, and the terms' words are added as
 integers: a lane of at most 65535 // (p-1) digits cannot carry into the
 next, so each lane is an exact digit sum, reduced mod p once per sum
-(longer runs are added in sub-runs of that many terms).  Stage 1 looks
-up each point's residue times l1 + q*l2, mod a1, in a table of a1 entries
+(longer runs are added in sub-runs of that many terms).  The points are
+grouped into their classes mod a2, and the entries by l1 + q*l2 mod a1, by
+one stable sort of the residues as the smallest unsigned integers that
+hold them, which numpy sorts by radix up to 16 bits.  Stage 1 looks up
+each point's residue times l1 + q*l2, mod a1, in a table of a1 entries
 rather than taking a ``%`` per point.  It reads the field's exp/log
 tables, so it needs a field of at most 2^22 elements
 (``CapacityExceeded`` otherwise).  The witness is the first
@@ -167,15 +170,6 @@ def _unitary_splits(N: int, primes) -> list[tuple[int, int]]:
     return splits
 
 
-def _distinct(x: np.ndarray, a: int) -> int:
-    """Number of distinct values of x mod a, with no array longer than x."""
-    if a > len(x):
-        return len(np.unique(x % a))
-    seen = np.zeros(a, dtype=bool)
-    seen[x % a] = True
-    return int(np.count_nonzero(seen))
-
-
 def _choose_split(f: Field, k: int, t: np.ndarray,
                   E: np.ndarray) -> tuple[int, int]:
     """The coprime split N = a1*a2 that needs the fewest gathers in
@@ -188,6 +182,10 @@ def _choose_split(f: Field, k: int, t: np.ndarray,
     consecutive ones; and a class mod a1 holds at most ceil(span/a1) of the
     values in [0, span), each taken at most ceil(k/q) times.  Mod a2 the n
     distinct points fill at least n/a1 classes of a1 exponents each.
+
+    x mod a is (x mod m) mod a whenever a | m, so each count reduces the
+    shortest array of distinct residues already found mod a multiple of
+    a; t and E themselves are their residues mod 0.
     """
     n, K, q = len(E), len(t), f.q
     distinct_t = -(-K // -(-k // q))
@@ -197,15 +195,37 @@ def _choose_split(f: Field, k: int, t: np.ndarray,
         s1 = max(min(a1, k), -(-distinct_t // -(-span // a1)))
         return s1 * n + K * -(-n // a1)
 
+    def distinct(found, a):
+        x = min((r for m, r in found.items() if m % a == 0), key=len) % a
+        # a table of a counts is no longer than x
+        found[a] = (np.unique(x) if a > len(x)
+                    else np.bincount(x, minlength=a).nonzero()[0])
+        return len(found[a])
+
+    found_t, found_E = {0: t}, {0: E}
     best, best_cost = None, 0
     for low, a1, a2 in sorted((bound(a1), a1, a2)
                               for a1, a2 in _unitary_splits(f.N, f.n_factors)):
         if best is not None and low >= best_cost:
             break
-        cost = _distinct(t, a1) * n + K * _distinct(E, a2)
+        cost = distinct(found_t, a1) * n + K * distinct(found_E, a2)
         if best is None or cost < best_cost:
             best, best_cost = (a1, a2), cost
     return best
+
+
+def _classes(x: np.ndarray, a: int) -> tuple[np.ndarray, np.ndarray,
+                                              np.ndarray]:
+    """x grouped by its residues mod a: the stable order of the residues,
+    the residues in that order and the start of each class, wherever the
+    sorted residues change.  The residues are sorted as the smallest
+    unsigned dtype that holds a - 1, so numpy sorts them by radix whenever
+    a <= 65536."""
+    key = (x % a).astype(np.min_scalar_type(a - 1))
+    order = np.argsort(key, kind="stable")
+    r = key[order]
+    changes = (r[1:] != r[:-1]).nonzero()[0] + 1
+    return order, r, np.concatenate(([0], changes))
 
 
 def packed_sums(f: Field, idx: np.ndarray, starts,
@@ -284,15 +304,15 @@ def _gram_bad(f: Field, k: int, B: np.ndarray, E: np.ndarray,
     max(a1, a2)^2, could overflow it, in blocks of at most ``GRAM_BLOCK``
     terms.
     """
+    f.tables  # CapacityExceeded past 2^22 elements, so E fits int32
+    E = E.astype(np.int32)
     upper = np.triu(np.ones((k, k), dtype=bool))
     ls = np.arange(k, dtype=np.int32)
     t = (ls[:, None] + f.q * ls)[upper]
     a1, a2 = _choose_split(f, k, t, E)
     dt = np.int32 if max(a1, a2) ** 2 < 1 << 31 else np.int64
-    by_s = np.argsort(t % a1, kind="stable")
-    s = t[by_s] % a1
-    ends = np.append(np.flatnonzero(s[1:] != s[:-1]) + 1, len(t))
-    firsts = np.append(0, ends[:-1])
+    by_s, s, firsts = _classes(t, a1)
+    ends = np.concatenate((firsts[1:], [len(t)]))
     g, logR = _stage1_logs(f, a1, a2, s[firsts].astype(dt), B, E)
 
     vals = np.zeros(len(t), dtype=np.int32)
@@ -314,15 +334,18 @@ def _gram_bad(f: Field, k: int, B: np.ndarray, E: np.ndarray,
 
 def _stage1_logs(f: Field, a1: int, a2: int, svals: np.ndarray,
                  B: np.ndarray, E: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stage 1 of ``_gram_bad``: the classes g, sorted, and the logs of
-    R[s, g] for s in ``svals`` (-1 where R[s, g] = 0).  The lane sums of
-    all the blocks of s are collected first, then packed and looked up at
-    once."""
+    """Stage 1 of ``_gram_bad``: the classes g and the logs of R[s, g] for
+    s in ``svals`` (-1 where R[s, g] = 0), for int32 point exponents E.
+    The points are grouped by E mod a2 (``_classes``), so a class is
+    found by one radix sort of small keys whenever a2 <= 65536, and
+    g = (E mod a2)*a1^-1 mod a2 is computed once per class; the classes
+    come in the order of E mod a2, which leaves every sum unchanged.  The
+    lane sums of all the blocks of s are collected first, then packed and
+    looked up at once."""
     dt, n = svals.dtype, len(E)
-    e2 = (E % a2 * pow(a1, -1, a2) % a2).astype(dt)
-    order = np.argsort(e2, kind="stable")
-    g, starts = np.unique(e2[order], return_index=True)
-    e1 = (E[order] % a1 * pow(a2, -1, a1) % a1).astype(dt)
+    order, r2, starts = _classes(E, a2)
+    g = r2[starts].astype(dt) * pow(a1, -1, a2) % a2
+    e1 = (E[order] % a1).astype(dt) * pow(a2, -1, a1) % a1
     B = B[order].astype(dt)
     sums = np.concatenate([
         _lane_sums(f, index, starts)

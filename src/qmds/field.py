@@ -15,9 +15,13 @@ polynomials are read as base-p digits of a counter J with c_0 most
 significant, and the first candidate in increasing J with c_0 != 0 in which
 x has order p^(2h) - 1 is selected.  That order is possible only when the
 candidate is irreducible, so this is the first irreducible candidate with x
-primitive.  Each candidate is tested by powering x, left to right: for
-p = 2 on polynomials packed into ints (a product is shifts and XORs), for
-odd p on coefficient lists.  theta is the class of x.
+primitive.  For p = 2 each candidate is tested by powering x, left to
+right, on polynomials packed into ints (a product is shifts and XORs).
+For odd p a block of consecutive candidates is tested at once: their
+companion matrices are stacked and raised to every exponent the test needs
+by square-and-multiply, with exact int64 matmuls mod p, and the first that
+passes is taken; blocks grow from 8 to 256 candidates, so an early hit
+costs little and a late one few numpy calls.  theta is the class of x.
 
 A ``Field`` accepts any q^2 up to 2^40: its presentation (``to_json``) needs
 only the modulus.  ``Field.tables``, built on first use, is the pair of
@@ -73,47 +77,43 @@ def _x_pow_char2(f: int, n: int, e: int) -> int:
     return a
 
 
-def _x_pow_odd(f: tuple[int, ...], p: int, e: int) -> list[int]:
-    """x^e mod the monic f over GF(p), as the coefficients of x^0 ..
-    x^(n-1), left to right."""
+def _is_primitive(f: tuple[int, ...], exponents: tuple[int, ...]) -> bool:
+    """x has order N mod the GF(2) polynomial f, given as coefficients:
+    x^N = 1 and x^(N/r) != 1 for the ``exponents`` N, N/r of every prime
+    r | N."""
     n = len(f) - 1
-    neg = [(-c) % p for c in f[:n]]  # x^n = sum neg[i] x^i
-    a = [1] + [0] * (n - 1)
-    for bit in bin(e)[2:]:
-        sq = [0] * (2 * n - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, aj in enumerate(a):
-                    sq[i + j] += ai * aj
-        for d in range(2 * n - 2, n - 1, -1):
-            c = sq[d] % p
-            if c:
-                for i, ni in enumerate(neg, d - n):
-                    sq[i] += c * ni
-        a = [c % p for c in sq[:n]]
-        if bit == "1":
-            top = a.pop()
-            a.insert(0, 0)
-            if top:
-                a = [(ai + top * ni) % p for ai, ni in zip(a, neg)]
-    return a
+    packed = sum(c << i for i, c in enumerate(f))
+    powers = (_x_pow_char2(packed, n, e) for e in exponents)
+    return next(powers) == 1 and all(x != 1 for x in powers)
 
 
-def _is_primitive(f: tuple[int, ...], p: int,
-                  n_factors: tuple[int, ...]) -> bool:
-    """x has order N = p^n - 1 mod f: x^N = 1 and x^(N/r) != 1 for every
-    prime r | N, the primes ``n_factors``."""
-    n = len(f) - 1
-    N = p ** n - 1
-    exponents = (N,) + tuple(N // r for r in n_factors)
-    if p == 2:
-        packed = sum(c << i for i, c in enumerate(f))
-        powers = (_x_pow_char2(packed, n, e) for e in exponents)
-        one = 1
-    else:
-        powers = (_x_pow_odd(f, p, e) for e in exponents)
-        one = [1] + [0] * (n - 1)
-    return next(powers) == one and all(x != one for x in powers)
+def _primitive_rows(f: np.ndarray, p: int,
+                    exponents: tuple[int, ...]) -> np.ndarray:
+    """For each row of f, the low coefficients c_0 .. c_(n-1) of a monic
+    degree-n polynomial over GF(p), whether x has order N mod it: x^N = 1
+    and x^(N/r) != 1 for the ``exponents`` N, N/r of every prime r | N.
+
+    S is the stack of companion matrices, the matrices of multiplication by
+    x on the basis 1 .. x^(n-1), so x^e is row 0 of S^e.  The powers run
+    right to left: S^(2^i) by repeated squaring, shared by every exponent,
+    multiplies into the row of each exponent whose bit i is set.  The int64
+    products are exact: each sum is at most n(p-1)^2 < 2^41 whenever
+    p^n <= 2^40."""
+    b, n = f.shape
+    S = np.zeros((b, n, n), dtype=np.int64)
+    S[:, np.arange(n - 1), np.arange(1, n)] = 1  # x * x^i = x^(i+1)
+    S[:, n - 1] = -f % p  # x^n = -sum f_i x^i
+    X = np.zeros((len(exponents), b, 1, n), dtype=np.int64)
+    X[..., 0] = 1
+    bits = max(exponents).bit_length()
+    for i in range(bits):
+        sel = [j for j, e in enumerate(exponents) if e >> i & 1]
+        if sel:
+            X[sel] = X[sel] @ S % p
+        if i + 1 < bits:
+            S = S @ S % p
+    one = (X[..., 0, 0] == 1) & ~X[..., 0, 1:].any(axis=-1)
+    return one[0] & ~one[1:].any(axis=0)
 
 
 def canonical_modulus(p: int, n: int, n_factors: tuple[int, ...]) -> tuple[int, ...]:
@@ -125,25 +125,44 @@ def canonical_modulus(p: int, n: int, n_factors: tuple[int, ...]) -> tuple[int, 
     (Lidl and Niederreiter, Finite Fields, Thms 3.3 and 3.16), and no
     separate irreducibility test is needed.
 
+    For p = 2 the candidates are tested one at a time on polynomials
+    packed into ints.  For odd p they are tested in blocks of consecutive
+    candidates, 8 at first and twice as many each time up to 256, by
+    ``_primitive_rows``, and the first that passes in its block is taken.
     Whole c_0 blocks are skipped when (-1)^n c_0 — the norm of x down to
     GF(p) — fails to generate GF(p)*, a necessary condition for x to be
     primitive; this prunes only candidates the order test would reject, so
     the selected polynomial is unchanged.
     """
-    pm1_factors = tuple(factorize(p - 1)) if p > 2 else ()
+    N = p ** n - 1
+    exponents = (N,) + tuple(N // r for r in n_factors)
+    if p == 2:
+        for rest in range(2 ** (n - 1)):  # c_0 = 1, c_1 most significant
+            f = (1, *(rest >> (n - 1 - i) & 1 for i in range(1, n)), 1)
+            if _is_primitive(f, exponents):
+                return f
+        raise ArithmeticError("no primitive modulus found")  # pragma: no cover
+    pm1_factors = factorize(p - 1)
     sign = 1 if n % 2 == 0 else -1
+    block_count = p ** (n - 1)  # candidates per c_0
+    # c_1 is the most significant digit of the candidate's place in its block
+    place = block_count // p ** np.arange(1, n, dtype=np.int64)
+    size = 8
     for c0 in range(1, p):
         norm_x = sign * c0 % p
         if any(pow(norm_x, (p - 1) // r, p) == 1 for r in pm1_factors):
             continue
-        for rest in range(p ** (n - 1)):
-            coeffs = [c0] + [0] * (n - 1)
-            rem = rest
-            for i in range(1, n):  # c_1 is the most significant digit of rest
-                coeffs[i] = (rem // p ** (n - 1 - i)) % p
-            f = tuple(coeffs) + (1,)
-            if _is_primitive(f, p, n_factors):
-                return f
+        lo = 0
+        while lo < block_count:
+            rest = np.arange(lo, min(lo + size, block_count), dtype=np.int64)
+            f = np.empty((len(rest), n), dtype=np.int64)
+            f[:, 0] = c0
+            f[:, 1:] = rest[:, None] // place % p
+            hit = np.flatnonzero(_primitive_rows(f, p, exponents))
+            if hit.size:
+                return tuple(f[hit[0]].tolist()) + (1,)
+            lo += len(rest)
+            size = min(2 * size, 256)
     raise ArithmeticError("no primitive modulus found")  # pragma: no cover
 
 

@@ -49,3 +49,79 @@ def test_compare_reads_each_files_own_runs(tmp_path, capsys):
     line = next(x for x in capsys.readouterr().out.splitlines() if "pass_s" in x)
     assert "A 2 " in line and "B 1 " in line
     assert "delta -50.0 %" in line and "wins 1/1" in line
+
+
+def _result_file(tree, workload, seed, ops, op_s_by_pass):
+    out = tree / "perfbench" / "out"
+    out.mkdir(parents=True, exist_ok=True)
+    (out / f"result-{workload}-seed{seed}-trace0.json").write_text(
+        json.dumps({"workload": workload, "seed": seed, "ops": ops,
+                    "op_s_by_pass": op_s_by_pass}))
+
+
+def test_run_records_each_operations_median_from_the_tree_that_ran(tmp_path):
+    # a stand-in run.py prints the last line run.py prints; the result file
+    # beside it holds three passes of two operations
+    tree = tmp_path / "checkout"
+    (tree / "perfbench").mkdir(parents=True)
+    line = {"correct": True, "attempted": 6, "failed": 0,
+            "metrics": {name: {"value": 1.0, "unit": "s"}
+                        for name in bench.METRICS}}
+    (tree / "perfbench" / "run.py").write_text(
+        f"print({json.dumps(json.dumps(line))})\n")
+    _result_file(tree, "small-jobs", 4, ["qmds field", "qmds verify"],
+                 [[0.5, 2.0], [0.1, 3.0], [0.3, 1.0]])
+    _result_file(tmp_path, "small-jobs", 4, ["qmds field"], [[9.0]])
+    run = bench._run(tree, "small-jobs", 4)
+    assert run["ops"] == {"qmds field": 0.3, "qmds verify": 2.0}
+    assert run["metrics"]["pass_s"] == 1.0
+
+
+def _op_run(workload, seed, side, ops):
+    return {**_run(workload, seed, side, 1.0), "ops": ops}
+
+
+def test_summary_per_operation_medians_delta_and_wins():
+    def side(name, *ops):
+        return [_op_run("small-jobs", seed, name, o)
+                for seed, o in enumerate(ops, 1)]
+
+    parent = side("parent", {"field": 0.010, "verify": 0.020},
+                  {"field": 0.012, "verify": 0.020}, {"field": 0.014})
+    change = side("change", {"field": 0.003, "verify": 0.030},
+                  {"field": 0.004, "verify": 0.010}, {"field": 0.020})
+    ops = bench._summary(parent, change)["small-jobs"]["ops"]
+    assert list(ops) == ["field", "verify"]
+    assert ops["field"]["parent"]["median"] == 0.012
+    assert ops["field"]["change"]["median"] == 0.004
+    assert ops["field"]["delta"] == pytest.approx(-2 / 3)
+    assert ops["field"]["wins"] == "2/3"
+    # only the seeds that ran the operation on both sides are pairs
+    assert ops["verify"]["parent"]["runs"] == 2
+    assert ops["verify"]["delta"] == pytest.approx(0.0)
+    assert ops["verify"]["wins"] == "1/2"
+
+
+def test_summary_of_runs_without_operations():
+    # BENCH files written before operations were recorded
+    row = bench._summary([_run("conditions", 1, "parent", 2.0)],
+                         [_run("conditions", 1, "change", 1.0)])["conditions"]
+    assert row["ops"] == {}
+    assert row["pass_s"]["wins"] == "1/1"
+
+
+def test_compare_prints_per_operation_deltas(tmp_path, capsys):
+    op = "qmds field --q 1369"
+    a = {"sides": {"change": "aaa"},
+         "runs": [_op_run("small-jobs", 1, "change", {op: 0.0124})]}
+    b = {"sides": {"change": "bbb"},
+         "runs": [_op_run("small-jobs", 1, "change", {op: 0.0031})]}
+    pa, pb = tmp_path / "a.json", tmp_path / "b.json"
+    pa.write_text(json.dumps(a))
+    pb.write_text(json.dumps(b))
+    assert bench.main(["--compare", str(pa), str(pb)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    line = next(x for x in out if op in x)
+    assert "A 0.0124 " in line and "B 0.0031 " in line
+    assert "delta -75.0 %" in line and "wins 1/1" in line
+    assert out.index(line) > out.index("  per operation, s:")

@@ -28,10 +28,11 @@ from qmds.codes import (
     matrix_to_strings,
     packed_sums,
 )
-from qmds.constructions import ROUTES, max_dim_oracle
+from qmds.constructions import ROUTES, build, max_dim_oracle, sweep
 from qmds.errors import DimensionTooLarge, UsageError
 from qmds.evalsets import EvalSet, subgroup_set
 from qmds.field import TABLE_LIMIT, Field, build_field, field_for_q
+from qmds.numtheory import is_prime_power
 
 # (construction, q, params, max self-orthogonal k) for the Gram agreement pool
 POOL = [
@@ -393,12 +394,63 @@ def test_every_coprime_split_gives_the_scalar_mask(q, k, monkeypatch):
                      k=k, shift=int(rng.integers(f.N)), has_border=True,
                      border_entry=int(rng.integers(f.N))),
     ]
+    if q == 331:  # class keys sorted as uint16 and as uint32
+        a2s = [a2 for _, a2 in splits]
+        assert min(a2s) <= 1 << 16 < max(a2s)
     for art in arts:
         want = scalar_nonzero_mask(art)
         assert want.any()
         for split in splits:
             monkeypatch.setattr(codes, "_choose_split", lambda *a: split)
             assert np.array_equal(gram_nonzero_mask(art), want), split
+
+
+def reference_split(f, k, E):
+    """The split ``_choose_split`` must return: the least (cost, bound, a1,
+    a2) over every coprime split, with the residues counted by
+    ``np.unique`` and the lower bound it prunes by, which never exceeds the
+    cost."""
+    t = np.array([l1 + f.q * l2 for l1 in range(k) for l2 in range(l1, k)])
+    n, K, q = len(E), len(t), f.q
+    distinct_t = -(-K // -(-k // q))
+    span = (k - 1) * (q + 1) + 1
+    best = None
+    for a1, a2 in _unitary_splits(f.N, f.n_factors):
+        s1 = max(min(a1, k), -(-distinct_t // -(-span // a1)))
+        bound = s1 * n + K * -(-n // a1)
+        cost = (len(np.unique(t % a1)) * n
+                + K * len(np.unique(np.asarray(E) % a2)))
+        assert bound <= cost, (a1, a2)
+        best = min(best or (cost, bound, a1, a2), (cost, bound, a1, a2))
+    return best[2:]
+
+
+def split_cases():
+    """(q, construction, params, k) for every sweep choice at every odd
+    q <= 50, at the oracle's k, and Table 5 row 1."""
+    for q in range(3, 51, 2):
+        if not is_prime_power(q):
+            continue
+        for construction, route in ROUTES.items():
+            if route.char2:
+                continue
+            for cert in sweep(construction, q):
+                yield q, construction, cert.params, cert.k
+    row = build("half_power_union", 211, ms=(6, 10, 14), want_matrix="never")
+    yield 211, "half_power_union", row.params, row.k
+
+
+def test_choose_split_is_the_least_cost_split():
+    cases = 0
+    for q, construction, params, k in split_cases():
+        art = raw_artifact(construction, q, params, k)
+        f, E = art.field, art.evalset.points
+        ls = np.arange(k, dtype=np.int32)
+        t = (ls[:, None] + q * ls)[np.triu(np.ones((k, k), dtype=bool))]
+        got = codes._choose_split(f, k, t, E.astype(np.int32))
+        assert got == reference_split(f, k, E), (q, construction, params, k)
+        cases += 1
+    assert cases > 100
 
 
 # --- the digit-lane sums ------------------------------------------------------

@@ -15,8 +15,8 @@ from qmds import audit, cli
 from qmds import field as field_module
 from qmds.codes import eval_code, gram_zero
 from qmds.evalsets import EvalSet
-from qmds.field import (TABLE_LIMIT, Field, build_field, canonical_modulus,
-                        field_for_q)
+from qmds.field import (SIZE_LIMIT, TABLE_LIMIT, Field, build_field,
+                        canonical_modulus, field_for_q)
 from qmds.numtheory import is_prime_power
 
 # frozen canonical moduli, coefficient order 1, x, x^2, ...
@@ -75,6 +75,18 @@ def test_canonical_modulus_against_rabin_scan():
         n_factors = tuple(factorize(q * q - 1))
         assert canonical_modulus(p, 2 * h, n_factors) == \
             na.rabin_canonical_modulus(p, 2 * h, n_factors), q
+
+
+@pytest.mark.parametrize("p", [1048573, 1048571])
+def test_canonical_modulus_at_the_top_of_the_size_range(p):
+    # q^2 = p^2 is just under 2^40, so the int64 sums of the batched
+    # search, up to n(p-1)^2 = 2(p-1)^2, come close to 2^41
+    from qmds.numtheory import factorize, is_prime
+
+    assert is_prime(p) and p * p < SIZE_LIMIT < 2 * (p - 1) ** 2
+    n_factors = tuple(factorize(p * p - 1))
+    assert canonical_modulus(p, 2, n_factors) == \
+        na.rabin_canonical_modulus(p, 2, n_factors)
 
 
 def test_build_field_rejects():
