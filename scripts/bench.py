@@ -104,8 +104,9 @@ def _run(tree: Path, workload: str, seed: int) -> dict:
 def _op_medians(tree: Path, workload: str, seed: int) -> dict:
     """Each operation's median time over the passes of the run just made,
     from the result file run.py wrote in ``tree``."""
-    name = f"result-{workload}-seed{seed}-trace0.json"
-    detail = json.loads((tree / "perfbench" / "out" / name).read_text())
+    path = (tree / "perfbench" / "out"
+            / f"result-{workload}-seed{seed}-trace0.json")
+    detail = json.loads(path.read_text())
     by_op = zip(*detail["op_s_by_pass"])
     return {name: statistics.median(times)
             for name, times in zip(detail["ops"], by_op)}
@@ -199,7 +200,7 @@ def _print_summary(summary: dict, labels=("parent", "change")) -> None:
         for name, e in row.items():
             if name != "ops":
                 print(_line(name, e, labels))
-        if row.get("ops"):
+        if row["ops"]:
             print("  per operation, s:")
             for op, e in row["ops"].items():
                 print("  " + _line(op, e, labels))
