@@ -22,7 +22,10 @@ time of each of its operations over its passes, read from the result file
 run.py leaves in ``perfbench/out`` of the checkout that ran.  ``--compare A
 B`` reads two BENCH files and prints, for each workload and metric, and for
 each operation, the medians of A's and B's runs of their own checkout (side
-"change"), the relative delta and how many seed-matched pairs B wins.
+"change"), the relative delta and how many seed-matched pairs B wins.  Both
+the summary and ``--compare`` first print, per workload and side, how many
+runs were not correct or had a failed operation: those runs still count in
+the medians.
 """
 
 from __future__ import annotations
@@ -155,12 +158,19 @@ def _entry(b_runs: list[dict], n_runs: list[dict], pairs, value,
     return entry
 
 
+def _bad(run: dict) -> bool:
+    """A run whose checks found a wrong answer or a failed operation."""
+    return not run["correct"] or run["failed"] > 0
+
+
 def _summary(base: list[dict], new: list[dict]) -> dict:
     """Per workload and metric: medians and quartiles of each side; with a
     baseline, the relative delta of the medians and the pairs won.  Under
     "ops", the same for each operation's per-run median time, pooled over
     the runs that have it (runs recorded before operations were kept have
-    none)."""
+    none).  Under "bad_runs", each side's count of runs that were not
+    correct or had a failed operation, out of its runs: they still count
+    in the medians, so a nonzero count is a warning."""
     out = {}
     for workload in sorted({r["workload"] for r in base + new}):
         b_runs = [r for r in base if r["workload"] == workload]
@@ -176,6 +186,10 @@ def _summary(base: list[dict], new: list[dict]) -> dict:
                                  lambda r, op=op: r.get("ops", {}).get(op),
                                  "lower")
                       for op in ops}
+        row["bad_runs"] = {side: {"bad": sum(map(_bad, runs)),
+                                  "runs": len(runs)}
+                           for side, runs in (("change", n_runs),
+                                              ("parent", b_runs)) if runs}
         out[workload] = row
     return out
 
@@ -193,13 +207,18 @@ def _line(name: str, e: dict, labels) -> str:
 
 
 def _print_summary(summary: dict, labels=("parent", "change")) -> None:
-    """Median (quartiles) of each side, then the delta and pairs won: per
-    metric, then per operation (its median seconds per run)."""
+    """Each side's bad runs (``_bad``) out of its runs; the median
+    (quartiles) of each side, then the delta and pairs won: per metric,
+    then per operation (its median seconds per run)."""
     for workload, row in summary.items():
         print(workload)
-        for name, e in row.items():
-            if name != "ops":
-                print(_line(name, e, labels))
+        bad = row["bad_runs"]
+        print(f"  {'bad runs':12s}" + "".join(
+            f"  {label} {bad[side]['bad']}/{bad[side]['runs']}"
+            for side, label in zip(("parent", "change"), labels)
+            if side in bad))
+        for name in METRICS:
+            print(_line(name, row[name], labels))
         if row["ops"]:
             print("  per operation, s:")
             for op, e in row["ops"].items():

@@ -30,12 +30,23 @@ read-only int32 numpy tables ``exp`` (theta^e packed, q^2 - 1 entries) and
 2^22 elements; past that every operation that needs them raises
 ``CapacityExceeded``.  The vectorized paths index these arrays, or the
 arrays derived from them (``mask_ext``, ``digits``, ``exp0``), with whole
-arrays of exponents.  ``digits`` holds the base-p digits point-major: the
-row of exponent e is 2h uint16 lanes, lane d the coefficient of x^d,
-viewed as one uint32 word (h = 1), one uint64 word (h = 2) or a few words,
-so that summing rows word by word sums every digit at once.  Scalar
-addition, which only the tests' element-by-element references use, goes
-through Zech logarithms built on its first call.
+arrays of exponents.  exp is the head of one buffer, [exp, exp, 0] for
+p = 2 and [exp, 0] for odd p, of which ``exp0`` and the p = 2 ``mask_ext``
+are views.  ``digits`` holds the base-p digits point-major: the row of
+exponent e is 2h uint16 lanes, lane d the coefficient of x^d, viewed as
+one uint32 word (h = 1), one uint64 word (h = 2) or a few words, so that
+summing rows word by word sums every digit at once.
+
+The exp tables are built by doubling, theta^L .. theta^(2L-1) being
+theta^0 .. theta^(L-1) times theta^L.  For odd p only the base block
+theta^0 .. theta^(M-1), M = (q^2 - 1)/(p - 1), is doubled: theta^M is the
+norm of theta down to GF(p), the modulus' constant coefficient c_0, which
+generates GF(p)*, so every other power is the base block scaled by GF(p)*,
+theta^(i + M*j) = c_0^j theta^i digit by digit.  Those digits are gathered
+from a table of powers of c_0 straight into the lanes of ``digits``, and
+exp is packed from the lanes, with no integer division over the table.
+Scalar addition, which only the tests' element-by-element references use,
+goes through Zech logarithms built on its first call.
 """
 
 from __future__ import annotations
@@ -170,36 +181,76 @@ def canonical_modulus(p: int, n: int, n_factors: tuple[int, ...]) -> tuple[int, 
 # the exp/log tables
 # --------------------------------------------------------------------------
 
-def _odd_exp_table(p: int, n: int, modulus: tuple[int, ...]) -> np.ndarray:
-    """Packed theta^e for e in [0, p^n - 1), by doubling: P holds the
-    coefficient rows of theta^0 .. theta^(L-1) and S the matrix of
-    multiplication by theta^L, so P @ S holds theta^L .. theta^(2L-1).
-    The int32 products are exact: each sum is at most n(p-1)^2 < 2^27
-    whenever p^n <= 2^22."""
+def _odd_exp_table(p: int, n: int, modulus: tuple[int, ...],
+                   lanes: np.ndarray) -> np.ndarray:
+    """The int32 buffer [exp, 0] of the packed theta^e for e in [0, N),
+    N = p^n - 1, after writing the base-p digits of theta^e for e in
+    [0, 2N) into the (2N, n) uint16 ``lanes``, lane d the coefficient of
+    x^d, rows N .. 2N-1 repeating rows 0 .. N-1.
+
+    Only the base block theta^0 .. theta^(M-1), M = N/(p-1), is built as
+    coefficient rows, by doubling: P holds theta^0 .. theta^(L-1) and S the
+    matrix of multiplication by theta^L, so P @ S holds theta^L ..
+    theta^(2L-1); the int32 products are exact, each sum being at most
+    n(p-1)^2 < 2^27 whenever p^n <= 2^22.  theta^M = theta^(1+p+..+p^(n-1))
+    is the norm of theta down to GF(p), (-1)^n f(0) = c_0 for the even n
+    of every field here, and it generates GF(p)*; so the rest of the table
+    is the base block scaled by GF(p)*: theta^(i + M*j) = c_0^j theta^i,
+    digit by digit.  With lg the logarithm to the base c_0 on GF(p)*, a
+    digit c of theta^i becomes c_0^(lg c + j) in block j, one gather from
+    the 3(p-1) powers pw = (c_0^0 .. c_0^(2p-3), 0 .. 0) with lg 0 = 2(p-1)
+    landing on the zeros.  The gathers write a few blocks j at a time, and
+    exp is packed from the lanes by Horner's rule, so no integer division
+    runs over the whole table."""
+    N = p ** n - 1
+    M = N // (p - 1)
     S = np.zeros((n, n), dtype=np.int32)
     S[np.arange(n - 1), np.arange(1, n)] = 1  # x * x^i = x^(i+1)
     S[n - 1] = [(-c) % p for c in modulus[:n]]  # x^n = -sum f_i x^i
-    N = p ** n - 1
-    P = np.zeros((N, n), dtype=np.int32)
+    P = np.zeros((M, n), dtype=np.int32)
     P[0, 0] = 1
     L = 1
-    while L < N:
-        m = min(L, N - L)
+    while L < M:
+        m = min(L, M - L)
         np.remainder(P[:m] @ S, p, out=P[L:L + m])
         S = S @ S % p
         L += m
-    return P @ p ** np.arange(n, dtype=np.int32)
+    pw = np.zeros(3 * (p - 1), dtype=np.uint16)
+    lg = np.full(p, 2 * (p - 1), dtype=np.intp)
+    c = 1
+    for k in range(p - 1):
+        pw[k] = pw[k + p - 1] = c
+        lg[c] = k
+        c = c * modulus[0] % p
+    blocks = lanes.reshape(2 * (p - 1), M, n)  # block j: theta^(M*j + i)
+    b = min(p - 1, max(1, (1 << 16) // (M * n)))
+    idx = lg[P] + np.arange(b)[:, None, None]  # blocks j .. j+b-1
+    for j in range(0, p - 1, b):
+        k = min(b, p - 1 - j)
+        np.take(pw, idx[:k], out=blocks[j:j + k], mode="clip")
+        idx += b
+    blocks[p - 1:] = blocks[:p - 1]
+    buf = np.empty(N + 1, dtype=np.int32)
+    exp = buf[:N]
+    exp[:] = lanes[:N, n - 1]
+    for d in range(n - 2, -1, -1):
+        exp *= p
+        exp += lanes[:N, d]
+    buf[N] = 0
+    return buf
 
 
 def _char2_exp_table(n: int, modulus: tuple[int, ...]) -> np.ndarray:
-    """Packed theta^e for e in [0, 2^n - 1), by doubling: theta^L ..
-    theta^(2L-1) are theta^0 .. theta^(L-1) times theta^L, a GF(2)-linear
-    map of the coefficient masks, applied a byte of each mask at a time
-    through 256-entry tables of the images of x^0 .. x^(n-1)."""
+    """The int32 buffer [exp, exp, 0] of the packed theta^e for e in
+    [0, 2^n - 1), by doubling: theta^L .. theta^(2L-1) are theta^0 ..
+    theta^(L-1) times theta^L, a GF(2)-linear map of the coefficient masks,
+    applied a byte of each mask at a time through 256-entry tables of the
+    images of x^0 .. x^(n-1)."""
     red = sum(c << i for i, c in enumerate(modulus[:n]))
     top = 1 << n
     N = top - 1
-    exp = np.empty(N, dtype=np.int32)
+    buf = np.empty(2 * N + 1, dtype=np.int32)
+    exp = buf[:N]
     exp[0] = 1
     L = 1
     while L < N:
@@ -218,7 +269,9 @@ def _char2_exp_table(n: int, modulus: tuple[int, ...]) -> np.ndarray:
             out ^= tab[(exp[:m] >> j) & (len(tab) - 1)]
         exp[L:L + m] = out
         L += m
-    return exp
+    buf[N:2 * N] = exp
+    buf[2 * N] = 0
+    return buf
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -252,6 +305,28 @@ class Field:
         return f"Field(p={self.p}, h={self.h})"
 
     @functools.cached_property
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+        """The read-only buffers behind ``tables`` and its derived arrays:
+        the int32 exp buffer ([exp, exp, 0] for p = 2, [exp, 0] for odd p),
+        the int32 log table and, for odd p, the (2N, 2h) uint16 digit lanes
+        the exp table was packed from (None for p = 2)."""
+        if self.q2 > TABLE_LIMIT:
+            raise CapacityExceeded(
+                f"field size {self.q2} exceeds 2^22 (no exp/log tables)")
+        n, lanes = 2 * self.h, None
+        if self.p == 2:
+            buf = _char2_exp_table(n, self.modulus)
+        else:
+            lanes = np.empty((2 * self.N, n), dtype=np.uint16)
+            buf = _odd_exp_table(self.p, n, self.modulus, lanes)
+            _frozen(lanes)
+        log = np.full(self.q2, -1, dtype=np.int32)
+        log[buf[:self.N]] = np.arange(self.N, dtype=np.int32)
+        if np.count_nonzero(log == -1) != 1:  # only the zero vector is missing
+            raise ArithmeticError("log table is not a bijection")
+        return _frozen(buf), _frozen(log), lanes
+
+    @functools.cached_property
     def tables(self) -> tuple[np.ndarray, np.ndarray]:
         """Read-only int32 ``(exp, log)``: exp holds the packed theta^e for
         e in [0, N) and log the exponent of each packed vector in [0, q^2),
@@ -259,17 +334,8 @@ class Field:
         (``to_json``) needs only the modulus, and the tables hold about q^2
         entries each, so fields past 2^22 elements have none (and int32
         holds every entry)."""
-        if self.q2 > TABLE_LIMIT:
-            raise CapacityExceeded(
-                f"field size {self.q2} exceeds 2^22 (no exp/log tables)")
-        n = 2 * self.h
-        exp = (_char2_exp_table(n, self.modulus) if self.p == 2
-               else _odd_exp_table(self.p, n, self.modulus))
-        log = np.full(self.q2, -1, dtype=np.int32)
-        log[exp] = np.arange(self.N, dtype=np.int32)
-        if np.count_nonzero(log == -1) != 1:  # only the zero vector is missing
-            raise ArithmeticError("log table is not a bijection")
-        return _frozen(exp), _frozen(log)
+        buf, log, _ = self._arrays
+        return buf[:self.N], log
 
     @functools.cached_property
     def _zech(self) -> memoryview:
@@ -354,17 +420,23 @@ class Field:
 
     @functools.cached_property
     def mask_ext(self) -> np.ndarray:
-        """int32 packed GF(2) coefficient masks of theta^e for e in [0, 2N),
-        so that a sum of two exponents in [0, N) indexes it unreduced."""
-        exp = self.tables[0]
-        return _frozen(np.concatenate((exp, exp)))
+        """p = 2 only: int32 packed GF(2) coefficient masks of theta^e for e
+        in [0, 2N), so that a sum of two exponents in [0, N) indexes it
+        unreduced; a view of the exp buffer.  Odd p sums ``digits``."""
+        if self.p != 2:
+            raise UsageError("mask_ext is the p = 2 table; odd p sums digits")
+        self.tables
+        return self._arrays[0][:2 * self.N]
 
     @functools.cached_property
     def exp0(self) -> np.ndarray:
         """int32 packed theta^e for e in [0, N) followed by 0, so that
         exp0[-1] is the zero vector: it maps arrays of elements in log form,
-        -1 for zero, to packed vectors, and ``tables[1]`` maps them back."""
-        return _frozen(np.append(self.tables[0], np.int32(0)))
+        -1 for zero, to packed vectors, and ``tables[1]`` maps them back.
+        It is the whole exp buffer, so for p = 2 it holds theta^e for e in
+        [0, 2N) before the 0."""
+        self.tables
+        return self._arrays[0]
 
     def np_packed_add(self, va: np.ndarray, vb: np.ndarray) -> np.ndarray:
         """Elementwise sum of packed coefficient vectors (broadcasting): XOR
@@ -387,15 +459,15 @@ class Field:
         uint32 words, so ``digits.view(np.uint16)`` is the (2N, 2h) lane
         array and one word holds every lane when h <= 2.  A field with
         tables has p < 2^11, so a lane holds the sum of up to
-        65535 // (p-1) >= 32 digits without carrying into the next."""
-        n = 2 * self.h
-        lanes = np.empty((2 * self.N, n), dtype=np.uint16)
-        rest = self.tables[0]
-        for d in range(n):
-            lanes[:self.N, d] = rest % self.p
-            rest = rest // self.p  # a new array: exp is not written
-        lanes[self.N:] = lanes[:self.N]
-        return _frozen(lanes.view(np.uint64 if n % 4 == 0 else np.uint32))
+        65535 // (p-1) >= 32 digits without carrying into the next.  For
+        odd p these are the lanes the exp table was packed from; for p = 2,
+        which sums ``mask_ext`` instead, the bits of the masks."""
+        self.tables
+        n, lanes = 2 * self.h, self._arrays[2]
+        if lanes is None:
+            lanes = _frozen((self.mask_ext[:, None] >> np.arange(n)
+                             & 1).astype(np.uint16))
+        return lanes.view(np.uint64 if n % 4 == 0 else np.uint32)
 
 
 @functools.lru_cache(maxsize=None)

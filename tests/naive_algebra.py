@@ -11,6 +11,8 @@ primitivity test, on the same tuples.  The scalar linear-algebra, Gram and
 power-sum references and the evaluation-set builders at the end use only a
 ``Field``'s element-by-element arithmetic, so they check the package's
 batched numpy kernels and closed forms against the scalar field operations.
+``doubling_exp_table`` is the one vectorized reference: it reaches the
+large fields that stepping one power at a time cannot.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+
+import numpy as np
 
 from qmds.codes import CodeArtifact
 from qmds.errors import (BadDivisor, HypothesisViolated,
@@ -333,6 +337,27 @@ def stepping_tables(p: int, n: int, modulus) -> tuple[list, list]:
     for e, v in enumerate(exp):
         log[v] = e
     return exp, log
+
+
+def doubling_exp_table(p: int, n: int, modulus) -> np.ndarray:
+    """Packed theta^e for e in [0, p^n - 1), by doubling: P holds the
+    coefficient rows of theta^0 .. theta^(L-1) and S the matrix of
+    multiplication by theta^L, so P @ S holds theta^L .. theta^(2L-1).
+    The int32 products are exact: each sum is at most n(p-1)^2 < 2^27
+    whenever p^n <= 2^22."""
+    S = np.zeros((n, n), dtype=np.int32)
+    S[np.arange(n - 1), np.arange(1, n)] = 1  # x * x^i = x^(i+1)
+    S[n - 1] = [(-c) % p for c in modulus[:n]]  # x^n = -sum f_i x^i
+    N = p ** n - 1
+    P = np.zeros((N, n), dtype=np.int32)
+    P[0, 0] = 1
+    L = 1
+    while L < N:
+        m = min(L, N - L)
+        np.remainder(P[:m] @ S, p, out=P[L:L + m])
+        S = S @ S % p
+        L += m
+    return P @ p ** np.arange(n, dtype=np.int32)
 
 
 def rank(field, matrix) -> int:

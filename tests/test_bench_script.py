@@ -13,11 +13,11 @@ bench = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench)
 
 
-def _run(workload, seed, side, pass_s):
+def _run(workload, seed, side, pass_s, correct=True, failed=0):
     metrics = {name: 1.0 for name in bench.METRICS}
     metrics["pass_s"] = pass_s
     return {"workload": workload, "seed": seed, "side": side,
-            "metrics": metrics}
+            "correct": correct, "failed": failed, "metrics": metrics}
 
 
 def test_seed_lists():
@@ -125,3 +125,40 @@ def test_compare_prints_per_operation_deltas(tmp_path, capsys):
     assert "A 0.0124 " in line and "B 0.0031 " in line
     assert "delta -75.0 %" in line and "wins 1/1" in line
     assert out.index(line) > out.index("  per operation, s:")
+
+
+def test_summary_counts_bad_runs_per_side():
+    # a wrong answer and a failed operation are each one bad run; a run
+    # with both is still one
+    parent = [_run("gram-odd", 1, "parent", 2.0),
+              _run("gram-odd", 2, "parent", 2.0, correct=False, failed=3)]
+    change = [_run("gram-odd", 1, "change", 1.0, failed=1),
+              _run("gram-odd", 2, "change", 1.0, correct=False),
+              _run("gram-odd", 3, "change", 1.0)]
+    summary = bench._summary(parent, change)
+    assert summary["gram-odd"]["bad_runs"] == {
+        "parent": {"bad": 1, "runs": 2}, "change": {"bad": 2, "runs": 3}}
+    # the bad runs still count in the medians
+    assert summary["gram-odd"]["pass_s"]["change"]["runs"] == 3
+    assert bench._summary([], change[2:])["gram-odd"]["bad_runs"] == {
+        "change": {"bad": 0, "runs": 1}}
+
+
+def test_summary_and_compare_print_bad_runs(tmp_path, capsys):
+    runs = [_run("conditions", 1, "change", 2.0, correct=False),
+            _run("conditions", 2, "change", 2.0),
+            _run("conditions", 1, "parent", 2.0, failed=2),
+            _run("small-jobs", 1, "change", 2.0)]
+    bench._print_summary(bench._summary(runs[2:3], runs[:2] + runs[3:]))
+    lines = [x for x in capsys.readouterr().out.splitlines() if "bad runs" in x]
+    assert lines == ["  bad runs      parent 1/1  change 1/2",
+                     "  bad runs      change 0/1"]
+    # A's own runs are its "change" side: its failed parent run is not one
+    a_runs = [_run("conditions", 1, "change", 2.0), runs[2]]
+    pa, pb = tmp_path / "a.json", tmp_path / "b.json"
+    pa.write_text(json.dumps({"sides": {"change": "aaa"}, "runs": a_runs}))
+    pb.write_text(json.dumps({"sides": {"change": "bbb"}, "runs": runs[:2]}))
+    assert bench.main(["--compare", str(pa), str(pb)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert [x for x in out if "bad runs" in x] == [
+        "  bad runs      A 0/1  B 1/2"]

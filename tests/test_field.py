@@ -219,6 +219,31 @@ def test_table_backend_matches_stepping_reference(p, h):
     assert [t.tolist() for t in f.tables] == [exp, log]
 
 
+# past the stepping reference's range: the fields of the benchmark's
+# low-dimension jobs, h = 2, 3 and 4, p - 1 = 2, and q = 2039, the largest
+# prime with q^2 <= 2^22, whose lanes span many gather blocks
+DOUBLING_FIELDS = [(563, 1), (569, 1), (37, 2), (5, 4), (7, 3), (11, 3),
+                   (3, 6), (2039, 1)]
+
+
+@pytest.mark.parametrize("p,h", DOUBLING_FIELDS)
+def test_tables_and_digits_match_the_doubling_reference(p, h):
+    f = Field(p, h)  # not memoized: the tables die with the test
+    exp = na.doubling_exp_table(p, 2 * h, f.modulus)
+    log = np.full(f.q2, -1, dtype=np.int32)
+    log[exp] = np.arange(f.N)
+    assert np.array_equal(f.tables[0], exp)
+    assert np.array_equal(f.tables[1], log)
+    lanes = f.digits.view(np.uint16)
+    assert lanes.shape == (2 * f.N, 2 * h)
+    for d in range(2 * h):
+        digit = exp // p ** d % p
+        assert np.array_equal(lanes[:f.N, d], digit)
+        assert np.array_equal(lanes[f.N:, d], digit)
+    # theta^M, M = N/(p-1), is the norm of theta down to GF(p): c_0
+    assert exp[f.N // (p - 1)] == f.modulus[0]
+
+
 @pytest.mark.parametrize("p,h,builder", [(7, 1, "_odd_exp_table"),
                                           (2, 3, "_char2_exp_table")])
 def test_tables_reject_a_repeating_exp_table(monkeypatch, p, h, builder):
@@ -272,15 +297,27 @@ def test_zech_add_matches_stepping_reference(p, h):
 def test_derived_tables_leave_the_backend_unchanged(p, h):
     f = Field(p, h)
     exp, log = (t.copy() for t in f.tables)
-    derived = [f.digits, f.mask_ext, f.exp0]
+    # mask_ext is the p = 2 table; odd p sums digits instead
+    names = ["digits", "exp0"] + (["mask_ext"] if p == 2 else [])
+    derived = [getattr(f, name) for name in names]
+    if p != 2:
+        with pytest.raises(UsageError):
+            f.mask_ext
     for arr in f.tables:
         assert arr.dtype == np.int32 and not arr.flags.writeable
     assert np.array_equal(f.tables[0], exp)
     assert np.array_equal(f.tables[1], log)
     for arr in derived + [f.digits.view(np.uint16)]:
         assert not arr.flags.writeable
+    # exp0 and mask_ext are views of the one exp buffer: [exp, exp, 0] for
+    # p = 2, [exp, 0] for odd p
+    assert np.shares_memory(f.exp0, f.tables[0])
+    assert list(f.exp0) == list(exp) * (2 if p == 2 else 1) + [0]
+    if p == 2:
+        assert np.shares_memory(f.mask_ext, f.exp0)
+        assert list(f.mask_ext) == list(exp) * 2
     # a second round reads the cache
-    assert all(a is b for a, b in zip([f.digits, f.mask_ext, f.exp0], derived))
+    assert all(getattr(f, name) is arr for name, arr in zip(names, derived))
 
 
 def test_production_paths_build_no_python_tables(monkeypatch, capsys):
