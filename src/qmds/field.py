@@ -309,7 +309,9 @@ class Field:
         """The read-only buffers behind ``tables`` and its derived arrays:
         the int32 exp buffer ([exp, exp, 0] for p = 2, [exp, 0] for odd p),
         the int32 log table and, for odd p, the (2N, 2h) uint16 digit lanes
-        the exp table was packed from (None for p = 2)."""
+        the exp table was packed from (None for p = 2).  The derived arrays
+        read ``tables`` first, so a field whose tables were built always
+        has ``tables`` in its cache."""
         if self.q2 > TABLE_LIMIT:
             raise CapacityExceeded(
                 f"field size {self.q2} exceeds 2^22 (no exp/log tables)")
