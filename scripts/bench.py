@@ -15,7 +15,7 @@ a checkout::
 
 With ``--parent DIR`` every seed is a pair of runs, one in DIR (another
 checkout, usually the parent commit) and one here, and the side that runs
-first alternates from pair to pair.  Without it only this checkout runs.
+first alternates from pair to pair, so it needs an even number of seeds.  Without it only this checkout runs.
 Runs are added to the ``--out`` file if it exists, so one file can hold
 different seeds for different workloads.  Each run also records the median
 time of each of its operations over its passes, read from the result file
@@ -72,6 +72,10 @@ def _parse(argv):
     args = ap.parse_args(argv)
     if args.compare is None and args.out is None:
         ap.error("--out is required unless --compare is given")
+    if args.parent is not None and len(args.seeds) % 2:
+        # the side that runs first alternates, and the first run of a pair
+        # tends to be the faster one, so both sides must run first equally
+        ap.error("--parent needs an even number of seeds")
     return args
 
 

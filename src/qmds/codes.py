@@ -38,7 +38,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionTooLarge, UsageError
-from .evalsets import EvalSet, subgroup_set
+from .evalsets import EvalSet
 from .field import Elt, Field
 
 # Terms per block of the Gram route's gathers; a stage-1 block takes at
@@ -101,11 +101,10 @@ def eval_code(field: Field, evalset: EvalSet, k: int,
     return CodeArtifact(field, evalset, k, shift)
 
 
-def extend_c1(field: Field, m: int, k: int,
-              es: EvalSet | None = None) -> CodeArtifact:
+def extend_c1(field: Field, m: int, k: int, es: EvalSet) -> CodeArtifact:
     """Length-(n+1) extension of the subgroup code: rows 1, x, .., x^(k-1)
-    plus a border column (b, 0, .., 0)^T.  ``es`` is ``subgroup_set(field,
-    m)`` when the caller has already built it.
+    on ``es``, the order-N/m subgroup with unit weights, plus a border
+    column (b, 0, .., 0)^T.
 
     The border weight is forced by self-orthogonality of row 0: with column
     weight v0 = m mod p the (0,0) Gram entry is v0 * c^2 + n = 0 mod p,
@@ -113,8 +112,6 @@ def extend_c1(field: Field, m: int, k: int,
     """
     if k < 2:
         raise UsageError(f"extended code needs k >= 2, got {k}")
-    if es is None:
-        es = subgroup_set(field, m)
     if k > len(es) + 1:
         raise DimensionTooLarge(f"k = {k} exceeds length {len(es) + 1}")
     v0 = field.embed_int(m % field.p)

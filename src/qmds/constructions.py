@@ -2,14 +2,16 @@
 
 Every code here evaluates the rows x^(shift + l), l = 0..k-1, on a weighted
 union of multiplicative subgroups of GF(q^2)*; N is q^2 - 1 throughout.
-Each route is described once, by a ``Route`` record in ``ROUTES``.  Its core
-is one part (m, alpha) per divisor parameter m: the subgroup of order N/m,
-with each point x weighted by x^alpha, alpha = 0, (q+1)/2 or q+1.  A part
-gives the dimension oracle one vanishing condition (N/m, alpha +
-shift*(q+1)).  The record adds the parity q must have, the rule joining two
-divisors, the published distance bound, the evaluation-set builder and, for
-c1_ext, a border column that admits one more row.  Sweeps try every divisor
-choice the parameters and the rule allow.
+Each route is described once, by a ``Route`` record in ``ROUTES``.  It gives
+one part (m, alpha, beta) per divisor parameter m: the subgroup of order
+N/m, each point x weighted by theta^beta * x^alpha, alpha = 0, (q+1)/2 or
+q+1, and beta = 0 except on mixed_union's even part, where it is the
+subfield shift H.  The length, the oracle's conditions (N/m, alpha +
+shift*(q+1)) and the evaluation set, built by ``evalsets.weighted_union``,
+all read this list.  The record adds the parity q must have, the rule
+joining two divisors, the published distance bound and, for c1_ext, a
+border column that admits one more row.  Sweeps try every divisor choice
+the parameters and the rule allow.
 
 Construction identifiers (the ``construction`` field of every certificate):
 
@@ -40,7 +42,7 @@ from .codes import (CodeArtifact, eval_code, extend_c1, gram_zero,
 from .errors import (BadDivisor, CapacityExceeded, DimensionExceedsOracle,
                      HypothesisViolated, NotChar2, NotCoprime, NotPrime,
                      NoValidH, UsageError)
-from .field import TABLE_LIMIT, Field, field_for_q
+from .field import TABLE_LIMIT, field_for_q
 from .numtheory import divisors, is_prime_power
 from .verify import QuantumParams, quantum_params
 
@@ -72,14 +74,16 @@ def _q_parts(q: int) -> tuple[int, int]:
 class Divisor:
     """A divisor parameter: an odd divisor of q + 1 (>= 3) when ``odd``,
     else an even divisor of q - 1 (>= ``least``).  Its part weights the
-    subgroup by x^(half*(q+1)/2).  A ``many`` parameter is a tuple of two
-    or more distinct such divisors, sorted on validation."""
+    subgroup by x^(half*(q+1)/2), times theta^H if ``shifted``.  A ``many``
+    parameter is a tuple of two or more distinct such divisors, sorted on
+    validation."""
 
     name: str
     odd: bool
     half: int = 0
     least: int = 3
     many: bool = False
+    shifted: bool = False
 
 
 @dataclass(frozen=True)
@@ -89,8 +93,6 @@ class Route:
     divisors: tuple[Divisor, ...]
     # published distance bound, from q and the divisors in part order
     formula: Callable[[int, tuple[int, ...]], int]
-    # (construction, field, params) -> evaluation set
-    evalset: Callable[[str, Field, dict], evalsets.EvalSet]
     shift: int = 0          # rows are x^(shift + l)
     border: bool = False    # c1_ext's border column, one more row
     # q must be even (True), odd (False) or either (None); in characteristic
@@ -99,16 +101,21 @@ class Route:
     # (q, two distinct divisors of one kind) -> the hypothesis they violate,
     # or None; sweeps try each ascending pair it admits
     rule: Callable[[int, tuple], HypothesisViolated | None] | None = None
-    # the evaluation set's facts, found without a field
-    extras: Callable[[int, dict], dict] = lambda q, params: {}
 
-    def parts(self, params: dict) -> tuple[tuple[Divisor, int], ...]:
+    def choices(self, params: dict) -> tuple[tuple[Divisor, int], ...]:
         """(parameter, m) for each part, in parameter order."""
         return tuple((d, m) for d in self.divisors for m in (
             params[d.name] if d.many else (params[d.name],)))
 
     def ms(self, params: dict) -> tuple[int, ...]:
-        return tuple(m for _, m in self.parts(params))
+        return tuple(m for _, m in self.choices(params))
+
+    def parts(self, q: int, params: dict,
+              H: int = 0) -> tuple[tuple[int, int, int], ...]:
+        """(m, alpha, beta) for each part, in parameter order: alpha =
+        half*(q+1)/2, and beta = H on a shifted part, else 0."""
+        return tuple((m, d.half * (q + 1) // 2, H if d.shifted else 0)
+                     for d, m in self.choices(params))
 
     def params_of(self, ms: tuple[int, ...]) -> dict:
         if self.divisors[0].many:
@@ -126,7 +133,7 @@ def _half_power_bound(q: int, ms: tuple[int, ...]) -> int:
     return (q + 1) // 2 + min((q - 1) // m for m in ms)
 
 
-def _mixed_bound(q: int, ms: tuple[int, ...]) -> int:
+def _two_sided_bound(q: int, ms: tuple[int, ...]) -> int:
     m1, m2 = ms
     return (q - 1) // 2 + min((q + 1) // (2 * m1), (q - 1) // m2 + 1)
 
@@ -148,49 +155,25 @@ def _lcm_pair(q: int, ms: tuple[int, ...]) -> HypothesisViolated | None:
     return None
 
 
-# The builders call evalsets through the module at call time, so that
-# wrappers bound on the module are seen.
-
-def _subgroup(construction: str, f: Field, params: dict):
-    return evalsets.subgroup_set(f, params["m"])
-
-
-def _weighted(construction: str, f: Field, params: dict):
-    route = ROUTES[construction]
-    parts = tuple((m, d.half * (f.q + 1) // 2, 0)
-                  for d, m in route.parts(params))
-    label = f"{construction}({', '.join(map(str, route.ms(params)))})"
-    return evalsets.weighted_union(f, parts, label)
-
-
-def _mixed(construction: str, f: Field, params: dict):
-    return evalsets.mixed_union(f, params["m1"], params["m2"])[0]
-
-
 _ODD = Divisor("m", odd=True)
 _ODD_PAIR = (Divisor("m1", odd=True), Divisor("m2", odd=True))
 
 ROUTES = {
-    "c1": Route((_ODD,), _odd_bound, _subgroup, shift=1),
-    "c1_ext": Route((_ODD,), _odd_bound, _subgroup, shift=1, border=True),
-    "char2_union": Route(
-        _ODD_PAIR, _odd_bound, shift=1, char2=True, rule=_coprime_pair,
-        evalset=lambda c, f, params: evalsets.parity_union_char2(
-            f, (params["m1"], params["m2"]))),
-    "odd_union": Route(_ODD_PAIR, _odd_bound, _weighted, shift=1,
-                       char2=False, rule=_coprime_pair),
+    "c1": Route((_ODD,), _odd_bound, shift=1),
+    "c1_ext": Route((_ODD,), _odd_bound, shift=1, border=True),
+    "char2_union": Route(_ODD_PAIR, _odd_bound, shift=1, char2=True,
+                         rule=_coprime_pair),
+    "odd_union": Route(_ODD_PAIR, _odd_bound, shift=1, char2=False,
+                       rule=_coprime_pair),
     "half_power": Route((Divisor("m", odd=False, half=1, least=6),),
-                        _half_power_bound, _weighted, char2=False),
+                        _half_power_bound, char2=False),
     "half_power_union": Route(
         (Divisor("ms", odd=False, half=1, least=6, many=True),),
-        _half_power_bound, _weighted, char2=False, rule=_lcm_pair),
+        _half_power_bound, char2=False, rule=_lcm_pair),
     "mixed_union": Route(
         (Divisor("m1", odd=True, half=2),
-         Divisor("m2", odd=False, half=1, least=2)),
-        _mixed_bound, _mixed, char2=False,
-        # H is pure exponent arithmetic; report it even without a matrix
-        extras=lambda q, params: {"H": evalsets.find_h_shift_exponent(
-            q, params["m1"], params["m2"])}),
+         Divisor("m2", odd=False, half=1, least=2, shifted=True)),
+        _two_sided_bound, char2=False),
 }
 
 CONSTRUCTION_IDS = tuple(ROUTES)
@@ -227,7 +210,7 @@ def validate(construction: str, q: int, params: dict) -> dict:
             ms = out[d.name] = tuple(sorted(out[d.name]))
             _require(len(ms) >= 2 and len(set(ms)) == len(ms),
                      "need at least two distinct divisors")
-    for d, m in route.parts(out):
+    for d, m in route.choices(out):
         _check_divisor(q, m, d)
     broken = route.rule and route.rule(q, route.ms(out))
     if broken:
@@ -246,9 +229,8 @@ def conditions_for(construction: str, q: int, params: dict
                    ) -> tuple[tuple[int, int], ...]:
     """The (modulus, offset) vanishing conditions behind the oracle."""
     route = _route(construction)
-    return tuple(((q * q - 1) // m,
-                  d.half * (q + 1) // 2 + route.shift * (q + 1))
-                 for d, m in route.parts(params))
+    return tuple(((q * q - 1) // m, alpha + route.shift * (q + 1))
+                 for m, alpha, _ in route.parts(q, params))
 
 
 def params_json(params: dict) -> dict:
@@ -281,6 +263,7 @@ class Certificate:
     passed) and CONDITION_ONLY when only the arithmetic conditions plus the
     dimension oracle back the claim.  ``discrepancies`` carries informational
     notes (for example when the oracle beats the published formula).
+    ``H`` is mixed_union's subfield shift exponent (None on other routes).
     """
 
     construction: str
@@ -294,8 +277,12 @@ class Certificate:
     verified_level: str
     quantum: QuantumParams
     discrepancies: tuple[str, ...] = dfield(default=())
-    extras: dict = dfield(default_factory=dict)
+    H: int | None = None
     artifact: CodeArtifact | None = None
+
+    @property
+    def extras(self) -> dict:
+        return {} if self.H is None else {"H": self.H}
 
     def to_json(self) -> dict:
         out = {
@@ -365,13 +352,17 @@ def _certify(construction: str, q: int, k: int | None, want_matrix: str,
         raise CapacityExceeded(
             f"matrix-level verification infeasible for q^2 = {q2}, "
             f"k*n = {k * n}")
-    extras = route.extras(q, params)
+    H = None
+    if any(d.shifted for d in route.divisors):
+        # H is pure exponent arithmetic; report it even without a matrix
+        H = evalsets.find_h_shift_exponent(q, *route.ms(params))
     if want_matrix in ("auto", "require") and feasible:
         f = field_for_q(q)
-        es = route.evalset(construction, f, params)
+        # looked up at call time, so that wrappers bound on it are seen
+        es = evalsets.weighted_union(f, route.parts(q, params, H or 0),
+                                     f"{construction} {params}")
         if route.border:
-            (m,) = route.ms(params)
-            artifact = extend_c1(f, m, k, es)
+            artifact = extend_c1(f, params["m"], k, es)
         else:
             artifact = eval_code(f, es, k, route.shift)
         ok, witness = gram_zero(artifact)
@@ -386,7 +377,7 @@ def _certify(construction: str, q: int, k: int | None, want_matrix: str,
         verified_level=level,
         quantum=quantum_params(n, k, q),
         discrepancies=tuple(discrepancies),
-        extras=extras,
+        H=H,
         artifact=artifact,
     )
 

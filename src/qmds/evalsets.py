@@ -3,34 +3,31 @@
 An evaluation set is a list of distinct nonzero points of GF(q^2) together
 with a nonzero GF(q)-weight per point.  Points and weights are carried by
 exponent, as read-only int64 numpy arrays from construction to the Gram
-check; the builders keep the points sorted ascending, which fixes the column
-order of every generator matrix built from the set.
+check; the points ascend, which fixes the column order of every generator
+matrix built from the set.
 
 Subgroups are indexed by divisors m of N = q^2 - 1 (the subgroup of order
-N/m, i.e. the exponents ``arange(0, N, m)``).  Three kinds of unions appear,
-each marked on one boolean mask over the N exponents:
-
-  * parity-filtered unions in characteristic two (overlap points cancel,
-    so only points counted an odd number of times are kept, all with
-    weight 1);
-  * weighted unions in odd characteristic, where each constituent carries a
-    weight of the form theta^beta * x^alpha and overlap points receive the
-    sum of their constituents' weights, added as packed vectors over the
-    points e with e % m == 0;
-  * the mixed union, whose even-part weight is shifted by a subfield
-    element H picked by ``find_h_shift_exponent`` so that no shared
-    point's combined weight vanishes.
+N/m, i.e. the exponents ``arange(0, N, m)``).  One function,
+``weighted_union``, builds every set from a list of parts (m, alpha, beta):
+a part weights each point x of subgroup m by theta^beta * x^alpha, and a
+point held by several parts gets the sum of their weights.  In
+characteristic two a point whose sum vanishes is left out, so unit-weight
+parts give the parity union (the points in an odd number of subgroups); in
+odd characteristic a vanishing sum is an error.  The mixed union weights
+its even part by a subfield element H, picked by ``find_h_shift_exponent``
+so that no shared point's sum vanishes.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (HypothesisViolated, NoValidH, NotChar2, NotCoprime,
-                     WeightSumVanishes)
+from .errors import HypothesisViolated, NoValidH, NotChar2, WeightSumVanishes
 from .field import Field
 
 
@@ -57,6 +54,8 @@ class EvalSet:
             pts = np.sort(pts)
             if (pts[1:] == pts[:-1]).any():
                 raise HypothesisViolated("evaluation points must be distinct")
+        if len(pts) and (pts[0] < 0 or pts[-1] >= self.field.N):
+            raise HypothesisViolated("point exponent outside [0, N)")
         if np.any(self.weights % (self.field.q + 1)):
             raise HypothesisViolated("weight outside the subfield")
 
@@ -64,30 +63,19 @@ class EvalSet:
         return len(self.points)
 
 
-def _check_divisor(field: Field, m: int) -> None:
-    if m < 1 or field.N % m != 0:
-        raise HypothesisViolated(f"m = {m} does not divide {field.N}")
-
-
-def _union_points(field: Field, ms, parity: bool) -> np.ndarray:
-    """Ascending exponents of the points in some subgroup m in ``ms``, or,
-    with ``parity``, in an odd number of them.  Marking one N-entry mask
-    costs less than sorting or hashing the subgroups' exponents."""
+def _union_points(field: Field, ms) -> np.ndarray:
+    """Ascending exponents of the points in some subgroup m in ``ms``.
+    Marking one N-entry mask costs less than sorting or hashing the
+    subgroups' exponents."""
     mask = np.zeros(field.N, dtype=bool)
     for m in ms:
-        _check_divisor(field, m)
-        if parity:
-            mask[::m] ^= True
-        else:
-            mask[::m] = True
+        mask[::m] = True
     return np.flatnonzero(mask).astype(np.int64, copy=False)
 
 
 def subgroup_set(field: Field, m: int) -> EvalSet:
     """The order-N/m subgroup with unit weights."""
-    _check_divisor(field, m)
-    pts = np.arange(0, field.N, m, dtype=np.int64)
-    return EvalSet(field, pts, np.zeros_like(pts), f"subgroup(m={m})")
+    return weighted_union(field, ((m, 0, 0),), f"subgroup(m={m})")
 
 
 def union_size(N: int, ms: tuple[int, ...], parity: bool = False) -> int:
@@ -95,51 +83,78 @@ def union_size(N: int, ms: tuple[int, ...], parity: bool = False) -> int:
     points in an odd number of them, by inclusion-exclusion: a point in j
     of the subgroups counts sum_i C(j, i)(-1)^(i-1) = 1 time, or
     sum_i C(j, i)(-2)^(i-1) = j mod 2 times."""
-    total = 0
-    k = len(ms)
-    for mask in range(1, 1 << k):
-        chosen = [ms[i] for i in range(k) if mask >> i & 1]
-        sign = (-2 if parity else -1) ** (bin(mask).count("1") - 1)
-        total += sign * (N // math.lcm(*chosen))
-    return total
+    return sum((-2 if parity else -1) ** (r - 1) * (N // math.lcm(*chosen))
+               for r in range(1, len(ms) + 1)
+               for chosen in itertools.combinations(ms, r))
 
 
 def parity_union_char2(field: Field, ms: tuple[int, ...]) -> EvalSet:
     """Char-2 union keeping points that lie in an odd number of subgroups."""
     if field.p != 2:
         raise NotChar2("parity-filtered union needs characteristic 2")
-    for i in range(len(ms)):
-        for j in range(i + 1, len(ms)):
-            if math.gcd(ms[i], ms[j]) != 1:
-                raise NotCoprime(f"gcd({ms[i]}, {ms[j]}) != 1")
-    pts = _union_points(field, ms, parity=True)
-    return EvalSet(field, pts, np.zeros_like(pts),
-                   f"parity_union(ms={','.join(map(str, ms))})")
+    return weighted_union(field, tuple((m, 0, 0) for m in ms),
+                          f"parity_union(ms={','.join(map(str, ms))})")
 
 
 def weighted_union(field: Field, parts: tuple[tuple[int, int, int], ...],
                    label: str) -> EvalSet:
-    """Full union where part (m, alpha, beta) weights its subgroup by
-    theta^beta * x^alpha; overlap points get the sum of their parts' weights.
-    The sums are taken on packed vectors, so the field needs its exp/log
-    tables (at most 2^22 elements).
+    """Union where part (m, alpha, beta) weights its subgroup by
+    theta^beta * x^alpha; a point held by several parts gets the sum of
+    their weights.  j parts of one weight add up to j * theta^(beta +
+    alpha*e), so only the points held by parts of different weights are
+    summed as packed vectors.  Those sums, and j > 1 for odd p, need the
+    field's exp/log tables (at most 2^22 elements).
 
-    Raises WeightSumVanishes at the smallest point whose combined weight is
-    zero.
+    In characteristic 2 a point whose combined weight is zero is left out.
+    In odd characteristic WeightSumVanishes is raised at the smallest such
+    point.
     """
-    N = field.N
-    pts = _union_points(field, [m for m, _, _ in parts], parity=False)
-    exp0, log = field.exp0, field.tables[1]
-    packed = np.zeros(len(pts), dtype=np.int64)
+    N, p = field.N, field.p
+    groups: dict[tuple[int, int], list[int]] = {}
     for m, alpha, beta in parts:
-        hit = pts % m == 0
-        packed[hit] = field.np_packed_add(
-            packed[hit], exp0[(beta % N + alpha % N * pts[hit]) % N])
-    weights = log[packed]
-    vanish = np.flatnonzero(weights < 0)
-    if vanish.size:
-        raise WeightSumVanishes(f"combined weight vanishes at point exponent "
-                           f"{pts[vanish[0]]} ({label})")
+        if m < 1 or N % m != 0:
+            raise HypothesisViolated(f"m = {m} does not divide {N}")
+        groups.setdefault((alpha % N, beta % N), []).append(m)
+    rows = []  # per weight: its points and the exponent of its sum on each
+    for (alpha, beta), ms in groups.items():
+        if len(ms) == 1:
+            pts = np.arange(0, N, ms[0], dtype=np.int64)
+        else:
+            count = np.zeros(N, dtype=np.min_scalar_type(len(ms)))
+            for m in ms:
+                count[::m] += 1
+            if p == 2:  # j * w is w for odd j and 0 for even j
+                count &= 1
+                count = count.view(bool)  # which flatnonzero reads faster
+            pts = np.flatnonzero(count).astype(np.int64, copy=False)
+        # zeros are mapped lazily, so unit weights cost no pass of writes
+        exps = np.zeros(len(pts), dtype=np.int64)
+        if alpha or beta:
+            exps = (beta + alpha * pts) % N
+        if len(ms) > 1 and p != 2:
+            log_j = field.tables[1][np.arange(len(ms) + 1) % p][count[pts]]
+            exps = np.where(log_j < 0, -1, (exps + log_j) % N)
+        rows.append((pts, exps))
+    if len(rows) == 1:
+        (pts, weights), = rows
+    else:  # every weight's exponent at every point, -1 off its points
+        pts = _union_points(field, [m for m, _, _ in parts])
+        at = np.full((len(rows), len(pts)), -1, dtype=np.int64)
+        for row, (held, exps) in zip(at, rows):
+            row[np.searchsorted(pts, held)] = exps
+        weights = at.max(axis=0)
+        shared = np.flatnonzero((at >= 0).sum(axis=0) > 1)
+        # exp0[-1] is the zero vector
+        weights[shared] = field.tables[1][functools.reduce(
+            field.np_packed_add, field.exp0[at[:, shared]])]
+    # one part's weight never vanishes
+    vanish = np.flatnonzero(weights < 0) if len(parts) > 1 else ()
+    if len(vanish):
+        if p != 2:
+            raise WeightSumVanishes(
+                f"combined weight vanishes at point exponent "
+                f"{pts[vanish[0]]} ({label})")
+        pts, weights = np.delete(pts, vanish), np.delete(weights, vanish)
     return EvalSet(field, pts, weights, label)
 
 
@@ -181,13 +196,9 @@ def find_h_shift_exponent(q: int, m1: int, m2: int) -> int:
     raise NoValidH(f"every subfield shift fails for (q={q}, m1={m1}, m2={m2})")
 
 
-def mixed_union(field: Field, m1: int, m2: int) -> tuple[EvalSet, int]:
+def mixed_union(field: Field, m1: int, m2: int, H: int) -> EvalSet:
     """Union of the odd-part subgroup (weight x^(q+1)) and the even-part
-    subgroup (weight H x^((q+1)/2)); returns the set and the exponent of H."""
-    H = find_h_shift_exponent(field.q, m1, m2)
+    subgroup (weight theta^H x^((q+1)/2))."""
     q = field.q
-    es = weighted_union(
-        field,
-        ((m1, q + 1, 0), (m2, (q + 1) // 2, H)),
-        f"mixed_union(m1={m1}, m2={m2})")
-    return es, H
+    return weighted_union(field, ((m1, q + 1, 0), (m2, (q + 1) // 2, H)),
+                          f"mixed_union(m1={m1}, m2={m2})")

@@ -595,20 +595,23 @@ def weighted_union(field, parts: tuple[tuple[int, int, int], ...],
                    ) -> tuple[tuple, tuple]:
     """Full union where part (m, alpha, beta) weights its subgroup by
     theta^beta * x^alpha; overlap points get the sum of their parts'
-    weights.  Raises ``vanish_error`` if any combined weight is zero."""
+    weights.  A point whose combined weight is zero is left out in
+    characteristic 2; otherwise it raises ``vanish_error``."""
     members: dict[int, list[int]] = {}
     for i, (m, _, _) in enumerate(parts):
         for e in _subgroup_exponents(field, m):
             members.setdefault(e, []).append(i)
-    pts = tuple(sorted(members))
-    weights = []
-    for e in pts:
+    pts, weights = [], []
+    for e in sorted(members):
         w = None
         for i in members[e]:
             _, alpha, beta = parts[i]
             w = field.add(w, (beta + alpha * e) % field.N)
         if w is None:
+            if field.p == 2:
+                continue
             raise vanish_error(
                 f"combined weight vanishes at point exponent {e} ({label})")
+        pts.append(e)
         weights.append(w)
-    return pts, tuple(weights)
+    return tuple(pts), tuple(weights)

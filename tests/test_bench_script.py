@@ -162,3 +162,15 @@ def test_summary_and_compare_print_bad_runs(tmp_path, capsys):
     out = capsys.readouterr().out.splitlines()
     assert [x for x in out if "bad runs" in x] == [
         "  bad runs      A 0/1  B 1/2"]
+
+
+def test_parent_pairs_need_an_even_seed_count(tmp_path, capsys):
+    # with an odd count the parent would run first once more than the change
+    out = str(tmp_path / "b.json")
+    with pytest.raises(SystemExit):
+        bench._parse(["--parent", str(tmp_path), "--seeds", "1-3",
+                      "--out", out])
+    assert "even number of seeds" in capsys.readouterr().err
+    assert bench._parse(["--parent", str(tmp_path), "--seeds", "1-4",
+                         "--out", out]).seeds == [1, 2, 3, 4]
+    assert bench._parse(["--seeds", "1-3", "--out", out]).seeds == [1, 2, 3]

@@ -30,7 +30,8 @@ from qmds.codes import (
 )
 from qmds.constructions import ROUTES, build, max_dim_oracle, sweep
 from qmds.errors import DimensionTooLarge, UsageError
-from qmds.evalsets import EvalSet, subgroup_set
+from qmds.evalsets import (EvalSet, find_h_shift_exponent, subgroup_set,
+                           weighted_union)
 from qmds.field import TABLE_LIMIT, Field, build_field, field_for_q
 from qmds.numtheory import is_prime_power
 
@@ -52,9 +53,12 @@ SHIFT = {"c1": 1, "char2_union": 1, "odd_union": 1,
 def raw_artifact(construction, q, params, k):
     """Evaluation matrix with any number of rows, bypassing the oracle cap."""
     f = field_for_q(q)
+    route = ROUTES[construction]
+    H = (find_h_shift_exponent(q, *route.ms(params))
+         if any(d.shifted for d in route.divisors) else 0)
+    es = weighted_union(f, route.parts(q, params, H), construction)
     if construction == "c1_ext":
-        return extend_c1(f, params["m"], k)
-    es = ROUTES[construction].evalset(construction, f, params)
+        return extend_c1(f, params["m"], k, es)
     return eval_code(f, es, k, SHIFT[construction])
 
 
@@ -74,9 +78,9 @@ def test_eval_code_guards(gf25):
     with pytest.raises(DimensionTooLarge):
         eval_code(gf25, es, 9, 1)
     with pytest.raises(DimensionTooLarge):
-        extend_c1(gf25, 3, 10)
+        extend_c1(gf25, 3, 10, es)
     with pytest.raises(UsageError):
-        extend_c1(gf25, 3, 1)
+        extend_c1(gf25, 3, 1, es)
 
 
 def test_hermitian_ip_small(gf25):
@@ -90,7 +94,7 @@ def test_hermitian_ip_small(gf25):
 
 
 def test_conjugate_symmetry(gf25):
-    art = extend_c1(gf25, 3, 3)
+    art = extend_c1(gf25, 3, 3, subgroup_set(gf25, 3))
     g = gram_hermitian(gf25, art.matrix())
     for i in range(3):
         for j in range(3):
@@ -191,7 +195,8 @@ def test_char2_route_matches_scalar(construction, q, params):
 def check_border_term(q, m):
     # the border entry enters only Gram entry (0, 0): scaling it by theta
     # must make exactly that entry nonzero
-    art = extend_c1(field_for_q(q), m, 3)
+    f = field_for_q(q)
+    art = extend_c1(f, m, 3, subgroup_set(f, m))
     assert gram_zero(art) == (True, None)
     art.border_entry = art.field.mul(art.border_entry, 1)
     res = gram_zero(art)
@@ -546,7 +551,7 @@ def test_weighted_pair_sum_is_the_borderless_entry(gf169):
 
 def test_extended_border_makes_row0_self_orthogonal(gf25):
     f = gf25
-    art = extend_c1(f, 3, 3)
+    art = extend_c1(f, 3, 3, subgroup_set(f, 3))
     assert art.has_border and art.border_entry is not None
     r0 = art.row(0)
     assert r0[0] == art.border_entry
@@ -595,7 +600,7 @@ def test_rank_and_nonsingular_edge_cases(gf25):
 
 
 def test_matrix_to_strings(gf25):
-    art = extend_c1(gf25, 3, 2)
+    art = extend_c1(gf25, 3, 2, subgroup_set(gf25, 3))
     lines = matrix_to_strings(art.matrix())
     assert len(lines) == 2
     assert lines[0].split()[0] == str(art.border_entry)

@@ -31,8 +31,8 @@ from qmds.errors import (
     NoValidH,
     UsageError,
 )
-from qmds.evalsets import mixed_union
-from qmds.field import field_for_q
+from qmds import evalsets
+from qmds.evalsets import find_h_shift_exponent
 from qmds.numtheory import is_prime_power
 
 
@@ -130,19 +130,24 @@ def test_c1_certificate_fields():
     assert cert.artifact is not None and cert.artifact.k == 8
 
 
+def builds_recorded(monkeypatch):
+    """The parts of each ``evalsets.weighted_union`` call, as it is made."""
+    calls, real = [], evalsets.weighted_union
+
+    def record(field, parts, label):
+        calls.append(parts)
+        return real(field, parts, label)
+    monkeypatch.setattr(evalsets, "weighted_union", record)
+    return calls
+
+
 def test_c1_ext_builds_its_subgroup_once(monkeypatch):
     # the matrix branch hands the set it built to extend_c1
-    from qmds import codes, evalsets
-    calls, real = [], evalsets.subgroup_set
-
-    def counted(field, m):
-        calls.append(m)
-        return real(field, m)
-    monkeypatch.setattr(evalsets, "subgroup_set", counted)
-    monkeypatch.setattr(codes, "subgroup_set", counted)
+    calls = builds_recorded(monkeypatch)
     cert = build("c1_ext", 17, m=9)
     assert cert.verified_level == "FULL_MATRIX" and cert.artifact.has_border
-    assert calls == [9]
+    assert calls == [((9, 0, 0),)]
+    assert cert.artifact.evalset.points.tolist() == list(range(0, 288, 9))
 
 
 def test_k_defaults_and_caps():
@@ -233,23 +238,45 @@ def test_mixed_union_certificate_reports_H():
     assert cond_only.artifact is None
 
 
-def test_mixed_union_matrix_certificate_H_is_the_builders():
-    # on the matrix path the certificate's H comes from the route's extras,
-    # found apart from the evaluation set; it must be the H the set was
-    # built with, for every sweep choice at every odd q <= 61
+def test_mixed_union_matrix_certificate_H_is_the_builders(monkeypatch):
+    # on the matrix path the set is built from the route's parts, whose even
+    # part carries the certificate's H, for every sweep choice at every odd
+    # q <= 61
+    calls = builds_recorded(monkeypatch)
     checked = 0
     for q in range(3, 62, 2):
         if not is_prime_power(q):
             continue
-        f = field_for_q(q)
         for choice in sweep("mixed_union", q):
             m1, m2 = choice.params["m1"], choice.params["m2"]
             cert = build("mixed_union", q, m1=m1, m2=m2, want_matrix="require")
             assert cert.verified_level == "FULL_MATRIX"
-            H = mixed_union(f, m1, m2)[1]
+            H = find_h_shift_exponent(q, m1, m2)
+            assert calls.pop() == ((m1, q + 1, 0), (m2, (q + 1) // 2, H))
             assert cert.extras["H"] == cert.to_json()["H"] == H, (q, m1, m2)
             checked += 1
-    assert checked == 88
+    assert checked == 88 and calls == []
+
+
+@pytest.mark.parametrize("want_matrix, level", [
+    ("require", "FULL_MATRIX"), ("never", "CONDITION_ONLY")])
+def test_one_h_search_per_certificate(monkeypatch, want_matrix, level):
+    # the certificate's H and the set's even part share one search, and the
+    # conditions and the oracle, which read only m and alpha, run none
+    calls, real = [], evalsets.find_h_shift_exponent
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(evalsets, "find_h_shift_exponent", counted)
+    cert = build("mixed_union", 13, m1=7, m2=6, want_matrix=want_matrix)
+    assert cert.verified_level == level and cert.extras["H"] == 14
+    assert calls == [(13, 7, 6)]
+    calls.clear()
+    assert conditions_for("mixed_union", 13, {"m1": 7, "m2": 6}) == (
+        (24, 14), (28, 7))
+    assert max_dim_oracle("mixed_union", 13, {"m1": 7, "m2": 6}) == 6
+    assert calls == []
 
 
 def test_want_matrix_require_on_oversized_field():

@@ -1,14 +1,14 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmds.errors import (
     HypothesisViolated,
     NotChar2,
-    NotCoprime,
     NoValidH,
     WeightSumVanishes,
 )
@@ -27,6 +27,7 @@ from qmds import audit, codes, constructions, evalsets, tables
 from qmds.evalsets import shared_weight_obstructions as forbidden_coset
 from qmds.field import build_field, field_for_q
 from qmds.numtheory import divisors, is_prime_power
+from test_constructions import builds_recorded
 
 
 def test_evalset_invariants(gf25):
@@ -34,6 +35,11 @@ def test_evalset_invariants(gf25):
         EvalSet(gf25, (0, 0), (0, 0), "dup")
     with pytest.raises(HypothesisViolated):
         EvalSet(gf25, (0, 1), (0, 1), "bad weight")  # theta not in GF(5)
+    # exponents name points mod N = 24: theta^24 is theta^0
+    with pytest.raises(HypothesisViolated):
+        EvalSet(gf25, (0, 24), (0, 0), "past N")
+    with pytest.raises(HypothesisViolated):
+        EvalSet(gf25, (-3, 5), (0, 0), "negative")
 
 
 def test_subgroup_set(gf25):
@@ -82,8 +88,9 @@ def test_parity_union_char2(gf64):
         hit = [i for i, m in enumerate((3, 7)) if e % m == 0]
         assert len(hit) == 1  # overlap points were dropped
         assert e % (3, 7)[hit[0]] == 0
-    with pytest.raises(NotCoprime):
-        parity_union_char2(gf64, (3, 9))
+    # divisors need not be coprime: 9Z lies in both subgroups and drops out
+    assert parity_union_char2(gf64, (3, 9)).points.tolist() == [
+        e for e in range(0, 63, 3) if e % 9]
     with pytest.raises(NotChar2):
         parity_union_char2(build_field(5, 1), (3, 8))
 
@@ -191,7 +198,8 @@ def test_find_h_hypothesis_guards():
 
 def test_mixed_union_set():
     f = build_field(13, 1)
-    es, H = mixed_union(f, 7, 6)
+    H = find_h_shift_exponent(13, 7, 6)
+    es = mixed_union(f, 7, 6, H)
     assert H == 14
     assert len(es) == union_size(168, (7, 6))
     # points sorted ascending with distinct exponents, weights in GF(13)
@@ -235,27 +243,37 @@ def test_h_search_agrees_with_enumerated_obstructions():
     assert checked > 100
 
 
-# --- the numpy builders against the dict-and-loop references ------------------
-
-BUILDERS = ("subgroup_set", "parity_union_char2", "weighted_union")
+# --- the numpy builder against the dict-and-loop references ------------------
 
 
-def builder_calls(monkeypatch, construction, q, params):
-    """The evalsets builder calls, (name, args, kwargs), that building the
-    evaluation set of one construction makes through the module."""
-    calls = []
-    for name in BUILDERS:
-        def record(*args, _real=getattr(evalsets, name), _name=name, **kw):
-            calls.append((_name, args, kw))
-            return _real(*args, **kw)
-        monkeypatch.setattr(evalsets, name, record)
+def reference(field, parts, label):
+    """The naive builder for these parts: the subgroup for one unit part,
+    the parity union for unit parts with coprime m over p = 2, and the
+    weighted union otherwise."""
+    ms = tuple(m for m, _, _ in parts)
+    unit = all(alpha % field.N == beta % field.N == 0
+               for _, alpha, beta in parts)
+    if unit and len(ms) == 1:
+        return na.subgroup_set(field, ms[0])
+    if (unit and field.p == 2
+            and all(math.gcd(a, b) == 1 for a, b in
+                    itertools.combinations(ms, 2))):
+        return na.parity_union_char2(field, ms)
+    return na.weighted_union(field, parts, label)
+
+
+def built_parts(monkeypatch, construction, q, params):
+    """The parts of the one ``weighted_union`` call that certifying one
+    construction at FULL_MATRIX makes through the module."""
+    calls = builds_recorded(monkeypatch)
     try:
-        constructions.ROUTES[construction].evalset(construction,
-                                                   field_for_q(q), params)
+        route = constructions.ROUTES[construction]
+        cert = constructions.build(construction, q, 1 + route.border,
+                                   want_matrix="require", **params)
     finally:
         monkeypatch.undo()
-    assert calls
-    return calls
+    assert cert.verified_level == "FULL_MATRIX" and len(calls) == 1
+    return calls[0]
 
 
 def outcome(build, *args, **kw):
@@ -268,14 +286,21 @@ def outcome(build, *args, **kw):
     return list(points), list(weights)
 
 
-def check_against_reference(name, *args, **kw):
-    def numpy_build(*a, **k):
-        es = getattr(evalsets, name)(*a, **k)
+def check_against_reference(name, *args, naive=None):
+    """evalsets' builder ``name`` against naive_algebra's builder of the
+    same name, or against ``naive``."""
+    def numpy_build(*a):
+        es = getattr(evalsets, name)(*a)
         assert es.points.dtype == es.weights.dtype == np.int64
         return es.points.tolist(), es.weights.tolist()
-    got = outcome(numpy_build, *args, **kw)
-    assert got == outcome(getattr(na, name), *args, **kw), (name, args)
+    got = outcome(numpy_build, *args)
+    assert got == outcome(naive or getattr(na, name), *args), (name, args)
     return got
+
+
+def check_parts(field, parts, label="parts"):
+    return check_against_reference("weighted_union", field, parts, label,
+                                   naive=reference)
 
 
 def _sweep_cases(q_max):
@@ -295,12 +320,10 @@ def test_every_sweep_choice_matches_the_reference(monkeypatch):
     seen, vanished = set(), 0
     for construction, q, params in _sweep_cases(64):
         seen.add(construction)
-        for name, args, kw in builder_calls(monkeypatch, construction, q,
-                                            params):
-            assert isinstance(check_against_reference(name, *args, **kw)[0],
-                              list)
+        f = field_for_q(q)
+        parts = built_parts(monkeypatch, construction, q, params)
+        assert isinstance(check_parts(f, parts)[0], list)
         if construction == "mixed_union":
-            f = field_for_q(q)
             r, _ = forbidden_coset(q, params["m1"], params["m2"])
             parts = ((params["m1"], q + 1, 0),
                      (params["m2"], (q + 1) // 2, r))
@@ -319,10 +342,8 @@ def test_odd_table_rows_match_the_reference(t, monkeypatch):
         if is_prime_power(q) is None or q % 2 == 0:
             continue
         params = constructions.validate(construction, q, locate(row, q, []))
-        for name, args, kw in builder_calls(monkeypatch, construction, q,
-                                            params):
-            assert isinstance(check_against_reference(name, *args, **kw)[0],
-                              list)
+        parts = built_parts(monkeypatch, construction, q, params)
+        assert isinstance(check_parts(field_for_q(q), parts)[0], list)
         checked += 1
     assert checked == len(tables.ALL_TABLES[t])
 
@@ -341,11 +362,40 @@ def test_vanishing_weight_error_matches_the_reference(q, parts):
 def test_bad_divisors_match_the_reference(gf64, gf25):
     assert check_against_reference("subgroup_set", gf25, 5)[0] \
         is HypothesisViolated
-    assert check_against_reference("parity_union_char2", gf64, (3, 9))[0] \
-        is NotCoprime
+    assert check_against_reference("parity_union_char2", gf64, (3, 5))[0] \
+        is HypothesisViolated
     assert check_against_reference("weighted_union", gf25,
                                    ((3, 0, 0), (7, 0, 0)), "x")[0] \
         is HypothesisViolated
+
+
+@st.composite
+def drawn_parts(draw):
+    """A field GF(q^2), q in {4, 5, 8, 9, 13}, and 1-3 parts (m, alpha,
+    beta): m | N, beta a subfield exponent, and alpha in {0, q + 1}, or
+    (q + 1)/2 on an even m, where x^alpha lies in GF(q) on every point.
+    A part often takes the first part's weight, so that the point 1, which
+    every subgroup holds, is often held j = p times by one weight."""
+    q = draw(st.sampled_from([4, 5, 8, 9, 13]))
+    N = q * q - 1
+    parts = []
+    for _ in range(draw(st.integers(1, 3))):
+        m = draw(st.sampled_from(divisors(N)))
+        alphas = [0, q + 1] + ([(q + 1) // 2] if q % 2 and m % 2 == 0 else [])
+        if parts and parts[0][1] in alphas and draw(st.booleans()):
+            parts.append((m,) + parts[0][1:])
+        else:
+            parts.append((m, draw(st.sampled_from(alphas)),
+                          (q + 1) * draw(st.integers(0, q - 2))))
+    return field_for_q(q), tuple(parts)
+
+
+@settings(max_examples=300)
+@given(drawn_parts())
+def test_drawn_parts_match_the_reference(case):
+    # parts of one weight are summed as a multiple j, the others as packed
+    # vectors; in characteristic 2 a vanishing sum drops its point
+    check_parts(*case)
 
 
 # --- the arrays are shared, so they are read-only ------------------------------
