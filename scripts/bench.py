@@ -17,9 +17,11 @@ With ``--parent DIR`` every seed is a pair of runs, one in DIR (another
 checkout, usually the parent commit) and one here, and the side that runs
 first alternates from pair to pair, so it needs an even number of seeds.  Without it only this checkout runs.
 Runs are added to the ``--out`` file if it exists, so one file can hold
-different seeds for different workloads.  Each run also records the median
-time of each of its operations over its passes, read from the result file
-run.py leaves in ``perfbench/out`` of the checkout that ran.  ``--compare A
+different seeds for different workloads.  Each run also records its pass
+count and the median time of each of its operations over its passes, read
+from the result file run.py leaves in ``perfbench/out`` of the checkout that
+ran; the pass counts are printed beside ``peak_rss_mb``, which grows with
+them.  ``--compare A
 B`` reads two BENCH files and prints, for each workload and metric, and for
 each operation, the medians of A's and B's runs of their own checkout (side
 "change"), the relative delta and how many seed-matched pairs B wins.  Both
@@ -102,18 +104,20 @@ def _run(tree: Path, workload: str, seed: int) -> dict:
         raise SystemExit(f"{' '.join(cmd)} in {tree} exited "
                          f"{done.returncode}:\n{done.stderr}")
     result = json.loads(done.stdout.strip().splitlines()[-1])
+    # the result file run.py wrote in ``tree``
+    detail = json.loads((tree / "perfbench" / "out"
+                         / f"result-{workload}-seed{seed}-trace0.json")
+                        .read_text())
     return {"correct": result["correct"], "attempted": result["attempted"],
             "failed": result["failed"],
+            "passes": result["attempted"] // len(detail["ops"]),
             "metrics": {k: v["value"] for k, v in result["metrics"].items()},
-            "ops": _op_medians(tree, workload, seed)}
+            "ops": _op_medians(detail)}
 
 
-def _op_medians(tree: Path, workload: str, seed: int) -> dict:
-    """Each operation's median time over the passes of the run just made,
-    from the result file run.py wrote in ``tree``."""
-    path = (tree / "perfbench" / "out"
-            / f"result-{workload}-seed{seed}-trace0.json")
-    detail = json.loads(path.read_text())
+def _op_medians(detail: dict) -> dict:
+    """Each operation's median time over the passes of a run, from the
+    result file run.py wrote."""
     by_op = zip(*detail["op_s_by_pass"])
     return {name: statistics.median(times)
             for name, times in zip(detail["ops"], by_op)}
@@ -172,7 +176,8 @@ def _summary(base: list[dict], new: list[dict]) -> dict:
     baseline, the relative delta of the medians and the pairs won.  Under
     "ops", the same for each operation's per-run median time, pooled over
     the runs that have it (runs recorded before operations were kept have
-    none).  Under "bad_runs", each side's count of runs that were not
+    none).  Under "passes", the same for each run's pass count, which
+    ``peak_rss_mb`` grows with.  Under "bad_runs", each side's count of runs that were not
     correct or had a failed operation, out of its runs: they still count
     in the medians, so a nonzero count is a warning."""
     out = {}
@@ -186,6 +191,8 @@ def _summary(base: list[dict], new: list[dict]) -> dict:
                for name, spec in METRICS.items()}
         ops = dict.fromkeys(op for r in b_runs + n_runs
                             for op in r.get("ops", {}))
+        row["passes"] = _entry(b_runs, n_runs, pairs,
+                               lambda r: r.get("passes"), "higher")
         row["ops"] = {op: _entry(b_runs, n_runs, pairs,
                                  lambda r, op=op: r.get("ops", {}).get(op),
                                  "lower")
@@ -213,7 +220,8 @@ def _line(name: str, e: dict, labels) -> str:
 def _print_summary(summary: dict, labels=("parent", "change")) -> None:
     """Each side's bad runs (``_bad``) out of its runs; the median
     (quartiles) of each side, then the delta and pairs won: per metric,
-    then per operation (its median seconds per run)."""
+    with each side's median pass count beside ``peak_rss_mb``, then per
+    operation (its median seconds per run)."""
     for workload, row in summary.items():
         print(workload)
         bad = row["bad_runs"]
@@ -222,7 +230,14 @@ def _print_summary(summary: dict, labels=("parent", "change")) -> None:
             for side, label in zip(("parent", "change"), labels)
             if side in bad))
         for name in METRICS:
-            print(_line(name, row[name], labels))
+            line = _line(name, row[name], labels)
+            passes = row.get("passes")
+            if name == "peak_rss_mb" and passes:  # it grows with the count
+                line += "  passes" + "".join(
+                    f"  {label} {passes[side]['median']:.4g}"
+                    for side, label in zip(("parent", "change"), labels)
+                    if side in passes)
+            print(line)
         if row["ops"]:
             print("  per operation, s:")
             for op, e in row["ops"].items():

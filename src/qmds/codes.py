@@ -6,28 +6,39 @@ a (q+1)-st root of the column weight so that Hermitian inner products of rows
 reproduce the weighted power sums.  The extended variant prepends one border
 column that is nonzero only in row 0.
 
-``gram_zero`` is the self-orthogonality check, and it computes every entry
-of the upper triangle by one route for every q.  It splits q^2 - 1 = a1*a2
-into coprime factors, the split that needs the fewest gathers for the
-input, so that each point exponent splits into its residues mod a1 and mod
-a2.  It then sums in two stages: first over the points of each class mod
-a2, once per value of l1 + q*l2 mod a1; then over the classes, for each
-entry.  For p = 2 a sum is the XOR of packed int32 coefficient masks.  For
-odd p a term is one row of ``Field.digits``, its 2h base-p digits as
-16-bit lanes of one or a few words, and the terms' words are added as
-integers: a lane of at most 65535 // (p-1) digits cannot carry into the
-next, so each lane is an exact digit sum, reduced mod p once per sum
-(longer runs are added in sub-runs of that many terms).  The points are
-grouped into their classes mod a2, and the entries by l1 + q*l2 mod a1, by
-one stable sort of the residues as the smallest unsigned integers that
-hold them, which numpy sorts by radix up to 16 bits.  Stage 1 looks up
-each point's residue times l1 + q*l2, mod a1, in a table of a1 entries
-rather than taking a ``%`` per point.  It reads the field's exp/log
-tables, so it needs a field of at most 2^22 elements
-(``CapacityExceeded`` otherwise).  The witness is the first
-offending row pair in row-major order, so the tests' scalar references,
-which compute each entry directly from the field arithmetic, cross-check
-it witness for witness.
+``gram_zero`` is the self-orthogonality check.  Entry (l1, l2) of the
+upper triangle is sum_j theta^(B_j + E_j*t) with t = l1 + q*l2, over the
+point exponents E_j and B_j = w_j + shift*(q+1)*E_j.  Every evaluation set
+is a weighted union of subgroups, and a power sum over a subgroup of order
+M vanishes unless M divides its exponent.  The check reads that symmetry
+off the arrays themselves, never off the construction, so it still covers
+the matrix as built: it finds the largest M | N such that the sorted
+points are M cosets of the first r = n/M, each the one before times
+theta^L (L = N/M), with B stepping by one constant c*L.  Every entry is
+then M times its sum over the r representatives when M | c + t and zero
+otherwise, so only those live entries are summed, and over r points.  A set
+without such symmetry has M = 1: every entry is summed over every point.
+
+The sums split q^2 - 1 = a1*a2 into coprime factors, the split that needs
+the fewest gathers for the input, so that each point exponent splits into
+its residues mod a1 and mod a2.  They run in two stages: first over the
+points of each class mod a2, once per value of t mod a1; then over the
+classes, for each entry.  For p = 2 a sum is the XOR of packed int32
+coefficient masks.  For odd p a term is one row of ``Field.digits``, its 2h
+base-p digits as 16-bit lanes of one or a few words, and the terms' words
+are added as integers: a lane of at most 65535 // (p-1) digits cannot carry
+into the next, so each lane is an exact digit sum, reduced mod p once per
+sum (longer runs are added in sub-runs of that many terms).  The points
+are grouped into their classes mod a2, and the entries by t mod a1, by one
+stable sort of the residues as the smallest unsigned integers that hold
+them, which numpy sorts by radix up to 16 bits.  Stage 1 looks up each
+point's residue times t, mod a1, in a table of a1 entries rather than
+taking a ``%`` per point.  The sums read the field's exp/log tables, which
+are built only when some entry is live; a field of more than 2^22 elements
+has none and is refused either way (``CapacityExceeded``).  The witness is
+the first offending row pair in row-major order, so the tests' scalar
+references, which compute each entry directly from the field arithmetic,
+cross-check it witness for witness.
 """
 
 from __future__ import annotations
@@ -37,9 +48,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionTooLarge, UsageError
+from .errors import CapacityExceeded, DimensionTooLarge, UsageError
 from .evalsets import EvalSet
-from .field import Elt, Field
+from .field import TABLE_LIMIT, Elt, Field
 
 # Terms per block of the Gram route's gathers; a stage-1 block takes at
 # least one whole row of n points.
@@ -155,6 +166,91 @@ def gram_nonzero_mask(artifact: CodeArtifact) -> np.ndarray:
     return _gram_bad(f, artifact.k, B, E, border_packed)
 
 
+def _gram_bad(f: Field, k: int, B: np.ndarray, E: np.ndarray,
+              border_packed: int) -> np.ndarray:
+    """k x k upper-triangular mask of the nonzero Gram entries: entry
+    (l1, l2) is sum_j theta^(B_j + E_j*t) with t = l1 + q*l2, for
+    exponents 0 <= B_j, E_j < N, plus ``border_packed`` at (0, 0).
+
+    The points are sorted (with their B) and ``_orbit`` finds the largest
+    M with r = n/M, L = N/M and D = c*L such that point i + r is point i
+    times theta^L and its B is B_i + D.  Then every entry factors exactly as
+    R(t) * sum_(a<M) theta^(a*L*(c + t)), with R(t) the sum over the first
+    r points; the second factor is M, a unit mod p since M | N, when
+    M | c + t, and zero otherwise.  So only the live entries, t = -c mod M,
+    are summed (``_gram_sums``), over the r representatives, and with a
+    border entry (0, 0) is M*R(0) (when live) plus the border.  With M = 1
+    every entry is live and every point is summed.  The field tables are
+    read only when an entry is live, but a field past 2^22 elements is
+    refused either way (``CapacityExceeded``), as no entry could be summed.
+    """
+    if f.q2 > TABLE_LIMIT:
+        raise CapacityExceeded(f"field size {f.q2} exceeds 2^22 "
+                               "(no exp/log tables for the Gram sums)")
+    N, q = f.N, f.q
+    E, B = E.astype(np.int32), B.astype(np.int32)
+    if (E[1:] < E[:-1]).any():
+        order = np.argsort(E, kind="stable")
+        E, B = E[order], B[order]
+    M, c = _orbit(N, f.n_factors, E, B)
+    # in row l2 the live l1 <= l2 are first, first + M, ...; the entries
+    # are listed by l2, then l1, so that t ascends whenever k <= q
+    l2 = np.arange(k)
+    first = (-c - q * l2) % M
+    count = (l2 - first + M) // M
+    rows = np.repeat(l2, count)
+    starts = np.cumsum(count) - count
+    cols = np.repeat(first - M * starts, count) + M * np.arange(len(rows))
+    mask = np.zeros((k, k), dtype=bool)
+    if len(rows):
+        r = len(E) // M
+        vals = _gram_sums(f, (cols + q * rows).astype(np.int32), B[:r], E[:r])
+        mask[cols, rows] = vals != 0
+    if border_packed:
+        v0 = 0  # M*R(0) when entry (0, 0) is live, the first one listed
+        if c == 0 and vals[0]:
+            exp, log = f.tables
+            v0 = exp[(int(log[vals[0]]) + int(log[M % f.p])) % N]
+        mask[0, 0] = f.np_packed_add(np.int64(v0), np.int64(border_packed))
+    return mask
+
+
+def _orbit(N: int, primes, E: np.ndarray, B: np.ndarray) -> tuple[int, int]:
+    """(M, c) for the largest cyclic symmetry of the point list that the
+    arrays show: M divides N and n, and with r = n/M, L = N/M,
+    E[i + r] = E[i] + L and B[i + r] = B[i] + c*L (mod N) for every
+    i < n - r, for ascending E.  M grows one prime at a time, each step
+    tested only at a few entries; the final M is then tested at every
+    entry, and on a failure the last prime is taken off again.  M = 1
+    (c = 0) always holds."""
+    n = len(E)
+
+    def sampled_step(M):
+        """D = c*L from the first orbit step, if the few entries tested
+        are consistent with M; else None."""
+        r, L = n // M, N // M
+        D = int(B[r] - B[0]) % N
+        if (E[r - 1] < L and E[r] - E[0] == L == E[-1] - E[-1 - r]
+                and int(B[-1] - B[-1 - r]) % N == D and M * D % N == 0):
+            return D
+        return None
+
+    M, grown = 1, []
+    for prime in primes:
+        while (N % (M * prime) == 0 and n % (M * prime) == 0
+               and sampled_step(M * prime) is not None):
+            M *= prime
+            grown.append(prime)
+    while M > 1:
+        r, L, D = n // M, N // M, sampled_step(M)
+        step = B[r:] - B[:-r]
+        if ((E[r:] - E[:-r] == L).all()
+                and ((step == D) | (step == D - N)).all()):
+            return M, D // L
+        M //= grown.pop()
+    return 1, 0
+
+
 def _unitary_splits(N: int, primes) -> list[tuple[int, int]]:
     """Every (a1, a2) with a1*a2 = N and gcd(a1, a2) = 1: a1 is the product
     of some of the prime-power parts of N and a2 of the others."""
@@ -167,30 +263,31 @@ def _unitary_splits(N: int, primes) -> list[tuple[int, int]]:
     return splits
 
 
-def _choose_split(f: Field, k: int, t: np.ndarray,
-                  E: np.ndarray) -> tuple[int, int]:
+def _choose_split(f: Field, t: np.ndarray, E: np.ndarray) -> tuple[int, int]:
     """The coprime split N = a1*a2 that needs the fewest gathers in
-    ``_gram_bad``: (distinct t mod a1)*n in stage 1 plus
-    len(t)*(distinct E mod a2) in stage 2.
+    ``_gram_sums``: (distinct t mod a1)*n in stage 1 plus
+    len(t)*(distinct E mod a2) in stage 2, for ascending E.
 
     The residues are counted only for splits whose lower bound on that
-    number is below the best count so far, in the order of the bound.  Mod
-    a1 the t take at least min(a1, k) values, since the last row holds k
-    consecutive ones; and a class mod a1 holds at most ceil(span/a1) of the
-    values in [0, span), each taken at most ceil(k/q) times.  Mod a2 the n
-    distinct points fill at least n/a1 classes of a1 exponents each.
+    number is below the best count so far, in the order of the bound.  A
+    class mod a holds at most ceil(span/a) of distinct values that span
+    ``span`` consecutive integers, so the distinct t and the n distinct
+    points fill at least that many classes mod a1 and mod a2.  Mod a1 the
+    distinct t also take at least min(a1, run) values, where run is the
+    length of the last run of consecutive integers among them.
 
     x mod a is (x mod m) mod a whenever a | m, so each count reduces the
     shortest array of distinct residues already found mod a multiple of
-    a; t and E themselves are their residues mod 0.
+    a; the distinct t and E themselves are their residues mod 0.
     """
-    n, K, q = len(E), len(t), f.q
-    distinct_t = -(-K // -(-k // q))
-    span = (k - 1) * (q + 1) + 1
+    n, K = len(E), len(t)
+    u = t if (t[1:] > t[:-1]).all() else np.unique(t)
+    run = len(u) - np.searchsorted(u - np.arange(len(u)), u[-1] - len(u) + 1)
+    span_t, span_E = int(u[-1] - u[0]) + 1, int(E[-1] - E[0]) + 1
 
-    def bound(a1):
-        s1 = max(min(a1, k), -(-distinct_t // -(-span // a1)))
-        return s1 * n + K * -(-n // a1)
+    def bound(a1, a2):
+        s1 = max(min(a1, run), -(-len(u) // -(-span_t // a1)))
+        return s1 * n + K * -(-n // -(-span_E // a2))
 
     def distinct(found, a):
         x = min((r for m, r in found.items() if m % a == 0), key=len) % a
@@ -199,9 +296,9 @@ def _choose_split(f: Field, k: int, t: np.ndarray,
                     else np.bincount(x, minlength=a).nonzero()[0])
         return len(found[a])
 
-    found_t, found_E = {0: t}, {0: E}
+    found_t, found_E = {0: u}, {0: E}
     best, best_cost = None, 0
-    for low, a1, a2 in sorted((bound(a1), a1, a2)
+    for low, a1, a2 in sorted((bound(a1, a2), a1, a2)
                               for a1, a2 in _unitary_splits(f.N, f.n_factors)):
         if best is not None and low >= best_cost:
             break
@@ -280,39 +377,34 @@ def _pack(f: Field, lanes: np.ndarray) -> np.ndarray:
     return out
 
 
-def _gram_bad(f: Field, k: int, B: np.ndarray, E: np.ndarray,
-              border_packed: int) -> np.ndarray:
-    """k x k upper-triangular mask of the nonzero Gram entries.
+def _gram_sums(f: Field, t: np.ndarray, B: np.ndarray,
+               E: np.ndarray) -> np.ndarray:
+    """int32 packed sum_j theta^(B_j + E_j*t) for each t in the int32 array
+    ``t``, for int32 exponents 0 <= B_j, E_j < N.
 
-    Entry (l1, l2) is sum_j theta^(B_j + E_j*t) with t = l1 + q*l2, plus
-    ``border_packed`` at (0, 0).  For a split N = a1*a2 into coprime
-    factors (``_choose_split``) each point exponent is
-    E_j = a2*e1_j + a1*e2_j (mod N) with e1 = E*a2^-1 mod a1 and
-    e2 = E*a1^-1 mod a2, so with s = t mod a1 and d = t mod a2 the term
-    is theta^(B_j + a2*(e1_j*s mod a1)) times theta^(a1*(e2_j*d mod a2)).
-    Stage 1 (``_stage1_logs``) sums the first factor over the points of
-    each class e2_j = g, once per distinct s:
+    For a split N = a1*a2 into coprime factors (``_choose_split``) each
+    point exponent is E_j = a2*e1_j + a1*e2_j (mod N) with
+    e1 = E*a2^-1 mod a1 and e2 = E*a1^-1 mod a2, so with s = t mod a1 and
+    d = t mod a2 the term is theta^(B_j + a2*(e1_j*s mod a1)) times
+    theta^(a1*(e2_j*d mod a2)).  Stage 1 (``_stage1_logs``) sums the first
+    factor over the points of each class e2_j = g, once per distinct s:
     R[s, g] = sum_(e2_j = g) theta^(B_j + a2*(e1_j*s mod a1)).  Stage 2
-    sums each entry as sum_g R[s, g]*theta^(a1*(g*d mod a2)) over the
-    nonzero R[s, g], all entries of one s at a time.  Either trivial split
-    gives back the direct sum.  Every term is still summed exactly, and
-    every gathered exponent is below 2N (``packed_sums``).  The index
-    arithmetic runs in int32 unless a product of two residues, below
-    max(a1, a2)^2, could overflow it, in blocks of at most ``GRAM_BLOCK``
-    terms.
+    sums each t as sum_g R[s, g]*theta^(a1*(g*d mod a2)) over the nonzero
+    R[s, g], all t of one s at a time; their lane sums are packed at once
+    at the end.  Either trivial split gives back the direct sum.  Every
+    term is still summed exactly, and every gathered exponent is below 2N
+    (``packed_sums``).  The index arithmetic runs in int32 unless a product
+    of two residues, below max(a1, a2)^2, could overflow it, in blocks of
+    at most ``GRAM_BLOCK`` terms.
     """
-    f.tables  # CapacityExceeded past 2^22 elements, so E fits int32
-    E = E.astype(np.int32)
-    upper = np.triu(np.ones((k, k), dtype=bool))
-    ls = np.arange(k, dtype=np.int32)
-    t = (ls[:, None] + f.q * ls)[upper]
-    a1, a2 = _choose_split(f, k, t, E)
+    a1, a2 = _choose_split(f, t, E)
     dt = np.int32 if max(a1, a2) ** 2 < 1 << 31 else np.int64
     by_s, s, firsts = _classes(t, a1)
     ends = np.concatenate((firsts[1:], [len(t)]))
     g, logR = _stage1_logs(f, a1, a2, s[firsts].astype(dt), B, E)
 
-    vals = np.zeros(len(t), dtype=np.int32)
+    d = (t % a2).astype(dt)[:, None]
+    sums = None  # lane sums per t, zero where every R[s, g] is
     for r in range(len(firsts)):
         live = logR[r] >= 0
         if not live.any():
@@ -321,12 +413,13 @@ def _gram_bad(f: Field, k: int, B: np.ndarray, E: np.ndarray,
         step = max(1, GRAM_BLOCK // len(gs))
         for lo in range(firsts[r], ends[r], step):
             ent = by_s[lo:min(lo + step, ends[r])]
-            d = (t[ent] % a2).astype(dt)[:, None]
-            vals[ent] = packed_sums(f, logs + a1 * (d * gs % a2), [0])[:, 0]
-    if border_packed:
-        vals[:1] = f.np_packed_add(vals[:1], np.int64(border_packed))
-    upper[upper] = vals != 0
-    return upper
+            lanes = _lane_sums(f, logs + a1 * (d[ent] * gs % a2), [0])
+            if sums is None:
+                sums = np.zeros((len(t),) + lanes.shape[1:], lanes.dtype)
+            sums[ent] = lanes
+    if sums is None:
+        return np.zeros(len(t), dtype=np.int32)
+    return _pack(f, sums)[:, 0]
 
 
 def _stage1_logs(f: Field, a1: int, a2: int, svals: np.ndarray,
@@ -343,7 +436,7 @@ def _stage1_logs(f: Field, a1: int, a2: int, svals: np.ndarray,
     order, r2, starts = _classes(E, a2)
     g = r2[starts].astype(dt) * pow(a1, -1, a2) % a2
     e1 = (E[order] % a1).astype(dt) * pow(a2, -1, a1) % a1
-    B = B[order].astype(dt)
+    B = B[order].astype(dt, copy=False)
     sums = np.concatenate([
         _lane_sums(f, index, starts)
         for index in _stage1_index(a1, a2, B, e1, svals,

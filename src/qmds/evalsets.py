@@ -56,7 +56,8 @@ class EvalSet:
                 raise HypothesisViolated("evaluation points must be distinct")
         if len(pts) and (pts[0] < 0 or pts[-1] >= self.field.N):
             raise HypothesisViolated("point exponent outside [0, N)")
-        if np.any(self.weights % (self.field.q + 1)):
+        # unit weights (all zero) need no pass of %
+        if self.weights.any() and (self.weights % (self.field.q + 1)).any():
             raise HypothesisViolated("weight outside the subfield")
 
     def __len__(self) -> int:

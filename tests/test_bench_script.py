@@ -13,11 +13,12 @@ bench = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench)
 
 
-def _run(workload, seed, side, pass_s, correct=True, failed=0):
+def _run(workload, seed, side, pass_s, correct=True, failed=0, **extra):
     metrics = {name: 1.0 for name in bench.METRICS}
     metrics["pass_s"] = pass_s
     return {"workload": workload, "seed": seed, "side": side,
-            "correct": correct, "failed": failed, "metrics": metrics}
+            "correct": correct, "failed": failed, "metrics": metrics,
+            **extra}
 
 
 def test_seed_lists():
@@ -74,6 +75,7 @@ def test_run_records_each_operations_median_from_the_tree_that_ran(tmp_path):
     _result_file(tmp_path, "small-jobs", 4, ["qmds field"], [[9.0]])
     run = bench._run(tree, "small-jobs", 4)
     assert run["ops"] == {"qmds field": 0.3, "qmds verify": 2.0}
+    assert run["passes"] == 3  # 6 operations attempted, 2 per pass
     assert run["metrics"]["pass_s"] == 1.0
 
 
@@ -174,3 +176,27 @@ def test_parent_pairs_need_an_even_seed_count(tmp_path, capsys):
     assert bench._parse(["--parent", str(tmp_path), "--seeds", "1-4",
                          "--out", out]).seeds == [1, 2, 3, 4]
     assert bench._parse(["--seeds", "1-3", "--out", out]).seeds == [1, 2, 3]
+
+
+def test_pass_counts_beside_peak_rss(tmp_path, capsys):
+    # peak_rss_mb grows with the pass count, so each side's median count is
+    # printed on its line; runs recorded before counts were kept have none
+    parent = [_run("gram-odd", s, "parent", 2.0, passes=p)
+              for s, p in [(1, 400), (2, 420), (3, 410)]]
+    change = [_run("gram-odd", s, "change", 1.0, passes=p)
+              for s, p in [(1, 700), (2, 720), (3, 650)]]
+    row = bench._summary(parent, change)["gram-odd"]
+    assert row["passes"]["parent"]["median"] == 410
+    assert row["passes"]["change"]["median"] == 700
+    bench._print_summary(bench._summary(parent, change))
+    line = next(x for x in capsys.readouterr().out.splitlines()
+                if "peak_rss_mb" in x)
+    assert line.endswith("  passes  parent 410  change 700")
+    pa, pb = tmp_path / "a.json", tmp_path / "b.json"
+    pa.write_text(json.dumps({"sides": {"change": "aaa"},
+                              "runs": [_run("gram-odd", 1, "change", 2.0)]}))
+    pb.write_text(json.dumps({"sides": {"change": "bbb"}, "runs": change}))
+    assert bench.main(["--compare", str(pa), str(pb)]) == 0
+    line = next(x for x in capsys.readouterr().out.splitlines()
+                if "peak_rss_mb" in x)
+    assert line.endswith("wins 0/1  passes  B 700")

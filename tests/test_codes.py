@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from naive_algebra import (
@@ -251,6 +251,21 @@ def scalar_nonzero_mask(art):
                       for l2 in range(art.k)] for l1 in range(art.k)])
 
 
+def inner_route_mask(art):
+    """The mask of ``codes._gram_sums`` over the whole triangle and every
+    point, with no orbit taken out, for an artifact without a border."""
+    f, k = art.field, art.k
+    upper = np.triu(np.ones((k, k), dtype=bool))
+    ls = np.arange(k)
+    t = (ls[:, None] + f.q * ls)[upper].astype(np.int32)
+    E = art.evalset.points
+    B = (art.evalset.weights + art.shift * (f.q + 1) * E) % f.N
+    got = np.zeros((k, k), dtype=bool)
+    got[upper] = codes._gram_sums(f, t, B.astype(np.int32),
+                                  E.astype(np.int32)) != 0
+    return got
+
+
 def check_route_mask(art):
     assert np.array_equal(gram_nonzero_mask(art), scalar_nonzero_mask(art))
     assert gram_zero(art) == \
@@ -300,6 +315,9 @@ def test_char2_route_skips_zero_stage1_rows(k):
             if all(v is None for v in stage1_row(art, s).values())]
     assert zero == [0, 1, 2, 3, 4, 6]
     check_route_mask(art)
+    # the set is one orbit, so the check sums no entry over its points;
+    # the inner route, given every point, meets the zero rows
+    assert np.array_equal(inner_route_mask(art), scalar_nonzero_mask(art))
 
 
 def test_table2_row4_char2_route():
@@ -341,19 +359,12 @@ def test_odd_route_on_arbitrary_point_sets(data):
     check_route_mask(draw_point_set_artifact(data, [3, 5, 7, 9]))
 
 
-def check_exponent_sums(data, qs):
-    """The route's contract for any B and E, not only Gram inputs: entry
-    (l1, l2) is sum_j theta^(B_j + E_j*(l1 + q*l2)), plus the border at
-    (0, 0).  Without Hermitian symmetry entries (l1, l2) and (l2, l1)
-    vanish independently, so the mask also pins the sign of l1 - l2."""
-    q = data.draw(st.sampled_from(qs))
-    f = field_for_q(q)
-    N = f.N
-    n = data.draw(st.integers(1, 12))
-    E = data.draw(st.lists(st.integers(0, N - 1), min_size=n, max_size=n))
-    B = data.draw(st.lists(st.integers(0, N - 1), min_size=n, max_size=n))
-    border = data.draw(st.sampled_from([0] + f.tables[0][:4].tolist()))
-    k = data.draw(st.integers(1, 12))
+def check_against_sums(f, k, B, E, border):
+    """``_gram_bad`` against the scalar sums: entry (l1, l2) is
+    sum_j theta^(B_j + E_j*(l1 + q*l2)), plus the border at (0, 0).
+    Without Hermitian symmetry entries (l1, l2) and (l2, l1) vanish
+    independently, so the mask also pins the sign of l1 - l2."""
+    q, N = f.q, f.N
     got = _gram_bad(f, k, np.asarray(B, dtype=np.int64),
                     np.asarray(E, dtype=np.int64), border)
     for l1 in range(k):
@@ -366,6 +377,22 @@ def check_exponent_sums(data, qs):
             assert got[l1, l2] == (l2 >= l1 and acc is not None), (l1, l2)
 
 
+def draw_border(data, f):
+    return data.draw(st.sampled_from([0] + f.tables[0][:4].tolist()))
+
+
+def check_exponent_sums(data, qs):
+    """The route's contract for any B and E, not only Gram inputs."""
+    q = data.draw(st.sampled_from(qs))
+    f = field_for_q(q)
+    N = f.N
+    n = data.draw(st.integers(1, 12))
+    E = data.draw(st.lists(st.integers(0, N - 1), min_size=n, max_size=n))
+    B = data.draw(st.lists(st.integers(0, N - 1), min_size=n, max_size=n))
+    check_against_sums(f, data.draw(st.integers(1, 12)), B, E,
+                       draw_border(data, f))
+
+
 @given(st.data())
 def test_char2_route_on_arbitrary_exponent_sums(data):
     check_exponent_sums(data, [2, 4, 8])
@@ -376,12 +403,84 @@ def test_odd_route_on_arbitrary_exponent_sums(data):
     check_exponent_sums(data, [3, 5, 7, 9])
 
 
+@settings(max_examples=300)
+@given(st.data())
+def test_orbit_structured_sums(data):
+    # r representatives in [0, L), L = N/M, repeated M times: point i + a*r
+    # is E_i + a*L with B_i + a*D.  Intact (D = c*L), the sums factor by the
+    # orbit; each broken variant must still give the scalar sums.  With one
+    # B for every point only the points show a moved one
+    q = data.draw(st.sampled_from([4, 5, 7, 8, 9, 13]))
+    f = field_for_q(q)
+    N = f.N
+    M = data.draw(st.sampled_from([m for m in range(2, 41) if N % m == 0]))
+    L = N // M
+    reps = data.draw(st.lists(st.integers(0, L - 1), min_size=1,
+                              max_size=max(1, 40 // M), unique=True))
+    reps.sort()
+    bs = data.draw(st.lists(st.integers(0, N - 1), min_size=len(reps),
+                            max_size=len(reps))
+                   | st.integers(0, N - 1).map(lambda b: [b] * len(reps)))
+    variant = data.draw(st.sampled_from(
+        ["intact", "point", "weight", "step", "unsorted"]))
+    D = data.draw(st.integers(0, M - 1)) * L
+    if variant == "step":  # M*D is not 0 mod N
+        D = data.draw(st.integers(0, N - 1).filter(lambda d: d % L))
+    E = [e + a * L for a in range(M) for e in reps]
+    B = [(b + a * D) % N for a in range(M) for b in bs]
+    j = data.draw(st.integers(0, len(E) - 1))
+    if variant == "point":
+        E[j] = data.draw(st.integers(0, N - 1).filter(lambda e: e not in E))
+    elif variant == "weight":
+        B[j] = data.draw(st.integers(0, N - 1).filter(lambda b: b != B[j]))
+    elif variant == "unsorted":
+        perm = data.draw(st.permutations(range(len(E))))
+        E, B = [E[i] for i in perm], [B[i] for i in perm]
+    s0 = None  # a border that cancels entry (0, 0), as c1_ext's does
+    for b in B:
+        s0 = f.add(s0, b)
+    border = draw_border(data, f)
+    if s0 is not None and data.draw(st.booleans()):
+        border = int(f.tables[0][f.neg(s0)])
+    check_against_sums(f, data.draw(st.integers(1, 12)), B, E, border)
+
+
+@pytest.mark.parametrize("moved", ["point", "weight"])
+def test_orbit_broken_away_from_the_sampled_entries(moved):
+    # the subgroup of order 12 in GF(25)*, unit weights, with one point (or
+    # one weight) of its middle orbit under M = 3 changed: the few entries
+    # that the growth of M reads still show M = 3, and only the check of
+    # every entry refuses it
+    f = field_for_q(5)
+    E, B = list(range(0, 24, 2)), [0] * 12
+    if moved == "point":
+        E[5] = 11
+    else:
+        B[5] = 7
+    assert codes._orbit(f.N, f.n_factors, np.array(E, np.int32),
+                        np.array(B, np.int32)) == (1, 0)
+    check_against_sums(f, 8, B, E, 0)
+
+
+def test_low_dimension_c1_builds_no_tables():
+    # c1 at q = 563, m = 3, k = 4: one orbit (r = 1, c = 0) and no entry
+    # with M | t, so no sum is taken and the 317 000-element tables stay
+    # unbuilt
+    f = Field(563, 1)
+    art = eval_code(f, subgroup_set(f, 3), 4, shift=1)
+    assert gram_zero(art) == (True, None)
+    assert "tables" not in vars(f)
+    assert codes._orbit(f.N, f.n_factors, art.evalset.points.astype(np.int32),
+                        np.zeros(len(art.evalset), np.int32)) == (f.N // 3, 0)
+
+
 @pytest.mark.parametrize("q,k", [(4, 8), (5, 8), (7, 8), (8, 8), (9, 8),
                                  (13, 8), (25, 8), (331, 64)])
 def test_every_coprime_split_gives_the_scalar_mask(q, k, monkeypatch):
     # the decomposition holds whichever split is chosen, the trivial ones
     # (a1 = 1 or a2 = 1: the direct sum) included; at q = 331 and k = 64 the
-    # splits with a factor above 46340 need the int64 index arithmetic
+    # splits with a factor above 46340 need the int64 index arithmetic.
+    # The inner route is called on every point, with no orbit taken out
     f = field_for_q(q)
     splits = _unitary_splits(f.N, f.n_factors)
     assert len(set(splits)) == 2 ** len(f.n_factors)
@@ -392,12 +491,11 @@ def test_every_coprime_split_gives_the_scalar_mask(q, k, monkeypatch):
     points = sorted(rng.choice(f.N, size=12, replace=False).tolist())
     weights = tuple((q + 1) * int(w) for w in rng.integers(0, q - 1, size=12))
     arts = [
-        # a subgroup, whose power sums vanish off multiples of its order
-        CodeArtifact(f, subgroup_set(f, m), k=k, shift=1, has_border=True,
-                     border_entry=3),
+        # a subgroup, whose power sums vanish off multiples of its order,
+        # which t = 0 is
+        CodeArtifact(f, subgroup_set(f, m), k=k, shift=0),
         CodeArtifact(f, EvalSet(f, tuple(points), weights, "r"),
-                     k=k, shift=int(rng.integers(f.N)), has_border=True,
-                     border_entry=int(rng.integers(f.N))),
+                     k=k, shift=int(rng.integers(f.N))),
     ]
     if q == 331:  # class keys sorted as uint16 and as uint32
         a2s = [a2 for _, a2 in splits]
@@ -407,23 +505,25 @@ def test_every_coprime_split_gives_the_scalar_mask(q, k, monkeypatch):
         assert want.any()
         for split in splits:
             monkeypatch.setattr(codes, "_choose_split", lambda *a: split)
-            assert np.array_equal(gram_nonzero_mask(art), want), split
+            assert np.array_equal(inner_route_mask(art), want), split
 
 
-def reference_split(f, k, E):
+def reference_split(f, t, E):
     """The split ``_choose_split`` must return: the least (cost, bound, a1,
     a2) over every coprime split, with the residues counted by
     ``np.unique`` and the lower bound it prunes by, which never exceeds the
     cost."""
-    t = np.array([l1 + f.q * l2 for l1 in range(k) for l2 in range(l1, k)])
-    n, K, q = len(E), len(t), f.q
-    distinct_t = -(-K // -(-k // q))
-    span = (k - 1) * (q + 1) + 1
+    n, K = len(E), len(t)
+    u = np.unique(t).tolist()
+    run = 1  # the last run of consecutive integers among the distinct t
+    while run < len(u) and u[-1 - run] == u[-1] - run:
+        run += 1
+    span_t, span_E = u[-1] - u[0] + 1, int(max(E)) - int(min(E)) + 1
     best = None
     for a1, a2 in _unitary_splits(f.N, f.n_factors):
-        s1 = max(min(a1, k), -(-distinct_t // -(-span // a1)))
-        bound = s1 * n + K * -(-n // a1)
-        cost = (len(np.unique(t % a1)) * n
+        s1 = max(min(a1, run), math.ceil(len(u) / math.ceil(span_t / a1)))
+        bound = s1 * n + K * math.ceil(n / math.ceil(span_E / a2))
+        cost = (len(np.unique(np.asarray(t) % a1)) * n
                 + K * len(np.unique(np.asarray(E) % a2)))
         assert bound <= cost, (a1, a2)
         best = min(best or (cost, bound, a1, a2), (cost, bound, a1, a2))
@@ -445,17 +545,27 @@ def split_cases():
     yield 211, "half_power_union", row.params, row.k
 
 
-def test_choose_split_is_the_least_cost_split():
+def test_choose_split_is_the_least_cost_split(monkeypatch):
+    # on the whole triangle and every point, as given in row-major order,
+    # and at k + 1 on the live entries and orbit representatives that the
+    # Gram check passes (ascending t, with no consecutive pair when M > 1)
+    calls = []
+    choose = codes._choose_split
+    monkeypatch.setattr(codes, "_choose_split",
+                        lambda f, t, E: calls.append((t, E)) or choose(f, t, E))
     cases = 0
     for q, construction, params, k in split_cases():
         art = raw_artifact(construction, q, params, k)
-        f, E = art.field, art.evalset.points
+        f, E = art.field, art.evalset.points.astype(np.int32)
         ls = np.arange(k, dtype=np.int32)
         t = (ls[:, None] + q * ls)[np.triu(np.ones((k, k), dtype=bool))]
-        got = codes._choose_split(f, k, t, E.astype(np.int32))
-        assert got == reference_split(f, k, E), (q, construction, params, k)
-        cases += 1
-    assert cases > 100
+        calls[:] = [(t, E)]
+        gram_zero(raw_artifact(construction, q, params, k + 1))
+        for t, E in calls:
+            assert choose(f, t, E) == reference_split(f, t, E), \
+                (q, construction, params, k, len(t), len(E))
+            cases += 1
+    assert cases > 200
 
 
 # --- the digit-lane sums ------------------------------------------------------

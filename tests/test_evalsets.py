@@ -35,6 +35,10 @@ def test_evalset_invariants(gf25):
         EvalSet(gf25, (0, 0), (0, 0), "dup")
     with pytest.raises(HypothesisViolated):
         EvalSet(gf25, (0, 1), (0, 1), "bad weight")  # theta not in GF(5)
+    with pytest.raises(HypothesisViolated):
+        EvalSet(gf25, range(0, 24, 3), (0,) * 6 + (7, 0),
+                "one bad weight among zeros")
+    assert EvalSet(gf25, range(0, 24, 3), (0,) * 6 + (6, 0), "w").weights[6]
     # exponents name points mod N = 24: theta^24 is theta^0
     with pytest.raises(HypothesisViolated):
         EvalSet(gf25, (0, 24), (0, 0), "past N")
