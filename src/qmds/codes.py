@@ -282,7 +282,9 @@ def _choose_split(f: Field, t: np.ndarray, E: np.ndarray) -> tuple[int, int]:
     """
     n, K = len(E), len(t)
     u = t if (t[1:] > t[:-1]).all() else np.unique(t)
-    run = len(u) - np.searchsorted(u - np.arange(len(u)), u[-1] - len(u) + 1)
+    run = 1
+    while run < len(u) and u[-1 - run] == u[-1] - run:
+        run += 1
     span_t, span_E = int(u[-1] - u[0]) + 1, int(E[-1] - E[0]) + 1
 
     def bound(a1, a2):
@@ -349,10 +351,12 @@ def _lane_sums(f: Field, idx: np.ndarray, starts,
     vals = words.take(idx, axis=0)
     if zero is not None:
         vals[zero] = 0
-    axis, cap = idx.ndim - 1, 65535 // (p - 1)
+    axis, cap, n = idx.ndim - 1, 65535 // (p - 1), idx.shape[-1]
     starts = np.asarray(starts)
-    runs = np.concatenate((starts[1:], [idx.shape[-1]])) - starts
-    if runs.max() <= cap:
+    # only runs that span more than cap terms together can hold a long one
+    runs = (np.concatenate((starts[1:], [n])) - starts
+            if n - starts[0] > cap else None)
+    if runs is None or runs.max() <= cap:
         return np.add.reduceat(vals, starts, axis=axis,
                                dtype=words.dtype).view(np.uint16)
     parts = -(-runs // cap)
@@ -404,11 +408,10 @@ def _gram_sums(f: Field, t: np.ndarray, B: np.ndarray,
     g, logR = _stage1_logs(f, a1, a2, s[firsts].astype(dt), B, E)
 
     d = (t % a2).astype(dt)[:, None]
+    nonzero = logR >= 0
     sums = None  # lane sums per t, zero where every R[s, g] is
-    for r in range(len(firsts)):
-        live = logR[r] >= 0
-        if not live.any():
-            continue
+    for r in np.flatnonzero(nonzero.any(axis=1)):
+        live = nonzero[r]
         gs, logs = g[live], logR[r, live]
         step = max(1, GRAM_BLOCK // len(gs))
         for lo in range(firsts[r], ends[r], step):
