@@ -46,8 +46,9 @@ from .field import TABLE_LIMIT, field_for_q
 from .numtheory import divisors, is_prime_power
 from .verify import QuantumParams, quantum_params
 
-# matrix-level verification is attempted when the field has exp/log tables
-# and the matrix has at most this many entries
+# matrix-level verification is attempted when the matrix has at most this
+# many entries and q^2 <= 2^22; the Gram check reads no table, but
+# weighted_union reads the exp/log tables for mixed_union's shared weights
 MATRIX_ENTRY_BUDGET = 100_000_000
 # a FULL_MATRIX certificate's JSON carries its matrix up to this many entries
 MATRIX_JSON_ENTRY_CAP = 100_000

@@ -15,7 +15,10 @@ characteristic two a point whose sum vanishes is left out, so unit-weight
 parts give the parity union (the points in an odd number of subgroups); in
 odd characteristic a vanishing sum is an error.  The mixed union weights
 its even part by a subfield element H, picked by ``find_h_shift_exponent``
-so that no shared point's sum vanishes.
+so that no shared point's sum vanishes.  A set records the parts it was
+built from, and ``EvalSet`` checks on construction that its arrays are
+exactly their union, so that the Gram check may read its entries off the
+parts.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HypothesisViolated, NoValidH, NotChar2, WeightSumVanishes
-from .field import Field
+from .field import Field, mulmod
 
 
 @dataclass(frozen=True, eq=False)
@@ -36,32 +39,107 @@ class EvalSet:
     """Distinct evaluation points with nonzero subfield weights.
 
     points and weights are read-only int64 arrays of exponents; sequences
-    are converted on construction.
+    are converted on construction.  ``parts``, when given, is the list of
+    parts (m, alpha, beta) the set is the weighted union of, alpha and beta
+    reduced mod N, and the arrays are checked on construction to be
+    exactly that union (``_check_parts``); the Gram check then reads every
+    entry off the parts.
     """
 
     field: Field
     points: np.ndarray
     weights: np.ndarray
     label: str
+    parts: tuple[tuple[int, int, int], ...] | None = None
 
     def __post_init__(self):
         for name in ("points", "weights"):
             arr = np.asarray(getattr(self, name), dtype=np.int64)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        pts = self.points
+        pts, N = self.points, self.field.N
+        if len(pts) != len(self.weights):
+            raise HypothesisViolated("one weight per point is needed")
         if not (pts[1:] > pts[:-1]).all():  # the builders' points ascend
             pts = np.sort(pts)
             if (pts[1:] == pts[:-1]).any():
                 raise HypothesisViolated("evaluation points must be distinct")
-        if len(pts) and (pts[0] < 0 or pts[-1] >= self.field.N):
+        if len(pts) and (pts[0] < 0 or pts[-1] >= N):
             raise HypothesisViolated("point exponent outside [0, N)")
+        if self.parts is not None:
+            parts = tuple((int(m), int(alpha) % N, int(beta) % N)
+                          for m, alpha, beta in self.parts)
+            object.__setattr__(self, "parts", parts)
+            _check_parts(self.field, self.points, self.weights, parts)
         # unit weights (all zero) need no pass of %
-        if self.weights.any() and (self.weights % (self.field.q + 1)).any():
+        elif self.weights.any() and (self.weights % (self.field.q + 1)).any():
             raise HypothesisViolated("weight outside the subfield")
 
     def __len__(self) -> int:
         return len(self.points)
+
+
+def _check_parts(field: Field, E: np.ndarray, W: np.ndarray,
+                 parts: tuple[tuple[int, int, int], ...]) -> None:
+    """Raise HypothesisViolated unless the distinct points E, with weights
+    W, are exactly the union of ``parts`` that ``weighted_union`` builds.
+    It takes a few passes over the points per part and builds no N-entry
+    array.
+
+    Each part's weight must lie in GF(q), which (q+1) | beta and
+    (q+1) | alpha*m decide.  There must be as many points as the union
+    holds (``union_size``, the parity form in characteristic 2), and each
+    weight must be beta + alpha*e + log(j mod p) for the parts of one
+    weight, j of which hold the point; j = 0, a point outside every part,
+    and j = 0 mod p have no log and are refused.  Together these leave
+    exactly the union's points.  Where parts of different weights meet (a
+    mixed union's shared points) the weight must be the log of the packed
+    sum of theirs, read from the field's tables.  In characteristic 2 such
+    a sum may vanish and drop its point, which no count foresees, so a
+    union of several weights there has no parts to check."""
+    N, p, q = field.N, field.p, field.q
+    if not parts:
+        raise HypothesisViolated("a union needs at least one part")
+    classes: dict[tuple[int, int], list[int]] = {}
+    for m, alpha, beta in parts:
+        if m < 1 or N % m != 0:
+            raise HypothesisViolated(f"m = {m} does not divide {N}")
+        if beta % (q + 1) or alpha * m % (q + 1):
+            raise HypothesisViolated("weight outside the subfield")
+        classes.setdefault((alpha, beta), []).append(m)
+    if p == 2 and len(classes) > 1:
+        raise HypothesisViolated("a characteristic-2 union of several "
+                                 "weights has no checkable parts")
+    size = union_size(N, tuple(m for m, _, _ in parts), p == 2)
+    if len(E) != size:
+        raise HypothesisViolated(f"{len(E)} points where the parts hold "
+                                 f"{size}")
+    # per weight, the points where its parts' sum is nonzero, and that
+    # sum's exponent (valid on those points only)
+    owns, exps = [], []
+    for (alpha, beta), ms in classes.items():
+        held = [E % m == 0 for m in ms]
+        log_j = 0
+        if len(ms) == 1:
+            owns.append(held[0])
+        else:
+            j = sum(h.view(np.int8) for h in held)
+            log_j = field.prime_logs[j % p if len(ms) >= p else j]
+            owns.append(log_j >= 0)
+        exps.append((beta + mulmod(alpha, E, N) + log_j) % N
+                    if alpha or beta or len(ms) > 1 else 0)
+    owned, want = owns[0], exps[0]
+    if len(classes) > 1:
+        at = np.stack([np.where(o, e, -1) for o, e in zip(owns, exps)])
+        want = at.max(axis=0)
+        shared = np.flatnonzero((at >= 0).sum(axis=0) > 1)
+        # exp0[-1] is the zero vector, and a vanishing sum's log is -1
+        want[shared] = field.tables[1][functools.reduce(
+            field.np_packed_add, field.exp0[at[:, shared]])]
+        owned = want >= 0
+    if not owned.all() or (W != want).any():
+        raise HypothesisViolated("the points and weights are not the union "
+                                 "of the parts")
 
 
 def _union_points(field: Field, ms) -> np.ndarray:
@@ -102,13 +180,15 @@ def weighted_union(field: Field, parts: tuple[tuple[int, int, int], ...],
     """Union where part (m, alpha, beta) weights its subgroup by
     theta^beta * x^alpha; a point held by several parts gets the sum of
     their weights.  j parts of one weight add up to j * theta^(beta +
-    alpha*e), so only the points held by parts of different weights are
-    summed as packed vectors.  Those sums, and j > 1 for odd p, need the
-    field's exp/log tables (at most 2^22 elements).
+    alpha*e), with log j read from ``Field.prime_logs``, so only the points
+    held by parts of different weights are summed as packed vectors; those
+    sums need the field's exp/log tables (at most 2^22 elements).
 
     In characteristic 2 a point whose combined weight is zero is left out.
     In odd characteristic WeightSumVanishes is raised at the smallest such
-    point.
+    point.  The set records its parts, except a characteristic-2 union of
+    several weights, whose dropped points no count foresees (no route
+    builds one).
     """
     N, p = field.N, field.p
     groups: dict[tuple[int, int], list[int]] = {}
@@ -131,9 +211,9 @@ def weighted_union(field: Field, parts: tuple[tuple[int, int, int], ...],
         # zeros are mapped lazily, so unit weights cost no pass of writes
         exps = np.zeros(len(pts), dtype=np.int64)
         if alpha or beta:
-            exps = (beta + alpha * pts) % N
+            exps = (beta + mulmod(alpha, pts, N)) % N
         if len(ms) > 1 and p != 2:
-            log_j = field.tables[1][np.arange(len(ms) + 1) % p][count[pts]]
+            log_j = field.prime_logs[np.arange(len(ms) + 1) % p][count[pts]]
             exps = np.where(log_j < 0, -1, (exps + log_j) % N)
         rows.append((pts, exps))
     if len(rows) == 1:
@@ -156,7 +236,8 @@ def weighted_union(field: Field, parts: tuple[tuple[int, int, int], ...],
                 f"combined weight vanishes at point exponent "
                 f"{pts[vanish[0]]} ({label})")
         pts, weights = np.delete(pts, vanish), np.delete(weights, vanish)
-    return EvalSet(field, pts, weights, label)
+    return EvalSet(field, pts, weights, label,
+                   None if p == 2 and len(rows) > 1 else parts)
 
 
 # --------------------------------------------------------------------------

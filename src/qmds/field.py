@@ -5,10 +5,12 @@ Elements travel as discrete logarithms of a fixed primitive element theta:
 Multiplication, inversion, powers, the q-power Frobenius, norms and subfield
 membership are then pure integer arithmetic modulo q^2 - 1: (theta^e)^j is
 theta^(e*j), and theta^e lies in GF(q) exactly when (q + 1) | e.  Coefficient
-vectors appear only in the exp/log tables, which supply the operations a
+vectors appear in the exp/log tables, which supply the operations a
 logarithm makes awkward: addition and the logs of packed vectors.  A
 coefficient vector is packed as the integer whose base-p digit i is the
-coefficient of x^i.
+coefficient of x^i.  A few vectors are raised without tables, by powers of
+the modulus' companion matrix (``power_vectors``), and the logs of GF(p)
+have a table of their own, p entries long (``prime_logs``).
 
 The modulus is canonical: coefficients (c_0 .. c_{2h-1}) of candidate monic
 polynomials are read as base-p digits of a counter J with c_0 most
@@ -98,11 +100,10 @@ def _is_primitive(f: tuple[int, ...], exponents: tuple[int, ...]) -> bool:
     return next(powers) == 1 and all(x != 1 for x in powers)
 
 
-def _primitive_rows(f: np.ndarray, p: int,
-                    exponents: tuple[int, ...]) -> np.ndarray:
-    """For each row of f, the low coefficients c_0 .. c_(n-1) of a monic
-    degree-n polynomial over GF(p), whether x has order N mod it: x^N = 1
-    and x^(N/r) != 1 for the ``exponents`` N, N/r of every prime r | N.
+def _x_powers(f: np.ndarray, p: int, exponents: tuple[int, ...]) -> np.ndarray:
+    """x^e mod each row of f, the low coefficients c_0 .. c_(n-1) of a monic
+    degree-n polynomial over GF(p), for each of the ``exponents``: an int64
+    array of shape (len(exponents), rows of f, n), coefficient i of x^i.
 
     S is the stack of companion matrices, the matrices of multiplication by
     x on the basis 1 .. x^(n-1), so x^e is row 0 of S^e.  The powers run
@@ -123,7 +124,16 @@ def _primitive_rows(f: np.ndarray, p: int,
             X[sel] = X[sel] @ S % p
         if i + 1 < bits:
             S = S @ S % p
-    one = (X[..., 0, 0] == 1) & ~X[..., 0, 1:].any(axis=-1)
+    return X[:, :, 0]
+
+
+def _primitive_rows(f: np.ndarray, p: int,
+                    exponents: tuple[int, ...]) -> np.ndarray:
+    """For each row of f, as in ``_x_powers``, whether x has order N mod
+    it: x^N = 1 and x^(N/r) != 1 for the ``exponents`` N, N/r of every
+    prime r | N."""
+    X = _x_powers(f, p, exponents)
+    one = (X[..., 0] == 1) & ~X[..., 1:].any(axis=-1)
     return one[0] & ~one[1:].any(axis=0)
 
 
@@ -274,6 +284,17 @@ def _char2_exp_table(n: int, modulus: tuple[int, ...]) -> np.ndarray:
     return buf
 
 
+def mulmod(c: int, e: np.ndarray, N: int) -> np.ndarray:
+    """c*e mod N for exponents 0 <= e < N <= 2^40, exactly in int64: when
+    c*N could pass 2^63, c is split into 20-bit halves so that no product
+    reaches 2^61."""
+    c %= N
+    if c * N < 1 << 63:
+        return c * e % N
+    hi, lo = divmod(c, 1 << 20)
+    return (hi * e % N * (1 << 20) + lo * e) % N
+
+
 def _frozen(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
@@ -394,10 +415,31 @@ class Field:
             raise NotInSubfield(f"{v!r} is not a nonzero subfield element")
         return (v % self.N) // (self.q + 1)
 
+    @functools.cached_property
+    def prime_logs(self) -> np.ndarray:
+        """Read-only int64 table of p entries: the exponent of each c in
+        GF(p)* as a power of theta, -1 for c = 0.  theta^(N/(p-1)) is the
+        norm of theta down to GF(p), the modulus' constant coefficient c_0
+        (the degree 2h is even), which generates GF(p)*; so c_0^j is
+        theta^(j*N/(p-1))."""
+        p, powers = self.p, [1]
+        for _ in range(p - 2):
+            powers.append(powers[-1] * self.modulus[0] % p)
+        log = np.full(p, -1, dtype=np.int64)
+        log[powers] = np.arange(p - 1) * (self.N // (p - 1))
+        return _frozen(log)
+
     def embed_int(self, c: int) -> Elt:
         """The integer c mod p as a field element (a constant polynomial)."""
-        c %= self.p
-        return None if c == 0 else int(self.tables[1][c])
+        log = int(self.prime_logs[c % self.p])
+        return None if log < 0 else log
+
+    def power_vectors(self, exps) -> np.ndarray:
+        """int64 coefficient vectors of theta^e, one row of 2h coefficients
+        per exponent e >= 0, by powers of the modulus' companion matrix, so
+        no table is read."""
+        f = np.array([self.modulus[:-1]], dtype=np.int64)
+        return _x_powers(f, self.p, tuple(exps))[:, 0]
 
     # --- presentation ---------------------------------------------------------
 

@@ -1,8 +1,6 @@
-import math
-
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from naive_algebra import (
@@ -15,12 +13,9 @@ from naive_algebra import (
     rank,
     weighted_pair_sum,
 )
-from qmds import codes
 from qmds.codes import (
     CodeArtifact,
     _gram_bad,
-    _stage1_index,
-    _unitary_splits,
     eval_code,
     extend_c1,
     gram_nonzero_mask,
@@ -28,8 +23,8 @@ from qmds.codes import (
     matrix_to_strings,
     packed_sums,
 )
-from qmds.constructions import ROUTES, build, max_dim_oracle, sweep
-from qmds.errors import DimensionTooLarge, UsageError
+from qmds.constructions import ROUTES, max_dim_oracle, sweep
+from qmds.errors import DimensionTooLarge, UsageError, WeightSumVanishes
 from qmds.evalsets import (EvalSet, find_h_shift_exponent, subgroup_set,
                            weighted_union)
 from qmds.field import TABLE_LIMIT, Field, build_field, field_for_q
@@ -251,21 +246,6 @@ def scalar_nonzero_mask(art):
                       for l2 in range(art.k)] for l1 in range(art.k)])
 
 
-def inner_route_mask(art):
-    """The mask of ``codes._gram_sums`` over the whole triangle and every
-    point, with no orbit taken out, for an artifact without a border."""
-    f, k = art.field, art.k
-    upper = np.triu(np.ones((k, k), dtype=bool))
-    ls = np.arange(k)
-    t = (ls[:, None] + f.q * ls)[upper].astype(np.int32)
-    E = art.evalset.points
-    B = (art.evalset.weights + art.shift * (f.q + 1) * E) % f.N
-    got = np.zeros((k, k), dtype=bool)
-    got[upper] = codes._gram_sums(f, t, B.astype(np.int32),
-                                  E.astype(np.int32)) != 0
-    return got
-
-
 def check_route_mask(art):
     assert np.array_equal(gram_nonzero_mask(art), scalar_nonzero_mask(art))
     assert gram_zero(art) == \
@@ -287,37 +267,6 @@ def test_char2_route_where_l1_plus_l2_wraps_mod_q_minus_1(construction, q,
     # modulo q - 1
     assert 2 * k - 1 > q - 1
     check_route_mask(raw_artifact(construction, q, params, k))
-
-
-def stage1_row(art, s):
-    """Stage-1 sums R[s, g] of the p = 2 route, by scalar field addition:
-    the points split as E = (q+1)*e1 + (q-1)*e2 mod q^2 - 1, and class g
-    collects theta^(B + (q+1)*(e1*s mod q-1)) over the points with e2 = g."""
-    f = art.field
-    q, N = f.q, f.N
-    row = {}
-    for e, w in zip(art.evalset.points.tolist(),
-                    art.evalset.weights.tolist()):
-        e1 = e * pow(q + 1, -1, q - 1) % (q - 1)
-        e2 = e * pow(q - 1, -1, q + 1) % (q + 1)
-        assert ((q + 1) * e1 + (q - 1) * e2 - e) % N == 0
-        b = (w + art.shift * (q + 1) * e) % N
-        row[e2] = f.add(row.get(e2), (b + (q + 1) * (e1 * s % (q - 1))) % N)
-    return row
-
-
-@pytest.mark.parametrize("k", [4, 5])
-def test_char2_route_skips_zero_stage1_rows(k):
-    # c1 at q = 8, m = 3: every R[s, g] vanishes for s in {0, .., 4, 6}, so
-    # all entries with l1 + l2 = s mod 7 are zero; only s = 5 carries terms
-    art = raw_artifact("c1", 8, {"m": 3}, k)
-    zero = [s for s in range(7)
-            if all(v is None for v in stage1_row(art, s).values())]
-    assert zero == [0, 1, 2, 3, 4, 6]
-    check_route_mask(art)
-    # the set is one orbit, so the check sums no entry over its points;
-    # the inner route, given every point, meets the zero rows
-    assert np.array_equal(inner_route_mask(art), scalar_nonzero_mask(art))
 
 
 def test_table2_row4_char2_route():
@@ -403,169 +352,126 @@ def test_odd_route_on_arbitrary_exponent_sums(data):
     check_exponent_sums(data, [3, 5, 7, 9])
 
 
-@settings(max_examples=300)
-@given(st.data())
-def test_orbit_structured_sums(data):
-    # r representatives in [0, L), L = N/M, repeated M times: point i + a*r
-    # is E_i + a*L with B_i + a*D.  Intact (D = c*L), the sums factor by the
-    # orbit; each broken variant must still give the scalar sums.  With one
-    # B for every point only the points show a moved one
-    q = data.draw(st.sampled_from([4, 5, 7, 8, 9, 13]))
-    f = field_for_q(q)
-    N = f.N
-    M = data.draw(st.sampled_from([m for m in range(2, 41) if N % m == 0]))
-    L = N // M
-    reps = data.draw(st.lists(st.integers(0, L - 1), min_size=1,
-                              max_size=max(1, 40 // M), unique=True))
-    reps.sort()
-    bs = data.draw(st.lists(st.integers(0, N - 1), min_size=len(reps),
-                            max_size=len(reps))
-                   | st.integers(0, N - 1).map(lambda b: [b] * len(reps)))
-    variant = data.draw(st.sampled_from(
-        ["intact", "point", "weight", "step", "unsorted"]))
-    D = data.draw(st.integers(0, M - 1)) * L
-    if variant == "step":  # M*D is not 0 mod N
-        D = data.draw(st.integers(0, N - 1).filter(lambda d: d % L))
-    E = [e + a * L for a in range(M) for e in reps]
-    B = [(b + a * D) % N for a in range(M) for b in bs]
-    j = data.draw(st.integers(0, len(E) - 1))
-    if variant == "point":
-        E[j] = data.draw(st.integers(0, N - 1).filter(lambda e: e not in E))
-    elif variant == "weight":
-        B[j] = data.draw(st.integers(0, N - 1).filter(lambda b: b != B[j]))
-    elif variant == "unsorted":
-        perm = data.draw(st.permutations(range(len(E))))
-        E, B = [E[i] for i in perm], [B[i] for i in perm]
-    s0 = None  # a border that cancels entry (0, 0), as c1_ext's does
-    for b in B:
-        s0 = f.add(s0, b)
-    border = draw_border(data, f)
-    if s0 is not None and data.draw(st.booleans()):
-        border = int(f.tables[0][f.neg(s0)])
-    check_against_sums(f, data.draw(st.integers(1, 12)), B, E, border)
-
-
-@pytest.mark.parametrize("moved", ["point", "weight"])
-def test_orbit_broken_away_from_the_sampled_entries(moved):
-    # the subgroup of order 12 in GF(25)*, unit weights, with one point (or
-    # one weight) of its middle orbit under M = 3 changed: the few entries
-    # that the growth of M reads still show M = 3, and only the check of
-    # every entry refuses it
-    f = field_for_q(5)
-    E, B = list(range(0, 24, 2)), [0] * 12
-    if moved == "point":
-        E[5] = 11
-    else:
-        B[5] = 7
-    assert codes._orbit(f.N, f.n_factors, np.array(E, np.int32),
-                        np.array(B, np.int32)) == (1, 0)
-    check_against_sums(f, 8, B, E, 0)
-
-
 def test_low_dimension_c1_builds_no_tables():
-    # c1 at q = 563, m = 3, k = 4: one orbit (r = 1, c = 0) and no entry
-    # with M | t, so no sum is taken and the 317 000-element tables stay
-    # unbuilt
+    # c1 at q = 563, m = 3, k = 4: the set is one part, and no entry has
+    # N/3 | 1 + t, so the 317 000-element tables stay unbuilt
     f = Field(563, 1)
     art = eval_code(f, subgroup_set(f, 3), 4, shift=1)
+    assert art.evalset.parts == ((3, 0, 0),)
     assert gram_zero(art) == (True, None)
     assert "tables" not in vars(f)
-    assert codes._orbit(f.N, f.n_factors, art.evalset.points.astype(np.int32),
-                        np.zeros(len(art.evalset), np.int32)) == (f.N // 3, 0)
 
 
-@pytest.mark.parametrize("q,k", [(4, 8), (5, 8), (7, 8), (8, 8), (9, 8),
-                                 (13, 8), (25, 8), (331, 64)])
-def test_every_coprime_split_gives_the_scalar_mask(q, k, monkeypatch):
-    # the decomposition holds whichever split is chosen, the trivial ones
-    # (a1 = 1 or a2 = 1: the direct sum) included; at q = 331 and k = 64 the
-    # splits with a factor above 46340 need the int64 index arithmetic.
-    # The inner route is called on every point, with no orbit taken out
-    f = field_for_q(q)
-    splits = _unitary_splits(f.N, f.n_factors)
-    assert len(set(splits)) == 2 ** len(f.n_factors)
-    assert all(a1 * a2 == f.N and math.gcd(a1, a2) == 1 for a1, a2 in splits)
-    assert {(1, f.N), (f.N, 1)} <= set(splits)
-    m = min(m for m in range(1, f.N + 1) if f.N % m == 0 and f.N // m <= 24)
-    rng = np.random.default_rng(q)
-    points = sorted(rng.choice(f.N, size=12, replace=False).tolist())
-    weights = tuple((q + 1) * int(w) for w in rng.integers(0, q - 1, size=12))
-    arts = [
-        # a subgroup, whose power sums vanish off multiples of its order,
-        # which t = 0 is
-        CodeArtifact(f, subgroup_set(f, m), k=k, shift=0),
-        CodeArtifact(f, EvalSet(f, tuple(points), weights, "r"),
-                     k=k, shift=int(rng.integers(f.N))),
-    ]
-    if q == 331:  # class keys sorted as uint16 and as uint32
-        a2s = [a2 for _, a2 in splits]
-        assert min(a2s) <= 1 << 16 < max(a2s)
-    for art in arts:
-        want = scalar_nonzero_mask(art)
-        assert want.any()
-        for split in splits:
-            monkeypatch.setattr(codes, "_choose_split", lambda *a: split)
-            assert np.array_equal(inner_route_mask(art), want), split
+# --- the parts route against the direct sum ----------------------------------
 
 
-def reference_split(f, t, E):
-    """The split ``_choose_split`` must return: the least (cost, bound, a1,
-    a2) over every coprime split, with the residues counted by
-    ``np.unique`` and the lower bound it prunes by, which never exceeds the
-    cost."""
-    n, K = len(E), len(t)
-    u = np.unique(t).tolist()
-    run = 1  # the last run of consecutive integers among the distinct t
-    while run < len(u) and u[-1 - run] == u[-1] - run:
-        run += 1
-    span_t, span_E = u[-1] - u[0] + 1, int(max(E)) - int(min(E)) + 1
-    best = None
-    for a1, a2 in _unitary_splits(f.N, f.n_factors):
-        s1 = max(min(a1, run), math.ceil(len(u) / math.ceil(span_t / a1)))
-        bound = s1 * n + K * math.ceil(n / math.ceil(span_E / a2))
-        cost = (len(np.unique(np.asarray(t) % a1)) * n
-                + K * len(np.unique(np.asarray(E) % a2)))
-        assert bound <= cost, (a1, a2)
-        best = min(best or (cost, bound, a1, a2), (cost, bound, a1, a2))
-    return best[2:]
+def without_parts(art):
+    """The artifact on the same arrays with the parts dropped, so that its
+    Gram check takes the direct sum over every point."""
+    es = art.evalset
+    return CodeArtifact(art.field,
+                        EvalSet(art.field, es.points, es.weights, es.label),
+                        art.k, art.shift,
+                        has_border=art.has_border,
+                        border_entry=art.border_entry)
 
 
-def split_cases():
-    """(q, construction, params, k) for every sweep choice at every odd
-    q <= 50, at the oracle's k, and Table 5 row 1."""
-    for q in range(3, 51, 2):
-        if not is_prime_power(q):
+def check_parts_route(art):
+    """The parts route and the direct sum give the same mask, and so the
+    same first witness."""
+    assert art.evalset.parts is not None
+    want = gram_nonzero_mask(without_parts(art))
+    assert np.array_equal(gram_nonzero_mask(art), want)
+    return gram_zero(art)
+
+
+def test_parts_route_equals_the_direct_sum_on_every_sweep_choice():
+    # every sweep choice of the seven constructions at every prime power
+    # q <= 64, at the certified k (all zero) and at k + 1 where it fits
+    cases = failing = 0
+    for q in range(2, 65):
+        pp = is_prime_power(q)
+        if pp is None:
             continue
         for construction, route in ROUTES.items():
-            if route.char2:
+            if route.char2 not in (None, pp[0] == 2):
                 continue
             for cert in sweep(construction, q):
-                yield q, construction, cert.params, cert.k
-    row = build("half_power_union", 211, ms=(6, 10, 14), want_matrix="never")
-    yield 211, "half_power_union", row.params, row.k
+                for k in (cert.k, cert.k + 1):
+                    if k > cert.n:
+                        continue
+                    art = raw_artifact(construction, q, cert.params, k)
+                    ok, witness = check_parts_route(art)
+                    assert ok == (k == cert.k), (construction, q, k, witness)
+                    cases += 1
+                    failing += not ok
+    # every k + 1 fits, and fails
+    assert cases > 500 and 2 * failing == cases
 
 
-def test_choose_split_is_the_least_cost_split(monkeypatch):
-    # on the whole triangle and every point, as given in row-major order,
-    # and at k + 1 on the live entries and orbit representatives that the
-    # Gram check passes (ascending t, with no consecutive pair when M > 1)
-    calls = []
-    choose = codes._choose_split
-    monkeypatch.setattr(codes, "_choose_split",
-                        lambda f, t, E: calls.append((t, E)) or choose(f, t, E))
-    cases = 0
-    for q, construction, params, k in split_cases():
-        art = raw_artifact(construction, q, params, k)
-        f, E = art.field, art.evalset.points.astype(np.int32)
-        ls = np.arange(k, dtype=np.int32)
-        t = (ls[:, None] + q * ls)[np.triu(np.ones((k, k), dtype=bool))]
-        calls[:] = [(t, E)]
-        gram_zero(raw_artifact(construction, q, params, k + 1))
-        for t, E in calls:
-            assert choose(f, t, E) == reference_split(f, t, E), \
-                (q, construction, params, k, len(t), len(E))
-            cases += 1
-    assert cases > 200
+@st.composite
+def drawn_union_artifact(draw, qs):
+    """A weighted union of 1-4 random parts (m, alpha, beta) of GF(q^2),
+    with a random shift, an optional border and k rows.  In odd
+    characteristic parts take distinct betas freely; in characteristic 2
+    they share one weight, so that the set keeps its parts.  A part often
+    repeats an earlier part's weight, or its subgroup, so that points are
+    held several times by one weight."""
+    q = draw(st.sampled_from(qs))
+    f = field_for_q(q)
+    N = f.N
+    parts = []
+    for _ in range(draw(st.integers(1, 4))):
+        m = draw(st.sampled_from([m for m in range(1, N + 1) if N % m == 0
+                                  and N // m <= 40]))
+        if parts and draw(st.booleans()):
+            m = parts[-1][0]
+        alphas = [0, q + 1] + ([(q + 1) // 2] if q % 2 and m % 2 == 0 else [])
+        if parts and parts[0][1] in alphas and (f.p == 2
+                                                or draw(st.booleans())):
+            parts.append((m,) + parts[0][1:])
+        else:
+            parts.append((m, draw(st.sampled_from(alphas)),
+                          (q + 1) * draw(st.integers(0, q - 2))))
+    try:
+        es = weighted_union(f, tuple(parts), "drawn")
+    except WeightSumVanishes:
+        assume(False)
+    border = draw(st.none() | st.integers(0, N - 1))
+    return CodeArtifact(f, es, k=draw(st.integers(1, 12)),
+                        shift=draw(st.integers(0, N - 1)),
+                        has_border=border is not None, border_entry=border)
+
+
+def check_drawn_union(art):
+    for k in (art.k, art.k + 1):
+        grown = CodeArtifact(art.field, art.evalset, k, art.shift,
+                             art.has_border, art.border_entry)
+        assert check_parts_route(grown) == gram_zero_structured(grown)
+
+
+@settings(max_examples=200)
+@given(drawn_union_artifact([3, 5, 7, 9, 13]))
+def test_odd_parts_route_on_drawn_unions(art):
+    check_drawn_union(art)
+
+
+@settings(max_examples=100)
+@given(drawn_union_artifact([2, 4, 8]))
+def test_char2_parts_route_on_drawn_unions(art):
+    check_drawn_union(art)
+
+
+def test_parts_route_reads_three_betas():
+    # three parts of distinct weights over GF(13^2), each pair sharing
+    # points, with a border: the drawn unions reach such sets too, this one
+    # always runs
+    f = field_for_q(13)
+    parts = ((4, 14, 0), (6, 14, 14 * 3), (12, 0, 14 * 7))
+    es = weighted_union(f, parts, "three betas")
+    assert len({beta for _, _, beta in es.parts}) == 3
+    art = CodeArtifact(f, es, 10, 5, has_border=True, border_entry=31)
+    assert check_parts_route(art) == gram_zero_structured(art)
 
 
 # --- the digit-lane sums ------------------------------------------------------
@@ -621,24 +527,6 @@ def test_packed_sums_equal_the_add_chain(q, starts, length):
         got = packed_sums(f, idx, starts, mask)
         assert got.shape == want.shape
         assert np.array_equal(f.tables[1][got], want)
-
-
-@pytest.mark.parametrize("a1,n,step", [(7, 40, 3), (7, 40, 1), (40, 7, 3),
-                                       (40, 7, 1), (7, 7, 8)])
-def test_stage1_index_is_the_residue_product(a1, n, step):
-    # the table of a1 products per s (a1 <= n) and the direct products
-    # (a1 > n) both give B + a2*(e1*s mod a1), in multi-row blocks (the
-    # last one short) and in single-row blocks
-    a2 = 9
-    rng = np.random.default_rng(a1 * n + step)
-    B = rng.integers(0, a1 * a2, size=n).astype(np.int32)
-    e1 = rng.integers(0, a1, size=n).astype(np.int32)
-    svals = rng.integers(0, a1, size=5).astype(np.int32)
-    blocks = list(_stage1_index(a1, a2, B, e1, svals, step))
-    assert [len(b) for b in blocks] == [len(svals[i:i + step])
-                                        for i in range(0, 5, step)]
-    assert np.array_equal(np.concatenate(blocks),
-                          B + a2 * (e1 * svals[:, None] % a1))
 
 
 def test_gram_entry_equals_matrix_inner_product():

@@ -32,7 +32,9 @@ from qmds.errors import (
     UsageError,
 )
 from qmds import evalsets
+from qmds.codes import CodeArtifact, gram_zero
 from qmds.evalsets import find_h_shift_exponent
+from qmds.field import Field
 from qmds.numtheory import is_prime_power
 
 
@@ -148,6 +150,36 @@ def test_c1_ext_builds_its_subgroup_once(monkeypatch):
     assert cert.verified_level == "FULL_MATRIX" and cert.artifact.has_border
     assert calls == [((9, 0, 0),)]
     assert cert.artifact.evalset.points.tolist() == list(range(0, 288, 9))
+
+
+@pytest.mark.parametrize("construction,q,params", [
+    ("char2_union", 512, {"m1": 19, "m2": 27}),  # Table 2 row 4
+    ("odd_union", 29, {"m1": 3, "m2": 5}),
+    ("half_power", 13, {"m": 6}),
+    ("half_power_union", 31, {"ms": (6, 10)}),
+    ("c1", 17, {"m": 9}),
+    ("c1_ext", 17, {"m": 9}),
+    ("mixed_union", 13, {"m1": 7, "m2": 6}),
+])
+def test_only_mixed_union_certificates_build_tables(monkeypatch, construction,
+                                                    q, params):
+    # the Gram check reads every entry off the parts and the GF(p) logs
+    # have their own p-entry table, so a certificate builds the field's
+    # exp/log tables only for a mixed union's shared weights, at k and, on
+    # the same set, at k + 1
+    fields = []
+
+    def fresh(q):
+        fields.append(Field(*is_prime_power(q)))
+        return fields[-1]
+    monkeypatch.setattr(constructions, "field_for_q", fresh)
+    cert = build(construction, q, want_matrix="require", **params)
+    art = cert.artifact
+    grown = CodeArtifact(art.field, art.evalset, art.k + 1, art.shift,
+                         art.has_border, art.border_entry)
+    assert gram_zero(grown)[0] is False
+    assert fields == [art.field]
+    assert ("tables" in vars(art.field)) == (construction == "mixed_union")
 
 
 def test_k_defaults_and_caps():

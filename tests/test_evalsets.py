@@ -402,6 +402,78 @@ def test_drawn_parts_match_the_reference(case):
     check_parts(*case)
 
 
+# --- the parts check ----------------------------------------------------------
+
+
+def rebuilt(es, points):
+    """A set with es's parts on the arrays of ``points``, a dict from point
+    exponent to weight exponent."""
+    E = sorted(points)
+    return EvalSet(es.field, E, [points[e] for e in E], "mutant", es.parts)
+
+
+def parts_controls():
+    """(set, its arrays changed in one way) for each control.  The count
+    stays n in every control but the dropped point, so that each one is
+    refused by one line of the check: the count, or the weights."""
+    odd = weighted_union(field_for_q(29), ((3, 0, 0), (5, 0, 0)), "odd")
+    char2 = parity_union_char2(field_for_q(32), (3, 11))
+    H = find_h_shift_exponent(13, 7, 6)
+    mixed = mixed_union(field_for_q(13), 7, 6, H)
+    pts = {name: dict(zip(es.points.tolist(), es.weights.tolist()))
+           for name, es in (("odd", odd), ("char2", char2), ("mixed", mixed))}
+    two = odd.field.embed_int(2)
+    assert pts["odd"][0] == two and pts["odd"][3] == 0 and 0 not in pts["char2"]
+    controls = {}
+    p = dict(pts["odd"])
+    del p[3]
+    controls["dropped point"] = (odd, p)
+    p = dict(pts["odd"])
+    del p[3]
+    p[1] = 0  # held by no part
+    controls["point outside every part"] = (odd, p)
+    p = dict(pts["odd"])
+    p[3] = 30  # theta^30 lies in GF(29), but is not 1
+    controls["changed weight"] = (odd, p)
+    p = dict(pts["odd"])
+    p[0] = 0  # held twice, so its weight is 2
+    controls["j-fold weight given as single"] = (odd, p)
+    p = dict(pts["char2"])
+    del p[3]
+    p[0] = 0  # held twice, so its weight 1 + 1 vanishes
+    controls["even-multiplicity point kept"] = (char2, p)
+    p = dict(pts["mixed"])
+    p[42] = (p[42] + 14) % mixed.field.N  # a shared point
+    controls["shared weight changed"] = (mixed, p)
+    return controls
+
+
+@pytest.mark.parametrize("control", list(parts_controls()))
+def test_parts_check_refuses_each_control(control):
+    es, points = parts_controls()[control]
+    assert len(points) == len(es) - (control == "dropped point")
+    rebuilt(es, dict(zip(es.points.tolist(), es.weights.tolist())))
+    with pytest.raises(HypothesisViolated):
+        rebuilt(es, points)
+
+
+def test_parts_check_refuses_unsound_parts(gf25, gf64):
+    # a part whose weight leaves GF(q), no parts at all, an extra point
+    # beyond the union, and several weights in characteristic 2, whose
+    # dropped points no count foresees
+    es = subgroup_set(gf25, 3)
+    with pytest.raises(HypothesisViolated):
+        EvalSet(gf25, es.points, es.weights, "theta", ((3, 0, 1),))
+    with pytest.raises(HypothesisViolated):
+        EvalSet(gf25, [], [], "none", ())
+    with pytest.raises(HypothesisViolated):
+        EvalSet(gf25, es.points.tolist() + [1], es.weights.tolist() + [0],
+                "extra", es.parts)
+    assert weighted_union(gf64, ((3, 0, 0), (7, 0, 9)), "two").parts is None
+    with pytest.raises(HypothesisViolated):
+        EvalSet(gf64, range(0, 63, 3), [0] * 21, "two", ((3, 0, 0), (7, 0, 9)))
+
+
 # --- the arrays are shared, so they are read-only ------------------------------
 
 

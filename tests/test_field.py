@@ -11,7 +11,7 @@ from qmds.errors import (
     NotPrime,
     UsageError,
 )
-from qmds import audit, cli
+from qmds import audit, cli, tables
 from qmds import field as field_module
 from qmds.codes import eval_code, gram_zero
 from qmds.evalsets import EvalSet
@@ -112,13 +112,13 @@ def test_capacity_limits():
 
 def test_fields_past_the_table_limit_have_no_tables():
     # the modulus is all such a field has; what reads the exp/log tables
-    # says so (test_capacity_limits covers ``tables`` itself)
+    # says so (test_capacity_limits covers ``tables`` itself).  embed_int
+    # reads the p-entry table of GF(p) logs instead
     f = Field(2, 12)
     assert f.q2 > TABLE_LIMIT
     assert f.to_json()["modulus"] == list(f.modulus)
     art = eval_code(f, EvalSet(f, [0, f.N // 5], [0, 0], "pair"), 1, shift=1)
-    with pytest.raises(CapacityExceeded):
-        f.embed_int(1)
+    assert f.embed_int(1) == 0 and f.embed_int(2) is None
     with pytest.raises(CapacityExceeded):
         gram_zero(art)
     assert "tables" not in vars(f)
@@ -337,7 +337,10 @@ def test_production_paths_build_no_python_tables(monkeypatch, capsys):
     capsys.readouterr()
     with_tables = [f for f in built.values() if "tables" in vars(f)]
     assert {(2, 9), (631, 1), (11, 1)} <= set(built)
-    assert len(with_tables) >= 20
+    # the Gram checks read no table: only Table 6's mixed unions, for their
+    # shared weights, and the verify command build them
+    mixed = {is_prime_power(row["q"]) for row in tables.TABLE6}
+    assert {(f.p, f.h) for f in with_tables} == mixed | {(11, 1)}
     for f in with_tables:
         for arr in f.tables:
             assert isinstance(arr, np.ndarray) and arr.dtype == np.int32
@@ -448,6 +451,30 @@ def test_embed_int_is_a_ring_map(p, h):
     embedded = {f.embed_int(c) for c in range(1, p)}
     assert len(embedded) == p - 1
     assert all(e % (f.q + 1) == 0 for e in embedded)
+
+
+@pytest.mark.parametrize("p,h", [(2, 1), (2, 4), (3, 1), (3, 3), (5, 2),
+                                 (13, 1), (2039, 1)])
+def test_prime_logs_and_power_vectors_need_no_tables(p, h):
+    # the p-entry GF(p) logs and the companion-matrix powers agree with
+    # the exp/log tables, which they are built without
+    f = Field(p, h)
+    logs, vectors = f.prime_logs, f.power_vectors(range(0, f.N, 1 + f.N // 500))
+    assert "tables" not in vars(f)
+    assert np.array_equal(logs, f.tables[1][:p])
+    assert [tuple(v) for v in vectors] == \
+        [f.coeffs(e) for e in range(0, f.N, 1 + f.N // 500)]
+
+
+def test_prime_logs_past_the_table_limit():
+    # GF(3^14): -1 = 2 is theta^(N/2) in any presentation, and the
+    # companion-matrix power of that exponent is the constant 2
+    f = Field(3, 7)
+    assert f.q2 > TABLE_LIMIT
+    assert f.prime_logs.tolist() == [-1, 0, f.N // 2]
+    assert f.embed_int(2) == f.neg(0)
+    assert f.power_vectors([f.N // 2]).tolist() == [[2] + [0] * 13]
+    assert "tables" not in vars(f)
 
 
 def test_presentation(gf25):
