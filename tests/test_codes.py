@@ -24,7 +24,8 @@ from qmds.codes import (
     packed_sums,
 )
 from qmds.constructions import ROUTES, max_dim_oracle, sweep
-from qmds.errors import DimensionTooLarge, UsageError, WeightSumVanishes
+from qmds.errors import (DimensionTooLarge, HypothesisViolated, UsageError,
+                         WeightSumVanishes)
 from qmds.evalsets import (EvalSet, find_h_shift_exponent, subgroup_set,
                            weighted_union)
 from qmds.field import TABLE_LIMIT, Field, build_field, field_for_q
@@ -269,6 +270,44 @@ def test_char2_route_where_l1_plus_l2_wraps_mod_q_minus_1(construction, q,
     check_route_mask(raw_artifact(construction, q, params, k))
 
 
+def stage1_row(art, s):
+    """Sums R[s, g] by scalar field addition: the points split as
+    E = (q+1)*e1 + (q-1)*e2 mod q^2 - 1, and class g collects
+    theta^(B + (q+1)*(e1*s mod q-1)) over the points with e2 = g.  Every
+    entry with l1 + l2 = s mod q - 1 is a sum over these classes, so an
+    all-zero row s makes all those entries zero."""
+    f = art.field
+    q, N = f.q, f.N
+    row = {}
+    for e, w in zip(art.evalset.points.tolist(),
+                    art.evalset.weights.tolist()):
+        e1 = e * pow(q + 1, -1, q - 1) % (q - 1)
+        e2 = e * pow(q - 1, -1, q + 1) % (q + 1)
+        assert ((q + 1) * e1 + (q - 1) * e2 - e) % N == 0
+        b = (w + art.shift * (q + 1) * e) % N
+        row[e2] = f.add(row.get(e2), (b + (q + 1) * (e1 * s % (q - 1))) % N)
+    return row
+
+
+@pytest.mark.parametrize("k", [4, 5])
+def test_char2_route_skips_zero_stage1_rows(k):
+    # c1 at q = 8, m = 3: every R[s, g] vanishes for s in {0, .., 4, 6}, so
+    # all entries with l1 + l2 = s mod 7 are zero; only s = 5 carries terms.
+    # The part's live entries, 21 | 9 + l1 + 8*l2, all lie in row s = 5,
+    # and the direct sum over every point meets the zero rows
+    art = raw_artifact("c1", 8, {"m": 3}, k)
+    zero = [s for s in range(7)
+            if all(v is None for v in stage1_row(art, s).values())]
+    assert zero == [0, 1, 2, 3, 4, 6]
+    check_route_mask(art)
+    ls = np.arange(k)
+    live = (9 + ls[:, None] + 8 * ls) % 21 == 0
+    assert not (live & ((ls[:, None] + ls) % 7 != 5)).any()
+    assert not (gram_nonzero_mask(art) & ~live).any()
+    assert np.array_equal(gram_nonzero_mask(without_parts(art)),
+                          scalar_nonzero_mask(art))
+
+
 def test_table2_row4_char2_route():
     # Table 2 row 4: q = 512, m = (19, 27), n = 22 484; first witness at
     # k = 265 as the former whole-triangle gather gave it
@@ -350,6 +389,68 @@ def test_char2_route_on_arbitrary_exponent_sums(data):
 @given(st.data())
 def test_odd_route_on_arbitrary_exponent_sums(data):
     check_exponent_sums(data, [3, 5, 7, 9])
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_orbit_structured_sums(data):
+    # r representatives in [0, L), L = N/M, repeated M times: point i + a*r
+    # is E_i + a*L with B_i + a*D.  Intact (D = c*L), the sums carry the
+    # cyclic symmetry of a subgroup coset; each broken variant, and the
+    # intact one, must give the scalar sums.  With one B for every point
+    # only the points show a moved one
+    q = data.draw(st.sampled_from([4, 5, 7, 8, 9, 13]))
+    f = field_for_q(q)
+    N = f.N
+    M = data.draw(st.sampled_from([m for m in range(2, 41) if N % m == 0]))
+    L = N // M
+    reps = data.draw(st.lists(st.integers(0, L - 1), min_size=1,
+                              max_size=max(1, 40 // M), unique=True))
+    reps.sort()
+    bs = data.draw(st.lists(st.integers(0, N - 1), min_size=len(reps),
+                            max_size=len(reps))
+                   | st.integers(0, N - 1).map(lambda b: [b] * len(reps)))
+    variant = data.draw(st.sampled_from(
+        ["intact", "point", "weight", "step", "unsorted"]))
+    D = data.draw(st.integers(0, M - 1)) * L
+    if variant == "step":  # M*D is not 0 mod N
+        D = data.draw(st.integers(0, N - 1).filter(lambda d: d % L))
+    E = [e + a * L for a in range(M) for e in reps]
+    B = [(b + a * D) % N for a in range(M) for b in bs]
+    j = data.draw(st.integers(0, len(E) - 1))
+    if variant == "point":
+        E[j] = data.draw(st.integers(0, N - 1).filter(lambda e: e not in E))
+    elif variant == "weight":
+        B[j] = data.draw(st.integers(0, N - 1).filter(lambda b: b != B[j]))
+    elif variant == "unsorted":
+        perm = data.draw(st.permutations(range(len(E))))
+        E, B = [E[i] for i in perm], [B[i] for i in perm]
+    s0 = None  # a border that cancels entry (0, 0), as c1_ext's does
+    for b in B:
+        s0 = f.add(s0, b)
+    border = draw_border(data, f)
+    if s0 is not None and data.draw(st.booleans()):
+        border = int(f.tables[0][f.neg(s0)])
+    check_against_sums(f, data.draw(st.integers(1, 12)), B, E, border)
+
+
+@pytest.mark.parametrize("moved", ["point", "weight"])
+def test_orbit_broken_away_from_the_sampled_entries(moved):
+    # the subgroup of order 12 in GF(25)*, unit weights, with one point (or
+    # one weight) in the middle of the set changed, away from its first and
+    # last points: given the subgroup's part, the parts check refuses the
+    # arrays, and the direct sum over them still gives the scalar sums
+    f = field_for_q(5)
+    E, B = list(range(0, 24, 2)), [0] * 12
+    intact = EvalSet(f, tuple(E), tuple(B), "subgroup", parts=((2, 0, 0),))
+    assert intact.parts == subgroup_set(f, 2).parts
+    if moved == "point":
+        E[5] = 11
+    else:
+        B[5] = 7
+    with pytest.raises(HypothesisViolated):
+        EvalSet(f, tuple(E), tuple(B), "subgroup", parts=((2, 0, 0),))
+    check_against_sums(f, 8, B, E, 0)
 
 
 def test_low_dimension_c1_builds_no_tables():
