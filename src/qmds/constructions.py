@@ -46,9 +46,10 @@ from .field import TABLE_LIMIT, field_for_q
 from .numtheory import divisors, is_prime_power
 from .verify import QuantumParams, quantum_params
 
-# matrix-level verification is attempted when the matrix has at most this
-# many entries and q^2 <= 2^22; the Gram check reads no table, but
-# weighted_union reads the exp/log tables for mixed_union's shared weights
+# matrix-level verification is attempted when q^2 <= 2^22, which bounds the
+# set's n <= N, and the work n + sum_i k^2 m_i/(2N) is at most this: the
+# parts check passes over the n points and the Gram check visits about
+# k^2/(2 M_i) entries per part, M_i = N/m_i.  Neither reads a field table.
 MATRIX_ENTRY_BUDGET = 100_000_000
 # a FULL_MATRIX certificate's JSON carries its matrix up to this many entries
 MATRIX_JSON_ENTRY_CAP = 100_000
@@ -345,23 +346,26 @@ def _certify(construction: str, q: int, k: int | None, want_matrix: str,
     if k_cap > published:
         discrepancies.append(
             f"oracle admits k = {k_cap}, published bound only k = {published}")
-    q2 = q * q
     artifact = None
     level = "CONDITION_ONLY"
-    feasible = q2 <= TABLE_LIMIT and k * n <= MATRIX_ENTRY_BUDGET
-    if want_matrix == "require" and not feasible:
-        raise CapacityExceeded(
-            f"matrix-level verification infeasible for q^2 = {q2}, "
-            f"k*n = {k * n}")
     H = None
     if any(d.shifted for d in route.divisors):
         # H is pure exponent arithmetic; report it even without a matrix
         H = evalsets.find_h_shift_exponent(q, *route.ms(params))
-    if want_matrix in ("auto", "require") and feasible:
+    feasible = False
+    if want_matrix != "never":
+        parts, N = route.parts(q, params, H or 0), q * q - 1
+        feasible = q * q <= TABLE_LIMIT and (
+            n + sum(k * k * m // (2 * N) for m, _, _ in parts)
+            <= MATRIX_ENTRY_BUDGET)
+        if want_matrix == "require" and not feasible:
+            raise CapacityExceeded(
+                f"matrix-level verification infeasible for q^2 = {N + 1}, "
+                f"k = {k}, n = {n}")
+    if feasible:
         f = field_for_q(q)
         # looked up at call time, so that wrappers bound on it are seen
-        es = evalsets.weighted_union(f, route.parts(q, params, H or 0),
-                                     f"{construction} {params}")
+        es = evalsets.weighted_union(f, parts, f"{construction} {params}")
         if route.border:
             artifact = extend_c1(f, params["m"], k, es)
         else:

@@ -15,10 +15,11 @@ characteristic two a point whose sum vanishes is left out, so unit-weight
 parts give the parity union (the points in an odd number of subgroups); in
 odd characteristic a vanishing sum is an error.  The mixed union weights
 its even part by a subfield element H, picked by ``find_h_shift_exponent``
-so that no shared point's sum vanishes.  A set records the parts it was
-built from, and ``EvalSet`` checks on construction that its arrays are
-exactly their union, so that the Gram check may read its entries off the
-parts.
+so that no shared point's sum vanishes.  Every weight lies in GF(q), so a
+shared point's sum is one lookup in GF(q)'s Zech table.  A set records the
+parts it was built from: the builder derives only the points, and
+``EvalSet`` computes the weights from the parts, or checks given weights
+against them, so that the Gram check may read its entries off the parts.
 """
 
 from __future__ import annotations
@@ -41,114 +42,140 @@ class EvalSet:
     points and weights are read-only int64 arrays of exponents; sequences
     are converted on construction.  ``parts``, when given, is the list of
     parts (m, alpha, beta) the set is the weighted union of, alpha and beta
-    reduced mod N, and the arrays are checked on construction to be
-    exactly that union (``_check_parts``); the Gram check then reads every
+    reduced mod N, and the weights are the union's (``_union_weights``):
+    given as None they are computed from the parts, and given they are
+    compared with them entry by entry.  The Gram check then reads every
     entry off the parts.
     """
 
     field: Field
     points: np.ndarray
-    weights: np.ndarray
+    weights: np.ndarray | None
     label: str
     parts: tuple[tuple[int, int, int], ...] | None = None
 
     def __post_init__(self):
-        for name in ("points", "weights"):
-            arr = np.asarray(getattr(self, name), dtype=np.int64)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        pts, N = self.points, self.field.N
-        if len(pts) != len(self.weights):
-            raise HypothesisViolated("one weight per point is needed")
+        f, N = self.field, self.field.N
+        pts = _read_only(self.points)
+        object.__setattr__(self, "points", pts)
         if not (pts[1:] > pts[:-1]).all():  # the builders' points ascend
             pts = np.sort(pts)
             if (pts[1:] == pts[:-1]).any():
                 raise HypothesisViolated("evaluation points must be distinct")
         if len(pts) and (pts[0] < 0 or pts[-1] >= N):
             raise HypothesisViolated("point exponent outside [0, N)")
-        if self.parts is not None:
+        W = None if self.weights is None else _read_only(self.weights)
+        if W is not None and len(W) != len(pts):
+            raise HypothesisViolated("one weight per point is needed")
+        if self.parts is None:
+            if W is None:
+                raise HypothesisViolated("a set without parts needs weights")
+            # unit weights (all zero) need no pass of %
+            if W.any() and (W % (f.q + 1)).any():
+                raise HypothesisViolated("weight outside the subfield")
+        else:
             parts = tuple((int(m), int(alpha) % N, int(beta) % N)
                           for m, alpha, beta in self.parts)
             object.__setattr__(self, "parts", parts)
-            _check_parts(self.field, self.points, self.weights, parts)
-        # unit weights (all zero) need no pass of %
-        elif self.weights.any() and (self.weights % (self.field.q + 1)).any():
-            raise HypothesisViolated("weight outside the subfield")
+            classes = _classes(f, parts)
+            if f.p == 2 and len(classes) > 1:
+                raise HypothesisViolated("a characteristic-2 union of several "
+                                         "weights has no checkable parts")
+            want = _union_weights(f, self.points, classes)
+            vanish = np.flatnonzero(want < 0)
+            if W is None and len(vanish):
+                raise WeightSumVanishes(
+                    f"combined weight vanishes at point exponent "
+                    f"{self.points[vanish].min()} ({self.label})")
+            if W is not None and (len(vanish) or (W != want).any()):
+                raise HypothesisViolated("the points and weights are not the "
+                                         "union of the parts")
+            W = _read_only(want)
+        object.__setattr__(self, "weights", W)
 
     def __len__(self) -> int:
         return len(self.points)
 
 
-def _check_parts(field: Field, E: np.ndarray, W: np.ndarray,
-                 parts: tuple[tuple[int, int, int], ...]) -> None:
-    """Raise HypothesisViolated unless the distinct points E, with weights
-    W, are exactly the union of ``parts`` that ``weighted_union`` builds.
-    It takes a few passes over the points per part and builds no N-entry
-    array.
+def _read_only(arr) -> np.ndarray:
+    arr = np.asarray(arr, dtype=np.int64)
+    arr.setflags(write=False)
+    return arr
 
-    Each part's weight must lie in GF(q), which (q+1) | beta and
-    (q+1) | alpha*m decide.  There must be as many points as the union
-    holds (``union_size``, the parity form in characteristic 2), and each
-    weight must be beta + alpha*e + log(j mod p) for the parts of one
-    weight, j of which hold the point; j = 0, a point outside every part,
-    and j = 0 mod p have no log and are refused.  Together these leave
-    exactly the union's points.  Where parts of different weights meet (a
-    mixed union's shared points) the weight must be the log of the packed
-    sum of theirs, read from the field's tables.  In characteristic 2 such
-    a sum may vanish and drop its point, which no count foresees, so a
-    union of several weights there has no parts to check."""
-    N, p, q = field.N, field.p, field.q
+
+def _classes(field: Field, parts) -> dict[tuple[int, int], list[int]]:
+    """The divisors m of the parts of each weight (alpha, beta), alpha and
+    beta reduced mod N.  Raise HypothesisViolated unless every m divides N
+    and every part's weight lies in GF(q), which (q+1) | beta and
+    (q+1) | alpha*m decide."""
+    N, q = field.N, field.q
     if not parts:
         raise HypothesisViolated("a union needs at least one part")
-    classes: dict[tuple[int, int], list[int]] = {}
-    for m, alpha, beta in parts:
+    for m, _, _ in parts:
         if m < 1 or N % m != 0:
             raise HypothesisViolated(f"m = {m} does not divide {N}")
+    classes: dict[tuple[int, int], list[int]] = {}
+    for m, alpha, beta in parts:
+        alpha, beta = alpha % N, beta % N
         if beta % (q + 1) or alpha * m % (q + 1):
             raise HypothesisViolated("weight outside the subfield")
         classes.setdefault((alpha, beta), []).append(m)
-    if p == 2 and len(classes) > 1:
-        raise HypothesisViolated("a characteristic-2 union of several "
-                                 "weights has no checkable parts")
-    size = union_size(N, tuple(m for m, _, _ in parts), p == 2)
+    return classes
+
+
+def _union_weights(field: Field, E: np.ndarray,
+                   classes: dict[tuple[int, int], list[int]]) -> np.ndarray:
+    """The weight exponent of each point of E in the union of the parts,
+    -1 where the weights of the parts that hold it add up to zero (or no
+    part holds it).  It takes a few passes over the points per part and
+    builds no N-entry array.
+
+    Raise HypothesisViolated unless E has as many points as the union
+    holds (``union_size``, the parity form for a characteristic-2 union of
+    one weight).  j parts of one weight (alpha, beta) holding the point e
+    add up to theta^(beta + alpha*e + log(j mod p)), with the logs of GF(p)
+    from ``Field.prime_logs``; j = 0 and j = 0 mod p have none.  Parts of
+    different weights (a mixed union's shared points) are added in GF(q):
+    theta^a + theta^b = theta^(b + (q+1)*Z[(a - b)/(q+1)]), with Z
+    ``Field.subfield_zech``."""
+    N, p, q = field.N, field.p, field.q
+    ms = tuple(m for group in classes.values() for m in group)
+    size = union_size(N, ms, p == 2 and len(classes) == 1)
     if len(E) != size:
         raise HypothesisViolated(f"{len(E)} points where the parts hold "
                                  f"{size}")
-    # per weight, the points where its parts' sum is nonzero, and that
-    # sum's exponent (valid on those points only)
-    owns, exps = [], []
-    for (alpha, beta), ms in classes.items():
-        held = [E % m == 0 for m in ms]
-        log_j = 0
-        if len(ms) == 1:
-            owns.append(held[0])
-        else:
-            j = sum(h.view(np.int8) for h in held)
-            log_j = field.prime_logs[j % p if len(ms) >= p else j]
-            owns.append(log_j >= 0)
-        exps.append((beta + mulmod(alpha, E, N) + log_j) % N
-                    if alpha or beta or len(ms) > 1 else 0)
-    owned, want = owns[0], exps[0]
-    if len(classes) > 1:
-        at = np.stack([np.where(o, e, -1) for o, e in zip(owns, exps)])
-        want = at.max(axis=0)
-        shared = np.flatnonzero((at >= 0).sum(axis=0) > 1)
-        # exp0[-1] is the zero vector, and a vanishing sum's log is -1
-        want[shared] = field.tables[1][functools.reduce(
-            field.np_packed_add, field.exp0[at[:, shared]])]
-        owned = want >= 0
-    if not owned.all() or (W != want).any():
-        raise HypothesisViolated("the points and weights are not the union "
-                                 "of the parts")
+    want = None
+    for (alpha, beta), group in classes.items():
+        j = functools.reduce(np.add, ((E % m == 0).view(np.int8)
+                                      for m in group))
+        # one part: log 1 = 0 where it holds the point, and -1 elsewhere
+        w = j - 1 if len(group) == 1 else field.prime_logs[
+            j % p if len(group) >= p else j]
+        if alpha or beta:  # unit weights are 0 wherever they are held
+            w = np.where(w < 0, -1, (mulmod(alpha, E, N) + beta + w) % N)
+        if want is None:
+            want = w
+            continue
+        shared = np.flatnonzero((want >= 0) & (w >= 0))
+        a, b = want[shared], w[shared]
+        want = np.maximum(want, w)
+        z = field.subfield_zech[(a - b) % N // (q + 1)]
+        want[shared] = np.where(z < 0, -1, (b + (q + 1) * z) % N)
+    return want
 
 
-def _union_points(field: Field, ms) -> np.ndarray:
-    """Ascending exponents of the points in some subgroup m in ``ms``.
-    Marking one N-entry mask costs less than sorting or hashing the
-    subgroups' exponents."""
-    mask = np.zeros(field.N, dtype=bool)
+def _union_points(N: int, ms, parity: bool = False) -> np.ndarray:
+    """Ascending exponents of the points in some subgroup m in ``ms`` or,
+    with ``parity``, in an odd number of them.  Marking one N-entry mask
+    costs less than sorting or hashing the subgroups' exponents."""
+    if len(ms) == 1:
+        return np.arange(0, N, ms[0], dtype=np.int64)
+    mask = np.zeros(N, dtype=bool)
     for m in ms:
-        mask[::m] = True
+        if parity:
+            mask[::m] ^= True
+        else:
+            mask[::m] = True
     return np.flatnonzero(mask).astype(np.int64, copy=False)
 
 
@@ -179,65 +206,26 @@ def weighted_union(field: Field, parts: tuple[tuple[int, int, int], ...],
                    label: str) -> EvalSet:
     """Union where part (m, alpha, beta) weights its subgroup by
     theta^beta * x^alpha; a point held by several parts gets the sum of
-    their weights.  j parts of one weight add up to j * theta^(beta +
-    alpha*e), with log j read from ``Field.prime_logs``, so only the points
-    held by parts of different weights are summed as packed vectors; those
-    sums need the field's exp/log tables (at most 2^22 elements).
+    their weights.  The builder derives only the points, and ``EvalSet``
+    computes the weights from the parts, so a set is computed and checked
+    once.
 
-    In characteristic 2 a point whose combined weight is zero is left out.
-    In odd characteristic WeightSumVanishes is raised at the smallest such
+    In characteristic 2 a point whose combined weight is zero is left out:
+    parts of one weight give the points held an odd number of times.  In
+    odd characteristic WeightSumVanishes is raised at the smallest such
     point.  The set records its parts, except a characteristic-2 union of
     several weights, whose dropped points no count foresees (no route
-    builds one).
+    builds one); its weights are computed here.
     """
-    N, p = field.N, field.p
-    groups: dict[tuple[int, int], list[int]] = {}
-    for m, alpha, beta in parts:
-        if m < 1 or N % m != 0:
-            raise HypothesisViolated(f"m = {m} does not divide {N}")
-        groups.setdefault((alpha % N, beta % N), []).append(m)
-    rows = []  # per weight: its points and the exponent of its sum on each
-    for (alpha, beta), ms in groups.items():
-        if len(ms) == 1:
-            pts = np.arange(0, N, ms[0], dtype=np.int64)
-        else:
-            count = np.zeros(N, dtype=np.min_scalar_type(len(ms)))
-            for m in ms:
-                count[::m] += 1
-            if p == 2:  # j * w is w for odd j and 0 for even j
-                count &= 1
-                count = count.view(bool)  # which flatnonzero reads faster
-            pts = np.flatnonzero(count).astype(np.int64, copy=False)
-        # zeros are mapped lazily, so unit weights cost no pass of writes
-        exps = np.zeros(len(pts), dtype=np.int64)
-        if alpha or beta:
-            exps = (beta + mulmod(alpha, pts, N)) % N
-        if len(ms) > 1 and p != 2:
-            log_j = field.prime_logs[np.arange(len(ms) + 1) % p][count[pts]]
-            exps = np.where(log_j < 0, -1, (exps + log_j) % N)
-        rows.append((pts, exps))
-    if len(rows) == 1:
-        (pts, weights), = rows
-    else:  # every weight's exponent at every point, -1 off its points
-        pts = _union_points(field, [m for m, _, _ in parts])
-        at = np.full((len(rows), len(pts)), -1, dtype=np.int64)
-        for row, (held, exps) in zip(at, rows):
-            row[np.searchsorted(pts, held)] = exps
-        weights = at.max(axis=0)
-        shared = np.flatnonzero((at >= 0).sum(axis=0) > 1)
-        # exp0[-1] is the zero vector
-        weights[shared] = field.tables[1][functools.reduce(
-            field.np_packed_add, field.exp0[at[:, shared]])]
-    # one part's weight never vanishes
-    vanish = np.flatnonzero(weights < 0) if len(parts) > 1 else ()
-    if len(vanish):
-        if p != 2:
-            raise WeightSumVanishes(
-                f"combined weight vanishes at point exponent "
-                f"{pts[vanish[0]]} ({label})")
-        pts, weights = np.delete(pts, vanish), np.delete(weights, vanish)
-    return EvalSet(field, pts, weights, label,
-                   None if p == 2 and len(rows) > 1 else parts)
+    classes = _classes(field, parts)
+    ms = [m for m, _, _ in parts]
+    if field.p == 2 and len(classes) > 1:
+        pts = _union_points(field.N, ms)
+        weights = _union_weights(field, pts, classes)
+        keep = weights >= 0
+        return EvalSet(field, pts[keep], weights[keep], label)
+    return EvalSet(field, _union_points(field.N, ms, field.p == 2), None,
+                   label, parts)
 
 
 # --------------------------------------------------------------------------

@@ -10,7 +10,10 @@ logarithm makes awkward: addition and the logs of packed vectors.  A
 coefficient vector is packed as the integer whose base-p digit i is the
 coefficient of x^i.  A few vectors are raised without tables, by powers of
 the modulus' companion matrix (``power_vectors``), and the logs of GF(p)
-have a table of their own, p entries long (``prime_logs``).
+have a table of their own, p entries long (``prime_logs``).  So does
+addition in GF(q): ``subfield_zech`` holds log(1 + gamma^k) to the base
+gamma = theta^(q+1), q - 1 entries built by doubling from the coefficient
+rows of the powers of gamma, so it exists for every field.
 
 The modulus is canonical: coefficients (c_0 .. c_{2h-1}) of candidate monic
 polynomials are read as base-p digits of a counter J with c_0 most
@@ -421,13 +424,42 @@ class Field:
         GF(p)* as a power of theta, -1 for c = 0.  theta^(N/(p-1)) is the
         norm of theta down to GF(p), the modulus' constant coefficient c_0
         (the degree 2h is even), which generates GF(p)*; so c_0^j is
-        theta^(j*N/(p-1))."""
-        p, powers = self.p, [1]
-        for _ in range(p - 2):
-            powers.append(powers[-1] * self.modulus[0] % p)
+        theta^(j*N/(p-1)).  The powers are built by doubling, c_0^L ..
+        c_0^(2L-1) being c_0^0 .. c_0^(L-1) times c_0^L."""
+        p, powers = self.p, np.ones(1, dtype=np.int64)
+        while len(powers) < p - 1:
+            powers = np.concatenate(
+                (powers, powers * pow(self.modulus[0], len(powers), p) % p))
         log = np.full(p, -1, dtype=np.int64)
-        log[powers] = np.arange(p - 1) * (self.N // (p - 1))
+        log[powers[:p - 1]] = np.arange(p - 1) * (self.N // (p - 1))
         return _frozen(log)
+
+    @functools.cached_property
+    def subfield_zech(self) -> np.ndarray:
+        """Read-only int64 Zech table of GF(q), q - 1 entries:
+        Z[k] = log(1 + gamma^k) to the base gamma = theta^(q+1), which
+        generates GF(q)*, and -1 where 1 + gamma^k = 0.  No q^2-entry table
+        is read: the coefficient rows of gamma^0 .. gamma^(q-2) are built by
+        doubling, P @ S holding gamma^L .. gamma^(2L-1) when P holds gamma^0
+        .. gamma^(L-1) and S is the matrix of multiplication by gamma^L,
+        whose row i is x^i * gamma^L; the int64 products are exact as in
+        ``_x_powers``.  Adding 1 steps the constant coefficient, and the
+        packed rows, sorted once, give the log of each sum."""
+        p, n, L = self.p, 2 * self.h, 1
+        f = np.array([self.modulus[:-1]], dtype=np.int64)
+        S = _x_powers(f, p, tuple(range(self.q + 1, self.q + 1 + n)))[:, 0]
+        P = np.zeros((self.q - 1, n), dtype=np.int64)
+        P[0, 0] = 1
+        while L < len(P):
+            m = min(L, len(P) - L)
+            P[L:L + m] = P[:m] @ S % p
+            S = S @ S % p
+            L += m
+        keys = P @ p ** np.arange(n, dtype=np.int64)
+        order = np.argsort(keys)
+        one_plus = keys - P[:, 0] + (P[:, 0] + 1) % p
+        at = np.searchsorted(keys[order], one_plus).clip(max=len(P) - 1)
+        return _frozen(np.where(keys[order[at]] == one_plus, order[at], -1))
 
     def embed_int(self, c: int) -> Elt:
         """The integer c mod p as a field element (a constant polynomial)."""

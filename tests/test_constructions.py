@@ -163,10 +163,10 @@ def test_c1_ext_builds_its_subgroup_once(monkeypatch):
 ])
 def test_only_mixed_union_certificates_build_tables(monkeypatch, construction,
                                                     q, params):
-    # the Gram check reads every entry off the parts and the GF(p) logs
-    # have their own p-entry table, so a certificate builds the field's
-    # exp/log tables only for a mixed union's shared weights, at k and, on
-    # the same set, at k + 1
+    # the Gram check reads every entry off the parts, the GF(p) logs have
+    # their own p-entry table and a mixed union's shared weights are added
+    # through the q-entry Zech table of GF(q), so no certificate builds the
+    # field's exp/log tables, at k and, on the same set, at k + 1
     fields = []
 
     def fresh(q):
@@ -179,7 +179,9 @@ def test_only_mixed_union_certificates_build_tables(monkeypatch, construction,
                          art.has_border, art.border_entry)
     assert gram_zero(grown)[0] is False
     assert fields == [art.field]
-    assert ("tables" in vars(art.field)) == (construction == "mixed_union")
+    assert "tables" not in vars(art.field)
+    assert ("subfield_zech" in vars(art.field)) == (
+        construction == "mixed_union")
 
 
 def test_k_defaults_and_caps():
@@ -318,6 +320,23 @@ def test_want_matrix_require_on_oversized_field():
     assert cert.verified_level == "CONDITION_ONLY"
     assert cert.max_k_oracle == 6040
     assert cert.extras["H"] > 0
+
+
+def test_matrix_gate_reads_the_work_of_the_parts_route(monkeypatch):
+    # the work is n + sum_i k^2 m_i/(2N): the points the parts check passes
+    # over and the entries the Gram check visits, not the k*n entries of the
+    # matrix; q = 47, m = 46 gives n = 48, k = 24 and 48 + 6
+    def level(want_matrix="auto"):
+        return build("half_power", 47, m=46,
+                     want_matrix=want_matrix).verified_level
+    work = 48 + 24 * 24 * 46 // (2 * (47 * 47 - 1))
+    assert work == 54 < 24 * 48
+    monkeypatch.setattr(constructions, "MATRIX_ENTRY_BUDGET", work)
+    assert level() == level("require") == "FULL_MATRIX"
+    monkeypatch.setattr(constructions, "MATRIX_ENTRY_BUDGET", work - 1)
+    assert level() == "CONDITION_ONLY"
+    with pytest.raises(CapacityExceeded):
+        level("require")
 
 
 def test_formula_bound_is_tight_against_oracle():

@@ -25,7 +25,7 @@ import naive_algebra as na
 from naive_algebra import shared_weight_obstructions
 from qmds import audit, codes, constructions, evalsets, tables
 from qmds.evalsets import shared_weight_obstructions as forbidden_coset
-from qmds.field import build_field, field_for_q
+from qmds.field import TABLE_LIMIT, build_field, field_for_q
 from qmds.numtheory import divisors, is_prime_power
 from test_constructions import builds_recorded
 
@@ -469,9 +469,36 @@ def test_parts_check_refuses_unsound_parts(gf25, gf64):
     with pytest.raises(HypothesisViolated):
         EvalSet(gf25, es.points.tolist() + [1], es.weights.tolist() + [0],
                 "extra", es.parts)
+    with pytest.raises(HypothesisViolated):  # -1, as no part holds it
+        EvalSet(gf25, [0, 1] + es.points[2:].tolist(),
+                [0, -1] + es.weights[2:].tolist(), "unheld", es.parts)
     assert weighted_union(gf64, ((3, 0, 0), (7, 0, 9)), "two").parts is None
     with pytest.raises(HypothesisViolated):
         EvalSet(gf64, range(0, 63, 3), [0] * 21, "two", ((3, 0, 0), (7, 0, 9)))
+
+
+def test_mixed_union_past_the_table_limit():
+    # q = 2053 has q^2 > 2^22, so no exp/log tables: the shared weights are
+    # added in GF(q), and each is checked here by adding coefficient vectors,
+    # x^(q+1) + theta^H x^((q+1)/2) at x = theta^e
+    f = field_for_q(2053)
+    q, N = f.q, f.N
+    assert f.q2 > TABLE_LIMIT
+    es = mixed_union(f, 1027, 1026, find_h_shift_exponent(q, 1027, 1026))
+    H = es.parts[1][2]
+    assert "tables" not in vars(f)
+    E, W = es.points, es.weights
+    odd, even = E % 1027 == 0, E % 1026 == 0
+    assert len(E) == union_size(N, (1027, 1026)) and (odd | even).all()
+    a, b = (q + 1) * E % N, ((q + 1) // 2 * E + H) % N
+    assert np.array_equal(W[odd & ~even], a[odd & ~even])
+    assert np.array_equal(W[even & ~odd], b[even & ~odd])
+    shared = np.flatnonzero(odd & even)
+    assert len(shared) == 4
+
+    def vec(exps):
+        return f.power_vectors(exps[shared].tolist())
+    assert np.array_equal(vec(W), (vec(a) + vec(b)) % f.p)
 
 
 # --- the arrays are shared, so they are read-only ------------------------------

@@ -11,7 +11,7 @@ from qmds.errors import (
     NotPrime,
     UsageError,
 )
-from qmds import audit, cli, tables
+from qmds import audit, cli
 from qmds import field as field_module
 from qmds.codes import eval_code, gram_zero
 from qmds.evalsets import EvalSet
@@ -122,6 +122,36 @@ def test_fields_past_the_table_limit_have_no_tables():
     with pytest.raises(CapacityExceeded):
         gram_zero(art)
     assert "tables" not in vars(f)
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 25, 27, 49, 64, 81, 125, 169, 243,
+                               256, 343, 512])
+def test_subfield_zech_matches_the_full_tables(q):
+    # Z[k] = log(1 + gamma^k) to the base gamma = theta^(q+1) is the full
+    # Zech logarithm at (q+1)k over q + 1, -1 where 1 + gamma^k vanishes:
+    # k = 0 for p = 2, k = (q-1)/2 for odd p
+    f = Field(*is_prime_power(q))
+    Z = f.subfield_zech
+    assert "tables" not in vars(f)
+    assert Z.shape == (q - 1,) and not Z.flags.writeable
+    full = np.asarray(f._zech)[(q + 1) * np.arange(q - 1)]
+    assert (full[full >= 0] % (q + 1) == 0).all()
+    assert np.array_equal(Z, np.where(full < 0, -1, full // (q + 1)))
+    assert np.flatnonzero(Z < 0).tolist() == [0 if f.p == 2 else (q - 1) // 2]
+
+
+def test_subfield_zech_past_the_table_limit():
+    # q = 4096 has no q^2-entry tables; each entry is checked by adding
+    # coefficient vectors: vec(gamma^Z[k]) = vec(1) + vec(gamma^k) mod p
+    f = Field(2, 12)
+    Z = f.subfield_zech
+    assert f.q2 > TABLE_LIMIT and "tables" not in vars(f)
+    ks = np.arange(f.q - 1)
+    one = f.power_vectors([0])[0]
+    sums = (one + f.power_vectors(((f.q + 1) * ks).tolist())) % f.p
+    assert ks[~sums.any(axis=1)].tolist() == [0] and Z[0] == -1
+    assert np.array_equal(f.power_vectors(((f.q + 1) * Z[1:]).tolist()),
+                          sums[1:])
 
 
 def test_presentation_builds_no_tables():
@@ -337,10 +367,9 @@ def test_production_paths_build_no_python_tables(monkeypatch, capsys):
     capsys.readouterr()
     with_tables = [f for f in built.values() if "tables" in vars(f)]
     assert {(2, 9), (631, 1), (11, 1)} <= set(built)
-    # the Gram checks read no table: only Table 6's mixed unions, for their
-    # shared weights, and the verify command build them
-    mixed = {is_prime_power(row["q"]) for row in tables.TABLE6}
-    assert {(f.p, f.h) for f in with_tables} == mixed | {(11, 1)}
+    # no certificate reads a table, a mixed union's shared weights being
+    # added in GF(q): only the verify command's GF(11^2) builds them
+    assert {(f.p, f.h) for f in with_tables} == {(11, 1)}
     for f in with_tables:
         for arr in f.tables:
             assert isinstance(arr, np.ndarray) and arr.dtype == np.int32
