@@ -50,6 +50,8 @@ from .verify import QuantumParams, quantum_params
 # set's n <= N, and the work n + sum_i k^2 m_i/(2N) is at most this: the
 # parts check passes over the n points and the Gram check visits about
 # k^2/(2 M_i) entries per part, M_i = N/m_i.  Neither reads a field table.
+# Only ``verify_artifact`` builds the k x n matrix, and it refuses more than
+# ``verify.MATRIX_ENTRY_LIMIT`` entries.
 MATRIX_ENTRY_BUDGET = 100_000_000
 # a FULL_MATRIX certificate's JSON carries its matrix up to this many entries
 MATRIX_JSON_ENTRY_CAP = 100_000

@@ -84,9 +84,16 @@ class EvalSet:
             want = _union_weights(f, self.points, classes)
             vanish = np.flatnonzero(want < 0)
             if W is None and len(vanish):
+                at = self.points[vanish]
+                held = functools.reduce(np.logical_or,
+                                        (at % m == 0 for m, _, _ in parts))
+                # a characteristic-2 union drops its vanishing points
+                if f.p == 2 or not held.all():
+                    raise HypothesisViolated("the points are not the union "
+                                             "of the parts")
                 raise WeightSumVanishes(
                     f"combined weight vanishes at point exponent "
-                    f"{self.points[vanish].min()} ({self.label})")
+                    f"{at.min()} ({self.label})")
             if W is not None and (len(vanish) or (W != want).any()):
                 raise HypothesisViolated("the points and weights are not the "
                                          "union of the parts")

@@ -424,14 +424,12 @@ class Field:
         GF(p)* as a power of theta, -1 for c = 0.  theta^(N/(p-1)) is the
         norm of theta down to GF(p), the modulus' constant coefficient c_0
         (the degree 2h is even), which generates GF(p)*; so c_0^j is
-        theta^(j*N/(p-1)).  The powers are built by doubling, c_0^L ..
-        c_0^(2L-1) being c_0^0 .. c_0^(L-1) times c_0^L."""
-        p, powers = self.p, np.ones(1, dtype=np.int64)
-        while len(powers) < p - 1:
-            powers = np.concatenate(
-                (powers, powers * pow(self.modulus[0], len(powers), p) % p))
+        theta^(j*N/(p-1))."""
+        p, powers = self.p, [1]
+        for _ in range(p - 2):
+            powers.append(powers[-1] * self.modulus[0] % p)
         log = np.full(p, -1, dtype=np.int64)
-        log[powers[:p - 1]] = np.arange(p - 1) * (self.N // (p - 1))
+        log[powers] = np.arange(p - 1) * (self.N // (p - 1))
         return _frozen(log)
 
     @functools.cached_property
@@ -446,8 +444,7 @@ class Field:
         ``_x_powers``.  Adding 1 steps the constant coefficient, and the
         packed rows, sorted once, give the log of each sum."""
         p, n, L = self.p, 2 * self.h, 1
-        f = np.array([self.modulus[:-1]], dtype=np.int64)
-        S = _x_powers(f, p, tuple(range(self.q + 1, self.q + 1 + n)))[:, 0]
+        S = self.power_vectors(range(self.q + 1, self.q + 1 + n))
         P = np.zeros((self.q - 1, n), dtype=np.int64)
         P[0, 0] = 1
         while L < len(P):

@@ -43,11 +43,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codes import CodeArtifact, gram_zero, packed_sums
-from .errors import BudgetExceeded, InvalidDims
+from .errors import BudgetExceeded, CapacityExceeded, InvalidDims
 from .field import Field
 
 MINORS_BUDGET_DEFAULT = 2_000_000
 ENUM_BUDGET_DEFAULT = 20_000_000
+# verify_artifact materialises the k x n matrix as Python elements, so a
+# matrix of more entries is refused (CapacityExceeded) before it is built
+MATRIX_ENTRY_LIMIT = 100_000_000
 
 
 @dataclass(frozen=True)
@@ -283,7 +286,13 @@ class VerificationReport:
 def verify_artifact(artifact: CodeArtifact,
                     budget_minors: int = MINORS_BUDGET_DEFAULT,
                     budget_enum: int = ENUM_BUDGET_DEFAULT) -> VerificationReport:
-    """Run the Gram check plus both MDS routes (where budgets allow)."""
+    """Run the Gram check plus both MDS routes (where budgets allow).  A
+    matrix of more than ``MATRIX_ENTRY_LIMIT`` entries raises
+    ``CapacityExceeded`` before anything is computed."""
+    if artifact.k * artifact.n > MATRIX_ENTRY_LIMIT:
+        raise CapacityExceeded(
+            f"the {artifact.k} x {artifact.n} matrix has more than "
+            f"{MATRIX_ENTRY_LIMIT} entries")
     f = artifact.field
     ok, witness = gram_zero(artifact)
     matrix = artifact.matrix()

@@ -310,6 +310,22 @@ def test_verify_output_bytes(capsys, monkeypatch, q, m, k):
     assert out == VERIFY_JSON[q, m, k]
 
 
+def test_verify_refuses_a_matrix_past_the_entry_limit(capsys, monkeypatch):
+    # Table 7 row 3 certifies FULL_MATRIX, as its Gram check is cheap, but
+    # its 820 x 624720 matrix has 5.1e8 entries: verify refuses it before
+    # building it
+    from qmds import codes
+
+    def no_matrix(self):
+        raise AssertionError("verify built the generator matrix")
+    monkeypatch.setattr(codes.CodeArtifact, "matrix", no_matrix)
+    rc = main(["verify", "--construction", "mixed_union", "--q", "1369",
+               "--m1", "5", "--m2", "6"])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err.startswith("error: CapacityExceeded: the 820 x 624720")
+
+
 # --- oracle ----------------------------------------------------------------------
 
 

@@ -469,9 +469,20 @@ def test_parts_check_refuses_unsound_parts(gf25, gf64):
     with pytest.raises(HypothesisViolated):
         EvalSet(gf25, es.points.tolist() + [1], es.weights.tolist() + [0],
                 "extra", es.parts)
+    unheld = [0, 1] + es.points[2:].tolist()
     with pytest.raises(HypothesisViolated):  # -1, as no part holds it
-        EvalSet(gf25, [0, 1] + es.points[2:].tolist(),
-                [0, -1] + es.weights[2:].tolist(), "unheld", es.parts)
+        EvalSet(gf25, unheld, [0, -1] + es.weights[2:].tolist(), "unheld",
+                es.parts)
+    with pytest.raises(HypothesisViolated) as exc:  # no sum vanishes there
+        EvalSet(gf25, unheld, None, "unheld", es.parts)
+    assert type(exc.value) is HypothesisViolated
+    # in characteristic 2 the point 0, held by both parts, is not in the
+    # parity union, which drops vanishing sums
+    parity = parity_union_char2(gf64, (3, 7))
+    with pytest.raises(HypothesisViolated) as exc:
+        EvalSet(gf64, [0] + parity.points[1:].tolist(), None, "even",
+                parity.parts)
+    assert type(exc.value) is HypothesisViolated
     assert weighted_union(gf64, ((3, 0, 0), (7, 0, 9)), "two").parts is None
     with pytest.raises(HypothesisViolated):
         EvalSet(gf64, range(0, 63, 3), [0] * 21, "two", ((3, 0, 0), (7, 0, 9)))
