@@ -8,31 +8,37 @@ theta^(e*j), and theta^e lies in GF(q) exactly when (q + 1) | e.  Coefficient
 vectors appear in the exp/log tables, which supply the operations a
 logarithm makes awkward: addition and the logs of packed vectors.  A
 coefficient vector is packed as the integer whose base-p digit i is the
-coefficient of x^i.  A few vectors are raised without tables, by powers of
-the modulus' companion matrix (``power_vectors``), and the logs of GF(p)
-have a table of their own, p entries long (``prime_logs``).  So does
-addition in GF(q): ``subfield_zech`` holds log(1 + gamma^k) to the base
-gamma = theta^(q+1), q - 1 entries built by doubling from the coefficient
-rows of the powers of gamma, so it exists for every field.
+coefficient of x^i.  A few vectors are raised without tables
+(``power_vectors``): theta^(j*N/(p-1) + i) with i < 2h is c_0^j x^i, c_0
+the modulus' constant coefficient, and the others are powers of the
+modulus' companion matrix.  The logs of GF(p) have a table of their own,
+p entries long (``prime_logs``).  So does addition in GF(q):
+``subfield_zech`` holds log(1 + gamma^k) to the base gamma = theta^(q+1),
+q - 1 entries built by doubling from the coefficient rows of the powers of
+gamma, so it exists for every field.
 
 The modulus is canonical: coefficients (c_0 .. c_{2h-1}) of candidate monic
 polynomials are read as base-p digits of a counter J with c_0 most
 significant, and the first candidate in increasing J with c_0 != 0 in which
 x has order p^(2h) - 1 is selected.  That order is possible only when the
 candidate is irreducible, so this is the first irreducible candidate with x
-primitive.  For p = 2 each candidate is tested by powering x, left to
-right, on polynomials packed into ints (a product is shifts and XORs).
-For odd p a block of consecutive candidates is tested at once: their
-companion matrices are stacked and raised to every exponent the test needs
-by square-and-multiply, with exact int64 matmuls mod p, and the first that
-passes is taken; blocks grow from 8 to 256 candidates, so an early hit
-costs little and a late one few numpy calls.  theta is the class of x.
+primitive.  Its c_0 is the least primitive root mod p, known without the
+search, so only the candidates with that c_0 are tested.  For p = 2 each
+candidate is tested by powering x, left to right, on polynomials packed
+into ints (a product is shifts and XORs).  For odd p a block of
+consecutive candidates is tested at once: their companion matrices are
+stacked and raised to every exponent the test needs by square-and-multiply,
+with exact int64 matmuls mod p, and the first that passes is taken; blocks
+grow from 8 to 256 candidates, so an early hit costs little and a late one
+few numpy calls.  theta is the class of x.
 
-A ``Field`` accepts any q^2 up to 2^40: its presentation (``to_json``) needs
-only the modulus.  ``Field.tables``, built on first use, is the pair of
-read-only int32 numpy tables ``exp`` (theta^e packed, q^2 - 1 entries) and
-``log`` (q^2 entries, -1 for zero), so they exist only for fields up to
-2^22 elements; past that every operation that needs them raises
+A ``Field`` accepts any q^2 up to 2^40, and building one searches for
+nothing: ``Field.modulus`` is searched on first read, by the tables, the
+presentation (``to_json``), which needs nothing more, or a companion-matrix
+power.  ``Field.tables``, built on first use, is the pair of read-only
+int32 numpy tables ``exp`` (theta^e packed, q^2 - 1 entries) and ``log``
+(q^2 entries, -1 for zero), so they exist only for fields up to 2^22
+elements; past that every operation that needs them raises
 ``CapacityExceeded``.  The vectorized paths index these arrays, or the
 arrays derived from them (``mask_ext``, ``digits``, ``exp0``), with whole
 arrays of exponents.  exp is the head of one buffer, [exp, exp, 0] for
@@ -57,13 +63,15 @@ goes through Zech logarithms built on its first call.
 from __future__ import annotations
 
 import functools
+import operator
 from typing import Optional
 
 import numpy as np
 
 from .errors import (CapacityExceeded, DivisionByZero, NotInSubfield,
                      NotPrime, UsageError)
-from .numtheory import factorize, is_prime, is_prime_power
+from .numtheory import (factorize, is_prime, is_prime_power,
+                         least_primitive_root)
 
 Elt = Optional[int]
 ZERO: Elt = None
@@ -149,15 +157,23 @@ def canonical_modulus(p: int, n: int, n_factors: tuple[int, ...]) -> tuple[int, 
     (Lidl and Niederreiter, Finite Fields, Thms 3.3 and 3.16), and no
     separate irreducibility test is needed.
 
+    The degree n is even, as for every field here, so f(0) = c_0 is the
+    norm of x down to GF(p), and it generates GF(p)* when x is primitive.
+    Conversely every generator g of GF(p)* is the norm of a primitive
+    element: if theta is primitive with norm g', theta^k has norm g'^k, and
+    k can be taken prime to p^n - 1 in any class mod p - 1 prime to p - 1,
+    so g'^k runs over every generator.  The minimal polynomial of that
+    element is a candidate with c_0 = g, and c_0 is the most significant
+    digit, so the selected f has c_0 = ``least_primitive_root(p)`` and only
+    the candidates with that c_0 are tested.
+
     For p = 2 the candidates are tested one at a time on polynomials
     packed into ints.  For odd p they are tested in blocks of consecutive
     candidates, 8 at first and twice as many each time up to 256, by
     ``_primitive_rows``, and the first that passes in its block is taken.
-    Whole c_0 blocks are skipped when (-1)^n c_0 — the norm of x down to
-    GF(p) — fails to generate GF(p)*, a necessary condition for x to be
-    primitive; this prunes only candidates the order test would reject, so
-    the selected polynomial is unchanged.
     """
+    if n % 2:
+        raise UsageError(f"the degree must be even, got {n}")
     N = p ** n - 1
     exponents = (N,) + tuple(N // r for r in n_factors)
     if p == 2:
@@ -166,27 +182,21 @@ def canonical_modulus(p: int, n: int, n_factors: tuple[int, ...]) -> tuple[int, 
             if _is_primitive(f, exponents):
                 return f
         raise ArithmeticError("no primitive modulus found")  # pragma: no cover
-    pm1_factors = factorize(p - 1)
-    sign = 1 if n % 2 == 0 else -1
-    block_count = p ** (n - 1)  # candidates per c_0
-    # c_1 is the most significant digit of the candidate's place in its block
+    c0, block_count = least_primitive_root(p), p ** (n - 1)
+    # c_1 is the most significant digit of the candidate's place among
+    # the block_count candidates with that c_0
     place = block_count // p ** np.arange(1, n, dtype=np.int64)
-    size = 8
-    for c0 in range(1, p):
-        norm_x = sign * c0 % p
-        if any(pow(norm_x, (p - 1) // r, p) == 1 for r in pm1_factors):
-            continue
-        lo = 0
-        while lo < block_count:
-            rest = np.arange(lo, min(lo + size, block_count), dtype=np.int64)
-            f = np.empty((len(rest), n), dtype=np.int64)
-            f[:, 0] = c0
-            f[:, 1:] = rest[:, None] // place % p
-            hit = np.flatnonzero(_primitive_rows(f, p, exponents))
-            if hit.size:
-                return tuple(f[hit[0]].tolist()) + (1,)
-            lo += len(rest)
-            size = min(2 * size, 256)
+    lo, size = 0, 8
+    while lo < block_count:
+        rest = np.arange(lo, min(lo + size, block_count), dtype=np.int64)
+        f = np.empty((len(rest), n), dtype=np.int64)
+        f[:, 0] = c0
+        f[:, 1:] = rest[:, None] // place % p
+        hit = np.flatnonzero(_primitive_rows(f, p, exponents))
+        if hit.size:
+            return tuple(f[hit[0]].tolist()) + (1,)
+        lo += len(rest)
+        size = min(2 * size, 256)
     raise ArithmeticError("no primitive modulus found")  # pragma: no cover
 
 
@@ -322,11 +332,21 @@ class Field:
         self.N = self.q2 - 1
         if self.q2 > SIZE_LIMIT:
             raise CapacityExceeded(f"field size {self.q2} exceeds 2^40")
-        self.n_factors = tuple(factorize(self.N))
-        self.modulus = canonical_modulus(p, 2 * h, self.n_factors)
 
     def __repr__(self) -> str:
         return f"Field(p={self.p}, h={self.h})"
+
+    @functools.cached_property
+    def n_factors(self) -> tuple[int, ...]:
+        """The primes dividing N = q^2 - 1, ascending."""
+        return tuple(factorize(self.N))
+
+    @functools.cached_property
+    def modulus(self) -> tuple[int, ...]:
+        """The canonical modulus, coefficients of x^0 .. x^(2h), searched
+        on first read: by the tables, the presentation (``to_json``) and
+        the companion-matrix powers of ``power_vectors``."""
+        return canonical_modulus(self.p, 2 * self.h, self.n_factors)
 
     @functools.cached_property
     def _arrays(self) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
@@ -423,11 +443,12 @@ class Field:
         """Read-only int64 table of p entries: the exponent of each c in
         GF(p)* as a power of theta, -1 for c = 0.  theta^(N/(p-1)) is the
         norm of theta down to GF(p), the modulus' constant coefficient c_0
-        (the degree 2h is even), which generates GF(p)*; so c_0^j is
+        (the degree 2h is even), which is ``least_primitive_root(p)`` (see
+        ``canonical_modulus``), so no modulus is searched; c_0^j is
         theta^(j*N/(p-1))."""
-        p, powers = self.p, [1]
+        p, c0, powers = self.p, least_primitive_root(self.p), [1]
         for _ in range(p - 2):
-            powers.append(powers[-1] * self.modulus[0] % p)
+            powers.append(powers[-1] * c0 % p)
         log = np.full(p, -1, dtype=np.int64)
         log[powers] = np.arange(p - 1) * (self.N // (p - 1))
         return _frozen(log)
@@ -465,10 +486,26 @@ class Field:
 
     def power_vectors(self, exps) -> np.ndarray:
         """int64 coefficient vectors of theta^e, one row of 2h coefficients
-        per exponent e >= 0, by powers of the modulus' companion matrix, so
-        no table is read."""
-        f = np.array([self.modulus[:-1]], dtype=np.int64)
-        return _x_powers(f, self.p, tuple(exps))[:, 0]
+        per exponent e >= 0 (any integers, numpy ones too), so no table is
+        read.  With R = N/(p-1), theta^R is the modulus' constant
+        coefficient c_0 (see ``prime_logs``), so e = j*R + i with i < 2h
+        gives c_0^j x^i without the modulus; the other exponents take
+        powers of its companion matrix."""
+        exps = [operator.index(e) for e in exps]
+        n, p, R = 2 * self.h, self.p, self.N // (self.p - 1)
+        c0 = least_primitive_root(p)
+        out = np.zeros((len(exps), n), dtype=np.int64)
+        far = []
+        for row, e in enumerate(exps):
+            j, i = divmod(e, R)
+            if i < n:
+                out[row, i] = pow(c0, j, p)
+            else:
+                far.append(row)
+        if far:
+            f = np.array([self.modulus[:-1]], dtype=np.int64)
+            out[far] = _x_powers(f, p, tuple(exps[r] for r in far))[:, 0]
+        return out
 
     # --- presentation ---------------------------------------------------------
 

@@ -116,6 +116,13 @@ def is_prime_power(n: int) -> tuple[int, int] | None:
     return None
 
 
+def least_primitive_root(p: int) -> int:
+    """The least generator of GF(p)* for a prime p: 1 for p = 2."""
+    rs = factorize(p - 1)
+    return next(g for g in range(1, p)
+                if all(pow(g, (p - 1) // r, p) != 1 for r in rs))
+
+
 def divisors(n: int) -> tuple[int, ...]:
     """All positive divisors of n, ascending."""
     ds = [1]

@@ -7,6 +7,7 @@ from qmds import cli, constructions
 from qmds import field as field_module
 from qmds.cli import main
 from qmds.field import field_for_q
+from qmds.numtheory import is_prime_power
 
 
 def run(capsys, *argv):
@@ -56,8 +57,9 @@ def test_field_past_the_table_limit(capsys):
 
 
 def test_field_command_builds_no_tables(monkeypatch, capsys):
-    # the presentation needs only the modulus, so the exp/log tables of a
-    # field within the table limit stay unbuilt too
+    # the presentation needs only the modulus, which it searches on first
+    # read, so the exp/log tables of a field within the table limit stay
+    # unbuilt too
     built = []
 
     def fresh_build(p, h):
@@ -71,6 +73,7 @@ def test_field_command_builds_no_tables(monkeypatch, capsys):
                "--format", "text")[0] == 0
     assert [(f.p, f.h) for f in built] == [(37, 2), (2, 5)]
     assert all("tables" not in vars(f) for f in built)
+    assert all("modulus" in vars(f) for f in built)
 
 
 def test_field_has_no_mode_flag(capsys):
@@ -299,15 +302,25 @@ VERIFY_JSON = {
 
 @pytest.mark.parametrize("q,m,k", sorted(VERIFY_JSON))
 def test_verify_output_bytes(capsys, monkeypatch, q, m, k):
+    # the generator matrix is built from the exp/log tables, so the
+    # modulus is searched; it is never rendered
     from qmds import codes
 
     def no_render(matrix):
         raise AssertionError("verify rendered the generator matrix")
+    fields = []
+
+    def fresh(q):
+        fields.append(field_module.Field(*is_prime_power(q)))
+        return fields[-1]
     monkeypatch.setattr(codes, "matrix_to_strings", no_render)
+    monkeypatch.setattr(constructions, "field_for_q", fresh)
     rc, out = run(capsys, "verify", "--construction", "c1", "--q", q,
                   "--m", m, "--k", k)
     assert rc == 0
     assert out == VERIFY_JSON[q, m, k]
+    assert [f.q for f in fields] == [int(q)]
+    assert "modulus" in vars(fields[0]) and "tables" in vars(fields[0])
 
 
 def test_verify_refuses_a_matrix_past_the_entry_limit(capsys, monkeypatch):

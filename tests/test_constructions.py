@@ -160,13 +160,17 @@ def test_c1_ext_builds_its_subgroup_once(monkeypatch):
     ("c1", 17, {"m": 9}),
     ("c1_ext", 17, {"m": 9}),
     ("mixed_union", 13, {"m1": 7, "m2": 6}),
+    ("mixed_union", 49, {"m1": 25, "m2": 24}),  # Table 6 row 5
 ])
 def test_only_mixed_union_certificates_build_tables(monkeypatch, construction,
                                                     q, params):
     # the Gram check reads every entry off the parts, the GF(p) logs have
     # their own p-entry table and a mixed union's shared weights are added
     # through the q-entry Zech table of GF(q), so no certificate builds the
-    # field's exp/log tables, at k and, on the same set, at k + 1
+    # field's exp/log tables, at k and, on the same set, at k + 1.  Each
+    # theta^e the parts need is c_0^j x^i, e = j*N/(p-1) + i with i < 2h,
+    # so the modulus is not searched either, except where the Zech table
+    # of a GF(q) that is not prime multiplies by theta^(q+1+i)
     fields = []
 
     def fresh(q):
@@ -182,6 +186,7 @@ def test_only_mixed_union_certificates_build_tables(monkeypatch, construction,
     assert "tables" not in vars(art.field)
     assert ("subfield_zech" in vars(art.field)) == (
         construction == "mixed_union")
+    assert ("modulus" in vars(art.field)) == (q == 49)
 
 
 def test_k_defaults_and_caps():

@@ -17,7 +17,7 @@ from qmds.codes import eval_code, gram_zero
 from qmds.evalsets import EvalSet
 from qmds.field import (SIZE_LIMIT, TABLE_LIMIT, Field, build_field,
                         canonical_modulus, field_for_q)
-from qmds.numtheory import is_prime_power
+from qmds.numtheory import is_prime_power, least_primitive_root
 
 # frozen canonical moduli, coefficient order 1, x, x^2, ...
 FROZEN_MODULI = {
@@ -61,6 +61,27 @@ def test_canonical_modulus_direct_call():
     from qmds.numtheory import factorize
 
     assert canonical_modulus(5, 2, tuple(factorize(24))) == (2, 1, 1)
+    with pytest.raises(UsageError):  # every field here has even degree
+        canonical_modulus(3, 3, tuple(factorize(26)))
+
+
+def test_constant_coefficient_is_the_least_primitive_root():
+    # the norm of x down to GF(p) is c_0, and every generator of GF(p)* is
+    # the norm of a primitive element, so the first candidate with x
+    # primitive has the least one; for p = 2 that is 1.  The Rabin scan
+    # tries every c_0 from 1, so it does not assume this
+    from qmds.numtheory import factorize
+
+    qs = [q for q in range(3, 4000, 2) if is_prime_power(q)]
+    assert len(qs) == 578
+    for q in qs:
+        p, h = is_prime_power(q)
+        n_factors = tuple(factorize(q * q - 1))
+        c0 = least_primitive_root(p)
+        assert canonical_modulus(p, 2 * h, n_factors)[0] == c0, q
+        assert na.rabin_canonical_modulus(p, 2 * h, n_factors)[0] == c0, q
+    for (p, h), modulus in FROZEN_MODULI.items():
+        assert modulus[0] == least_primitive_root(p), (p, h)
 
 
 def test_canonical_modulus_against_rabin_scan():
@@ -155,9 +176,12 @@ def test_subfield_zech_past_the_table_limit():
 
 
 def test_presentation_builds_no_tables():
-    # the modulus is fixed at construction; the tables are not
+    # the modulus is searched when the presentation first reads it; the
+    # tables are built when something first reads them
     f = Field(37, 2)
+    assert "modulus" not in vars(f)
     assert f.to_json()["modulus"] == list(f.modulus)
+    assert "modulus" in vars(f)
     assert "tables" not in vars(f)
     assert f.add(0, 0) is not None  # 2 != 0 in characteristic 37
     assert "tables" in vars(f)
@@ -493,6 +517,22 @@ def test_prime_logs_and_power_vectors_need_no_tables(p, h):
     assert np.array_equal(logs, f.tables[1][:p])
     assert [tuple(v) for v in vectors] == \
         [f.coeffs(e) for e in range(0, f.N, 1 + f.N // 500)]
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 13, 25, 49])
+def test_power_vectors_match_the_exp_table(q):
+    # theta^(j*R + i), R = N/(p-1), is c_0^j x^i for i < 2h, with no
+    # modulus searched; every other exponent takes companion-matrix powers.
+    # Every exponent in [0, 2N), given as an int64 array, against the table
+    f = Field(*is_prime_power(q))
+    n, R = 2 * f.h, f.N // (f.p - 1)
+    exps = np.arange(2 * f.N, dtype=np.int64)
+    near = exps % R < n
+    assert near.any() and not near.all()
+    f.power_vectors(exps[near])
+    assert "modulus" not in vars(f)
+    digits = f.tables[0][exps % f.N, None] // f.p ** np.arange(n) % f.p
+    assert np.array_equal(f.power_vectors(exps), digits)
 
 
 def test_prime_logs_past_the_table_limit():

@@ -12,6 +12,7 @@ from qmds.numtheory import (
     is_prime,
     iroot,
     is_prime_power,
+    least_primitive_root,
     pair_search,
     prime_factors,
     progression_base,
@@ -209,3 +210,10 @@ def test_quadratic_family_skips_non_prime_powers():
     # k = 5 gives q = 341 = 11 * 31 and k = 23 gives q = 8189 = 19 * 431
     ks = [r.k for r in quadratic_family_search(32)]
     assert 5 not in ks and 23 not in ks
+
+
+def test_least_primitive_root():
+    # 1 generates GF(2)*; the rest are record values of the least
+    # primitive root
+    assert [least_primitive_root(p) for p in (2, 3, 7, 23, 41, 71, 191, 409)] \
+        == [1, 2, 3, 5, 6, 7, 19, 21]
