@@ -28,6 +28,18 @@ each operation, the medians of A's and B's runs of their own checkout (side
 the summary and ``--compare`` first print, per workload and side, how many
 runs were not correct or had a failed operation: those runs still count in
 the medians.
+
+``--audit-runs R`` adds R audit records per side, in fresh processes that
+alternate sides as the seeds do (so R must be even with ``--parent``)::
+
+    python3 scripts/bench.py --workloads --audit-runs 6 \\
+        --parent ../parent-checkout --out BENCH_new.json
+
+Each process imports the checkout's ``src/qmds`` and records the wall time
+of ``audit_tables()``, its ``ru_maxrss`` after it, and the sha256 of what
+``qmds audit`` prints.  ``--workloads`` with no names runs no workload.
+The summary and ``--compare`` print the medians of both numbers and each
+side's distinct hashes.
 """
 
 from __future__ import annotations
@@ -45,6 +57,23 @@ ROOT = Path(__file__).resolve().parent.parent
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 METRICS = {m["name"]: m for m in SPEC["end_to_end"]}
 WORKLOADS = [w["name"] for w in SPEC["workloads"]]
+AUDIT_METRICS = {"audit_s": "lower", "ru_maxrss_mb": "lower"}
+# run with the checkout's src as PYTHONPATH; the imports are not timed
+AUDIT_PROBE = """
+import contextlib, hashlib, io, json, resource, time
+from qmds import cli
+from qmds.audit import audit_tables
+start = time.perf_counter()
+audit_tables()
+seconds = time.perf_counter() - start
+rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    cli.main(["audit"])
+print(json.dumps({"audit_s": seconds, "ru_maxrss_mb": rss,
+                  "sha256": hashlib.sha256(out.getvalue().encode())
+                  .hexdigest()}))
+"""
 NOTE = ("Noise is not controlled: the runs share a 2-core machine with other "
         "work, and its speed drifts by 10-20 % over seconds. Compare medians "
         "of alternating pairs, not single runs.")
@@ -61,7 +90,7 @@ def _seeds(text: str) -> list[int]:
 
 def _parse(argv):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--workloads", nargs="+", choices=WORKLOADS,
+    ap.add_argument("--workloads", nargs="*", choices=WORKLOADS,
                     default=WORKLOADS)
     ap.add_argument("--seeds", type=_seeds, default=[1],
                     help="seeds to run, e.g. 1-10 or 1,4,9 (default 1)")
@@ -71,13 +100,16 @@ def _parse(argv):
                     help="BENCH file to write or add runs to")
     ap.add_argument("--compare", nargs=2, type=Path, metavar=("A", "B"),
                     help="print B's medians against A's and exit")
+    ap.add_argument("--audit-runs", type=int, default=0, metavar="R",
+                    help="audit records per side (default 0)")
     args = ap.parse_args(argv)
     if args.compare is None and args.out is None:
         ap.error("--out is required unless --compare is given")
-    if args.parent is not None and len(args.seeds) % 2:
+    if args.parent is not None and (
+            args.workloads and len(args.seeds) % 2 or args.audit_runs % 2):
         # the side that runs first alternates, and the first run of a pair
         # tends to be the faster one, so both sides must run first equally
-        ap.error("--parent needs an even number of seeds")
+        ap.error("--parent needs an even number of seeds and of audit runs")
     return args
 
 
@@ -113,6 +145,17 @@ def _run(tree: Path, workload: str, seed: int) -> dict:
             "passes": result["attempted"] // len(detail["ops"]),
             "metrics": {k: v["value"] for k, v in result["metrics"].items()},
             "ops": _op_medians(detail)}
+
+
+def _audit_run(tree: Path) -> dict:
+    """One audit record (``AUDIT_PROBE``) in a fresh process on ``tree``."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    done = subprocess.run([sys.executable, "-c", AUDIT_PROBE], cwd=tree,
+                          env=env, capture_output=True, text=True)
+    if done.returncode != 0:
+        raise SystemExit(f"the audit probe in {tree} exited "
+                         f"{done.returncode}:\n{done.stderr}")
+    return json.loads(done.stdout.strip().splitlines()[-1])
 
 
 def _op_medians(detail: dict) -> dict:
@@ -205,6 +248,30 @@ def _summary(base: list[dict], new: list[dict]) -> dict:
     return out
 
 
+def _audit_summary(base: list[dict], new: list[dict]) -> dict:
+    """Per audit metric, the medians, quartiles, delta and wins of
+    ``_entry``, the records paired in order; under "sha256", each side's
+    distinct hashes."""
+    pairs = list(zip(base, new))
+    out = {name: _entry(base, new, pairs, lambda r, name=name: r[name],
+                        better)
+           for name, better in AUDIT_METRICS.items()}
+    out["sha256"] = {side: sorted({r["sha256"] for r in runs})
+                     for side, runs in (("change", new), ("parent", base))
+                     if runs}
+    return out
+
+
+def _print_audit(summary: dict, labels=("parent", "change")) -> None:
+    print("audit")
+    for name in AUDIT_METRICS:
+        print(_line(name, summary[name], labels))
+    print(f"  {'sha256':12s}" + "".join(
+        f"  {label} {','.join(h[:8] for h in summary['sha256'][side])}"
+        for side, label in zip(("parent", "change"), labels)
+        if side in summary["sha256"]))
+
+
 def _line(name: str, e: dict, labels) -> str:
     line = f"  {name:12s}"
     for side, label in zip(("parent", "change"), labels):
@@ -250,6 +317,10 @@ def _compare(a_path: Path, b_path: Path) -> int:
     print(f"A = {a_path} ({a['sides'].get('change')}), "
           f"B = {b_path} ({b['sides'].get('change')})")
     _print_summary(_summary(*own), labels=("A", "B"))
+    audits = [[r for r in f.get("audit_runs", []) if r["side"] == "change"]
+              for f in (a, b)]
+    if any(audits):
+        _print_audit(_audit_summary(*audits), labels=("A", "B"))
     return 0
 
 
@@ -290,7 +361,25 @@ def main(argv=None) -> int:
                 [r for r in bench["runs"] if r["side"] == "parent"],
                 [r for r in bench["runs"] if r["side"] == "change"])
             args.out.write_text(json.dumps(bench, indent=1) + "\n")
-    _print_summary(bench["summary"])
+    audits = bench.setdefault("audit_runs", [])
+    for i in range(args.audit_runs):
+        order = ["change"]
+        if args.parent:
+            order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
+        for side in order:
+            record = _audit_run(args.parent if side == "parent" else here)
+            audits.append({"side": side, "first": side == order[0],
+                           **record})
+            print(f"audit {i + 1} {side}: audit_s {record['audit_s']:.4g}, "
+                  f"ru_maxrss_mb {record['ru_maxrss_mb']:.4g}, "
+                  f"sha256 {record['sha256'][:8]}", flush=True)
+        bench["audit_summary"] = _audit_summary(
+            *([r for r in audits if r["side"] == side]
+              for side in ("parent", "change")))
+        args.out.write_text(json.dumps(bench, indent=1) + "\n")
+    _print_summary(bench.get("summary", {}))
+    if audits:
+        _print_audit(bench["audit_summary"])
     return 0
 
 

@@ -17,9 +17,12 @@ M_i = N/m_i: the sum S(M, s) of x^s over the subgroup of order M is
 M mod p, a unit since M | N, when M | s, and zero otherwise.  For each l2
 the l1 <= l2 that part i hits form one residue class mod M_i, so the check
 costs O(n + sum_i k^2/M_i), the n being the parts check.  An entry that
-several parts hit is tested for zero on the coefficient vectors of its
-few distinct theta^beta, which ``Field.power_vectors`` raises by
-companion-matrix powers, so the check reads no field table.
+several parts hit is tested for zero on the GF(p)-coefficients of its few
+distinct theta^beta: each is c_0^j theta^r with r = beta mod N/(p-1), and
+two distinct theta^r are independent over GF(p), so when the r number at
+most two each r's coefficient is tested on its own (``_beta_basis``).
+Every route's set has at most two, so the check reads no field table and
+searches no modulus; three or more take ``Field.power_vectors``.
 
 A set without parts, built by hand through ``EvalSet`` or a
 characteristic-2 union of several weights, takes the direct sum of every
@@ -46,6 +49,7 @@ import numpy as np
 from .errors import CapacityExceeded, DimensionTooLarge, UsageError
 from .evalsets import EvalSet
 from .field import TABLE_LIMIT, Elt, Field, mulmod
+from .numtheory import least_primitive_root
 
 
 @dataclass(eq=False)
@@ -160,12 +164,12 @@ def _parts_mask(f: Field, k: int, shift: int,
     (0, 0).  In row l2 the l1 <= l2 that part i hits are first, first +
     M_i, ..., with first = -(c_i + q*l2) mod M_i.  The hits are sorted by
     entry, each adds M_i mod p times the coefficient vector of its
-    theta^beta_i, and an entry is nonzero when its sum has a nonzero
-    coefficient mod p."""
+    theta^beta_i on the basis of ``_beta_basis``, and an entry is nonzero
+    when its sum has a nonzero coefficient mod p."""
     N, q, p = f.N, f.q, f.p
     betas = sorted({beta for _, _, beta in parts}
                    | ({border} if border is not None else set()))
-    vectors = f.power_vectors(betas)
+    vectors = _beta_basis(f, betas)
     l2 = np.arange(k)
     keys, which = [], []  # each hit's entry, and its row of terms
     terms = []  # per part, M mod p times the vector of its theta^beta
@@ -192,6 +196,30 @@ def _parts_mask(f: Field, k: int, shift: int,
         sums = np.add.reduceat(np.array(terms)[which[order]], starts)
         mask.flat[keys[starts[(sums % p).any(axis=1)]]] = True
     return mask
+
+
+def _beta_basis(f: Field, betas: list[int]) -> np.ndarray:
+    """int64 coefficient vectors of the theta^beta over GF(p), on a basis
+    in which a sum of them is zero exactly when its vector is zero mod p.
+
+    With R = N/(p-1), theta^R = c_0 generates GF(p)*, so theta^beta is
+    c_0^j * theta^r with j, r = divmod(beta, R).  Two distinct r below R
+    give theta^r independent over GF(p), as their ratio is a power of
+    theta that is not in GF(p)*.  So when the distinct r number at most
+    two, the theta^r are the basis and row i is c_0^j_i times the unit
+    vector of r_i: no modulus is searched.  Three or more take
+    ``Field.power_vectors``, which searches the modulus only for an r of
+    2h or more."""
+    R = f.N // (f.p - 1)
+    split = [divmod(beta, R) for beta in betas]
+    rs = sorted({r for _, r in split})
+    if len(rs) > 2:
+        return f.power_vectors(betas)
+    c0 = least_primitive_root(f.p)
+    out = np.zeros((len(betas), len(rs)), dtype=np.int64)
+    for row, (j, r) in enumerate(split):
+        out[row, rs.index(r)] = pow(c0, j, f.p)
+    return out
 
 
 def _gram_bad(f: Field, k: int, B: np.ndarray, E: np.ndarray,

@@ -15,11 +15,17 @@ characteristic two a point whose sum vanishes is left out, so unit-weight
 parts give the parity union (the points in an odd number of subgroups); in
 odd characteristic a vanishing sum is an error.  The mixed union weights
 its even part by a subfield element H, picked by ``find_h_shift_exponent``
-so that no shared point's sum vanishes.  Every weight lies in GF(q), so a
-shared point's sum is one lookup in GF(q)'s Zech table.  A set records the
-parts it was built from: the builder derives only the points, and
-``EvalSet`` computes the weights from the parts, or checks given weights
-against them, so that the Gram check may read its entries off the parts.
+so that no shared point's sum vanishes.
+
+A set records the parts it was built from, so that the Gram check may read
+its entries off the parts.  The builder derives only the points, and
+``EvalSet`` checks them against the parts by exponent arithmetic alone: the
+count, that some part holds each point, and that no sum vanishes.  j parts
+of one weight vanish exactly when p | j, and two nonzero terms
+theta^a + theta^b exactly when a - b = N/2 mod N.  The weights themselves
+are computed on first read, which only the generator matrix does: every
+weight lies in GF(q), so a shared point's sum is one lookup in GF(q)'s
+Zech table.  Given weights are checked against the parts entry by entry.
 """
 
 from __future__ import annotations
@@ -27,7 +33,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,70 +40,80 @@ from .errors import HypothesisViolated, NoValidH, NotChar2, WeightSumVanishes
 from .field import Field, mulmod
 
 
-@dataclass(frozen=True, eq=False)
 class EvalSet:
     """Distinct evaluation points with nonzero subfield weights.
 
     points and weights are read-only int64 arrays of exponents; sequences
     are converted on construction.  ``parts``, when given, is the list of
     parts (m, alpha, beta) the set is the weighted union of, alpha and beta
-    reduced mod N, and the weights are the union's (``_union_weights``):
-    given as None they are computed from the parts, and given they are
-    compared with them entry by entry.  The Gram check then reads every
-    entry off the parts.
+    reduced mod N, and the weights are the union's (``_union_weights``).
+    Given weights are compared with them entry by entry.  Given as None,
+    they are computed on first read, and construction checks only the
+    points (``_vanishing``): their count, that some part holds each, and
+    that no sum vanishes.  The Gram check reads every entry off the parts,
+    so no certificate computes a weight; only the matrix does.
     """
 
-    field: Field
-    points: np.ndarray
-    weights: np.ndarray | None
-    label: str
-    parts: tuple[tuple[int, int, int], ...] | None = None
-
-    def __post_init__(self):
-        f, N = self.field, self.field.N
-        pts = _read_only(self.points)
-        object.__setattr__(self, "points", pts)
+    def __init__(self, field: Field, points, weights, label: str,
+                 parts: tuple[tuple[int, int, int], ...] | None = None):
+        f, N = field, field.N
+        self.field, self.label = field, label
+        self.points = pts = _read_only(points)
         if not (pts[1:] > pts[:-1]).all():  # the builders' points ascend
             pts = np.sort(pts)
             if (pts[1:] == pts[:-1]).any():
                 raise HypothesisViolated("evaluation points must be distinct")
         if len(pts) and (pts[0] < 0 or pts[-1] >= N):
             raise HypothesisViolated("point exponent outside [0, N)")
-        W = None if self.weights is None else _read_only(self.weights)
+        W = None if weights is None else _read_only(weights)
         if W is not None and len(W) != len(pts):
             raise HypothesisViolated("one weight per point is needed")
-        if self.parts is None:
+        if parts is None:
             if W is None:
                 raise HypothesisViolated("a set without parts needs weights")
             # unit weights (all zero) need no pass of %
             if W.any() and (W % (f.q + 1)).any():
                 raise HypothesisViolated("weight outside the subfield")
+            self.parts, self.weights = None, W
+            return
+        self.parts = parts = tuple((int(m), int(alpha) % N, int(beta) % N)
+                                   for m, alpha, beta in parts)
+        classes = _classes(f, parts)
+        if f.p == 2 and len(classes) > 1:
+            raise HypothesisViolated("a characteristic-2 union of several "
+                                     "weights has no checkable parts")
+        lazy = W is None and len(classes) <= 2
+        if lazy:
+            vanish = _vanishing(f, self.points, classes)
         else:
-            parts = tuple((int(m), int(alpha) % N, int(beta) % N)
-                          for m, alpha, beta in self.parts)
-            object.__setattr__(self, "parts", parts)
-            classes = _classes(f, parts)
-            if f.p == 2 and len(classes) > 1:
-                raise HypothesisViolated("a characteristic-2 union of several "
-                                         "weights has no checkable parts")
             want = _union_weights(f, self.points, classes)
             vanish = np.flatnonzero(want < 0)
-            if W is None and len(vanish):
-                at = self.points[vanish]
-                held = functools.reduce(np.logical_or,
-                                        (at % m == 0 for m, _, _ in parts))
-                # a characteristic-2 union drops its vanishing points
-                if f.p == 2 or not held.all():
-                    raise HypothesisViolated("the points are not the union "
-                                             "of the parts")
-                raise WeightSumVanishes(
-                    f"combined weight vanishes at point exponent "
-                    f"{at.min()} ({self.label})")
-            if W is not None and (len(vanish) or (W != want).any()):
-                raise HypothesisViolated("the points and weights are not the "
-                                         "union of the parts")
-            W = _read_only(want)
-        object.__setattr__(self, "weights", W)
+        if W is None and len(vanish):
+            at = self.points[vanish]
+            held = functools.reduce(np.logical_or,
+                                    (at % m == 0 for m, _, _ in parts))
+            # a characteristic-2 union drops its vanishing points
+            if f.p == 2 or not held.all():
+                raise HypothesisViolated("the points are not the union "
+                                         "of the parts")
+            raise WeightSumVanishes(
+                f"combined weight vanishes at point exponent "
+                f"{at.min()} ({self.label})")
+        if W is not None and (len(vanish) or (W != want).any()):
+            raise HypothesisViolated("the points and weights are not the "
+                                     "union of the parts")
+        if lazy:
+            self._classes = classes
+        else:
+            self.weights = _read_only(want)
+
+    @functools.cached_property
+    def weights(self) -> np.ndarray:
+        """The union's weights, computed on first read; only a set of at
+        most two weights built from its parts reaches here, the others
+        are set on construction."""
+        return _read_only(_union_weights(self.field, self.points,
+                                         self._classes))
 
     def __len__(self) -> int:
         return len(self.points)
@@ -130,31 +145,68 @@ def _classes(field: Field, parts) -> dict[tuple[int, int], list[int]]:
     return classes
 
 
+def _multiplicities(field: Field, E: np.ndarray,
+                    classes: dict[tuple[int, int], list[int]]) -> list:
+    """For each weight class, the int8 count j of its parts holding each
+    point of E, one pass of % per part.  Raise HypothesisViolated unless E
+    has as many points as the union holds (``union_size``, the parity form
+    for a characteristic-2 union of one weight)."""
+    ms = tuple(m for group in classes.values() for m in group)
+    size = union_size(field.N, ms, field.p == 2 and len(classes) == 1)
+    if len(E) != size:
+        raise HypothesisViolated(f"{len(E)} points where the parts hold "
+                                 f"{size}")
+    return [functools.reduce(np.add, ((E % m == 0).view(np.int8)
+                                      for m in group))
+            for group in classes.values()]
+
+
+def _vanishing(field: Field, E: np.ndarray,
+               classes: dict[tuple[int, int], list[int]]) -> np.ndarray:
+    """The indices of the points of E that no part holds or whose weights
+    add up to zero, for one or two weight classes, by exponent arithmetic
+    alone: no weight is computed and no table read.  The count is checked
+    as in ``_multiplicities``.
+
+    j parts of one weight theta^c add up to j*theta^c, zero exactly when
+    p | j.  When two classes both add a nonzero j*theta^c, the sum
+    theta^a + theta^b, a = c_1 + log j_1 and b = c_2 + log j_2 with the
+    logs of GF(p) from ``Field.prime_logs``, vanishes exactly when
+    theta^(a-b) = -1, that is a - b = N/2 mod N (odd p; a
+    characteristic-2 set has one class)."""
+    N, p = field.N, field.p
+    # j mod p for each class; a class of fewer than p parts has j < p
+    js = [j % p if len(group) >= p else j for j, group in
+          zip(_multiplicities(field, E, classes), classes.values())]
+    zero = ~functools.reduce(np.logical_or, (j != 0 for j in js))
+    if len(js) == 2:
+        both = np.flatnonzero((js[0] != 0) & (js[1] != 0))
+        (a1, b1), (a2, b2) = classes
+        logs = field.prime_logs
+        diff = (mulmod(a1 - a2, E[both], N) + b1 - b2 + logs[js[0][both]]
+                - logs[js[1][both]]) % N
+        zero[both[diff == N // 2]] = True
+    return np.flatnonzero(zero)
+
+
 def _union_weights(field: Field, E: np.ndarray,
                    classes: dict[tuple[int, int], list[int]]) -> np.ndarray:
     """The weight exponent of each point of E in the union of the parts,
     -1 where the weights of the parts that hold it add up to zero (or no
     part holds it).  It takes a few passes over the points per part and
-    builds no N-entry array.
+    builds no N-entry array; the count is checked as in
+    ``_multiplicities``.
 
-    Raise HypothesisViolated unless E has as many points as the union
-    holds (``union_size``, the parity form for a characteristic-2 union of
-    one weight).  j parts of one weight (alpha, beta) holding the point e
-    add up to theta^(beta + alpha*e + log(j mod p)), with the logs of GF(p)
-    from ``Field.prime_logs``; j = 0 and j = 0 mod p have none.  Parts of
+    j parts of one weight (alpha, beta) holding the point e add up to
+    theta^(beta + alpha*e + log(j mod p)), with the logs of GF(p) from
+    ``Field.prime_logs``; j = 0 and j = 0 mod p have none.  Parts of
     different weights (a mixed union's shared points) are added in GF(q):
     theta^a + theta^b = theta^(b + (q+1)*Z[(a - b)/(q+1)]), with Z
     ``Field.subfield_zech``."""
     N, p, q = field.N, field.p, field.q
-    ms = tuple(m for group in classes.values() for m in group)
-    size = union_size(N, ms, p == 2 and len(classes) == 1)
-    if len(E) != size:
-        raise HypothesisViolated(f"{len(E)} points where the parts hold "
-                                 f"{size}")
     want = None
-    for (alpha, beta), group in classes.items():
-        j = functools.reduce(np.add, ((E % m == 0).view(np.int8)
-                                      for m in group))
+    for j, ((alpha, beta), group) in zip(_multiplicities(field, E, classes),
+                                         classes.items()):
         # one part: log 1 = 0 where it holds the point, and -1 elsewhere
         w = j - 1 if len(group) == 1 else field.prime_logs[
             j % p if len(group) >= p else j]

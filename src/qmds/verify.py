@@ -214,13 +214,23 @@ def check_mds_rank(field: Field, matrix,
 # MDS route 2: exhaustive minimum weight
 # --------------------------------------------------------------------------
 
+def _words(field: Field, logs: np.ndarray) -> np.ndarray:
+    """The words of the elements ``logs`` (log form, -1 for zero), indices
+    below 2N: for p = 2 the packed masks of ``Field.mask_ext``, a shape
+    like logs', and for odd p the rows of ``Field.digits``, one more axis
+    of lane words."""
+    table = field.mask_ext if field.p == 2 else field.digits
+    words = table[np.maximum(logs, 0)]
+    words[logs < 0] = 0
+    return words
+
+
 def _np_multiples(field: Field, row: np.ndarray) -> np.ndarray:
-    """(q^2, n) packed coefficient vectors of c * row for every scalar c,
-    zero first; ``row`` is in log form."""
-    scalars = np.arange(field.N)[:, None]
-    shifted = np.where(row >= 0, (row + scalars) % field.N, -1)
-    return np.vstack((np.zeros((1, len(row)), dtype=np.int64),
-                      field.exp0[shifted]))
+    """The words (``_words``) of c * row for every scalar c, zero first: an
+    array of q^2 rows; ``row`` is in log form."""
+    shifted = np.where(row >= 0, row + np.arange(field.N)[:, None], -1)
+    words = _words(field, shifted)
+    return np.concatenate((np.zeros_like(words[:1]), words))
 
 
 def _np_min_weight(field: Field, logs: np.ndarray) -> int:
@@ -229,16 +239,29 @@ def _np_min_weight(field: Field, logs: np.ndarray) -> int:
     Every nonzero message is a nonzero scalar times exactly one of them, and
     scaling keeps the weight, so this is the minimum over all of them.
     Leading position i fixes coordinate i to 1 and those before it to 0,
-    and runs the rows after i over every multiple.
+    and runs the rows after i over every multiple.  The codewords are sums
+    of words (``_words``): XORs of masks for p = 2, and for odd p sums of
+    digit-lane words, where each lane adds at most k digits below p.  A
+    lane holds 65535 without carrying into the next, and k*(p - 1) stays
+    below 2^16 for every run the enumeration budget admits: past it,
+    k >= 32 and the q^(2k) >= 9^32 messages could not be enumerated.  So
+    each lane mod p is one coordinate digit of the sum.
     """
     k, n = logs.shape
+    p = field.p
+    add = np.bitwise_xor if p == 2 else np.add
+    # each lane's residue mod p, by a gather from its at most k*(p-1) values
+    residues = (np.arange(k * (p - 1) + 1) % p).astype(np.uint16)
     mults = [_np_multiples(field, r) for r in logs[1:]]
     best = n
     for i in range(k):
-        words = field.exp0[logs[i]][None, :]
+        words = _words(field, logs[i])[None]
         for m in mults[i:]:
-            words = field.np_packed_add(words[:, None, :],
-                                        m[None, :, :]).reshape(-1, n)
+            words = add(words[:, None], m[None]).reshape(
+                (-1,) + words.shape[1:])
+        if p != 2:  # a coordinate is zero when every lane is 0 mod p
+            words = np.bitwise_or.reduce(residues.take(
+                words.view(np.uint16)).view(words.dtype), axis=-1)
         best = min(best, int(np.count_nonzero(words, axis=1).min()))
     return best
 

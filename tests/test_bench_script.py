@@ -1,6 +1,7 @@
 """scripts/bench.py: seed lists, summaries and --compare, on runs written
 by hand (running perfbench itself takes minutes)."""
 
+import hashlib
 import importlib.util
 import json
 from pathlib import Path
@@ -200,3 +201,82 @@ def test_pass_counts_beside_peak_rss(tmp_path, capsys):
     line = next(x for x in capsys.readouterr().out.splitlines()
                 if "peak_rss_mb" in x)
     assert line.endswith("wins 0/1  passes  B 700")
+
+
+def _stub_checkout(tree, seconds):
+    """A checkout whose ``qmds`` audits by sleeping and prints one line."""
+    pkg = tree / "src" / "qmds"
+    pkg.mkdir(parents=True)
+    (pkg / "__init__.py").write_text("")
+    (pkg / "audit.py").write_text(
+        f"import time\ndef audit_tables():\n    time.sleep({seconds})\n")
+    (pkg / "cli.py").write_text(
+        "import sys\ndef main(argv):\n    sys.stdout.write(' '.join(argv))\n"
+        "    return 1\n")
+
+
+def test_audit_run_records_time_memory_and_the_printed_hash(tmp_path):
+    # the probe imports the checkout's own src, so the stub is what runs
+    _stub_checkout(tmp_path, 0.05)
+    record = bench._audit_run(tmp_path)
+    assert record["audit_s"] >= 0.05
+    assert record["ru_maxrss_mb"] > 1
+    assert record["sha256"] == hashlib.sha256(b"audit").hexdigest()
+
+
+def _audit(side, audit_s, rss, sha="60c3c778" + "0" * 56):
+    return {"side": side, "audit_s": audit_s, "ru_maxrss_mb": rss,
+            "sha256": sha}
+
+
+def test_audit_summary_and_compare(tmp_path, capsys):
+    parent = [_audit("parent", 0.15, 80.0), _audit("parent", 0.13, 82.0)]
+    change = [_audit("change", 0.08, 58.0), _audit("change", 0.14, 58.5)]
+    summary = bench._audit_summary(parent, change)
+    assert summary["audit_s"]["parent"]["median"] == pytest.approx(0.14)
+    assert summary["audit_s"]["change"]["median"] == pytest.approx(0.11)
+    assert summary["audit_s"]["wins"] == "1/2"  # the second pair is slower
+    assert summary["ru_maxrss_mb"]["wins"] == "2/2"
+    assert summary["sha256"] == {"parent": ["60c3c778" + "0" * 56],
+                                 "change": ["60c3c778" + "0" * 56]}
+    pa, pb = tmp_path / "a.json", tmp_path / "b.json"
+    pa.write_text(json.dumps({"sides": {"change": "aaa"}, "runs": [],
+                              "audit_runs": [{**r, "side": "change"}
+                                             for r in parent]}))
+    pb.write_text(json.dumps({"sides": {"change": "bbb"}, "runs": [],
+                              "audit_runs": change + [
+                                  _audit("parent", 9.0, 9.0, "f" * 64)]}))
+    assert bench.main(["--compare", str(pa), str(pb)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[out.index("audit") + 1:] == [
+        "  audit_s       A 0.14 (0.135-0.145)  B 0.11 (0.095-0.125)"
+        "  delta -21.4 %  wins 1/2",
+        "  ru_maxrss_mb  A 81 (80.5-81.5)  B 58.25 (58.12-58.38)"
+        "  delta -28.1 %  wins 2/2",
+        "  sha256        A 60c3c778  B 60c3c778"]
+
+
+def test_main_runs_only_the_audit(tmp_path, monkeypatch, capsys):
+    # no workload, two audit records per side, alternating which runs first
+    (tmp_path / "here" / "perfbench").mkdir(parents=True)
+    (tmp_path / "here" / "perfbench" / "run.py").write_text("")
+    monkeypatch.chdir(tmp_path / "here")
+    monkeypatch.setattr(bench, "_describe", lambda tree: tree.name)
+    seen = []
+
+    def fake(tree):
+        seen.append(tree.name)
+        return {"audit_s": 0.1, "ru_maxrss_mb": 50.0, "sha256": "a" * 64}
+    monkeypatch.setattr(bench, "_audit_run", fake)
+    out = tmp_path / "b.json"
+    assert bench.main(["--workloads", "--audit-runs", "2", "--parent",
+                       str(tmp_path / "parent"), "--out", str(out)]) == 0
+    assert seen == ["parent", "here", "here", "parent"]
+    saved = json.loads(out.read_text())
+    assert saved["runs"] == [] and len(saved["audit_runs"]) == 4
+    assert saved["audit_summary"]["audit_s"]["wins"] == "0/2"
+    assert "  sha256        parent aaaaaaaa  change aaaaaaaa" in \
+        capsys.readouterr().out.splitlines()
+    with pytest.raises(SystemExit):
+        bench._parse(["--parent", str(tmp_path), "--seeds", "1-2",
+                      "--audit-runs", "3", "--out", str(out)])

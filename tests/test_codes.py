@@ -13,8 +13,10 @@ from naive_algebra import (
     rank,
     weighted_pair_sum,
 )
+from qmds import codes
 from qmds.codes import (
     CodeArtifact,
+    _beta_basis,
     _gram_bad,
     eval_code,
     extend_c1,
@@ -573,6 +575,54 @@ def test_parts_route_reads_three_betas():
     assert len({beta for _, _, beta in es.parts}) == 3
     art = CodeArtifact(f, es, 10, 5, has_border=True, border_entry=31)
     assert check_parts_route(art) == gram_zero_structured(art)
+
+
+# --- the basis of the theta^beta ---------------------------------------------
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_beta_basis_decides_zero_like_the_polynomial_basis(data):
+    # 1-4 exponents theta^beta, mostly c_0^j theta^r with r from a pool of
+    # two, and a GF(p)-combination of them: zero on the basis of
+    # ``_beta_basis`` exactly when zero on the coefficient vectors
+    q = data.draw(st.sampled_from([9, 25, 27, 49, 121, 8, 16]))
+    f = field_for_q(q)
+    R = f.N // (f.p - 1)
+    pool = data.draw(st.lists(st.integers(0, R - 1), min_size=2, max_size=2))
+    betas = sorted(set(data.draw(st.lists(
+        st.builds(lambda j, r: j * R + r, st.integers(0, f.p - 2),
+                  st.sampled_from(pool)) | st.integers(0, f.N - 1),
+        min_size=1, max_size=4))))
+    c = np.array(data.draw(st.lists(st.integers(0, f.p - 1),
+                                    min_size=len(betas),
+                                    max_size=len(betas))))
+    zero = not (c @ _beta_basis(f, betas) % f.p).any()
+    assert zero == (not (c @ f.power_vectors(betas) % f.p).any())
+
+
+def test_mixed_union_masks_on_the_class_basis(monkeypatch):
+    # the class basis against the companion-matrix vectors, on every sweep
+    # choice of mixed_union at six q, at k and k + 1: the same masks, so the
+    # same first witness.  Each set has betas 0 and H = q + 1, two classes;
+    # none of these q is prime, so H lies past 2h, where the vectors take
+    # companion-matrix powers
+    cases = []
+    for q in (9, 25, 49, 121, 169, 289):
+        for cert in sweep("mixed_union", q):
+            for k in (cert.k, cert.k + 1):
+                if k <= cert.n:
+                    cases.append(raw_artifact("mixed_union", q, cert.params,
+                                              k))
+    got = [(gram_nonzero_mask(art), gram_zero(art)) for art in cases]
+    monkeypatch.setattr(codes, "_beta_basis",
+                        lambda f, betas: f.power_vectors(betas))
+    for art, (mask, verdict) in zip(cases, got):
+        assert np.array_equal(gram_nonzero_mask(art), mask)
+        assert gram_zero(art) == verdict
+    assert len(cases) > 150
+    assert all(art.evalset.parts[1][2] == art.field.q + 1 for art in cases)
+    assert sum(verdict[0] for _, verdict in got) * 2 == len(cases)
 
 
 # --- the digit-lane sums ------------------------------------------------------

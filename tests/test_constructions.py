@@ -164,13 +164,14 @@ def test_c1_ext_builds_its_subgroup_once(monkeypatch):
 ])
 def test_only_mixed_union_certificates_build_tables(monkeypatch, construction,
                                                     q, params):
-    # the Gram check reads every entry off the parts, the GF(p) logs have
-    # their own p-entry table and a mixed union's shared weights are added
-    # through the q-entry Zech table of GF(q), so no certificate builds the
-    # field's exp/log tables, at k and, on the same set, at k + 1.  Each
-    # theta^e the parts need is c_0^j x^i, e = j*N/(p-1) + i with i < 2h,
-    # so the modulus is not searched either, except where the Zech table
-    # of a GF(q) that is not prime multiplies by theta^(q+1+i)
+    # the name is older than the check: no certificate, mixed_union's
+    # included, builds a table.  The Gram check reads every entry off the
+    # parts and the set checks its points by exponent arithmetic, reading
+    # no weight, so neither the field's exp/log tables nor GF(q)'s Zech
+    # table is built, at k and, on the same set, at k + 1.  Each
+    # theta^beta the parts need is c_0^j theta^r, r = beta mod N/(p-1),
+    # and the few distinct theta^r are independent over GF(p), so the
+    # modulus is not searched either
     fields = []
 
     def fresh(q):
@@ -183,10 +184,33 @@ def test_only_mixed_union_certificates_build_tables(monkeypatch, construction,
                          art.has_border, art.border_entry)
     assert gram_zero(grown)[0] is False
     assert fields == [art.field]
-    assert "tables" not in vars(art.field)
-    assert ("subfield_zech" in vars(art.field)) == (
-        construction == "mixed_union")
-    assert ("modulus" in vars(art.field)) == (q == 49)
+    assert not {"tables", "subfield_zech", "modulus"} & set(vars(art.field))
+
+
+def test_no_sweep_certificate_builds_tables_or_searches(monkeypatch):
+    # counted over every sweep choice of the seven constructions at every
+    # prime power q <= 127 and at q = 169 and 211, each certified at
+    # FULL_MATRIX on a fresh field: none builds a table or reads the
+    # modulus
+    fields = []
+
+    def fresh(q):
+        fields.append(Field(*is_prime_power(q)))
+        return fields[-1]
+    monkeypatch.setattr(constructions, "field_for_q", fresh)
+    for construction, route in constructions.ROUTES.items():
+        for q in [*range(2, 128), 169, 211]:
+            pp = is_prime_power(q)
+            if pp is None or route.char2 not in (None, pp[0] == 2):
+                continue
+            for cert in constructions.sweep(construction, q):
+                built = build(construction, q, want_matrix="require",
+                              **cert.params)
+                assert built.verified_level == "FULL_MATRIX"
+    assert len(fields) == 761
+    read = [vars(f).keys() & {"tables", "subfield_zech", "modulus"}
+            for f in fields]
+    assert read == [set()] * len(fields)
 
 
 def test_k_defaults_and_caps():

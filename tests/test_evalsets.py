@@ -1,9 +1,10 @@
+import hashlib
 import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qmds.errors import (
@@ -25,7 +26,7 @@ import naive_algebra as na
 from naive_algebra import shared_weight_obstructions
 from qmds import audit, codes, constructions, evalsets, tables
 from qmds.evalsets import shared_weight_obstructions as forbidden_coset
-from qmds.field import TABLE_LIMIT, build_field, field_for_q
+from qmds.field import TABLE_LIMIT, Field, build_field, field_for_q
 from qmds.numtheory import divisors, is_prime_power
 from test_constructions import builds_recorded
 
@@ -510,6 +511,107 @@ def test_mixed_union_past_the_table_limit():
     def vec(exps):
         return f.power_vectors(exps[shared].tolist())
     assert np.array_equal(vec(W), (vec(a) + vec(b)) % f.p)
+
+
+# --- the weights, computed on first read --------------------------------------
+
+
+def sweep_sets(qs):
+    """(q, the set certifying it) for every sweep choice of the seven
+    constructions at each q of ``qs`` that the route admits."""
+    for construction, route in constructions.ROUTES.items():
+        for q in qs:
+            pp = is_prime_power(q)
+            if pp is None or route.char2 not in (None, pp[0] == 2):
+                continue
+            for cert in constructions.sweep(construction, q):
+                parts = route.parts(q, cert.params, cert.H or 0)
+                yield q, weighted_union(field_for_q(q), parts, construction)
+
+
+def test_weights_read_on_demand_equal_the_eager_union():
+    # every sweep choice at every prime power q <= 127 and at q = 169 and
+    # 211: no weight is computed until read, and then the weights are
+    # those of ``_union_weights``, read-only int64 arrays.  The hash of
+    # every set's points and weights is the one the sets had when their
+    # weights were computed on construction
+    digest, count = hashlib.sha256(), 0
+    for q, es in sweep_sets([*range(2, 128), 169, 211]):
+        assert "weights" not in vars(es)
+        f = es.field
+        want = evalsets._union_weights(f, es.points,
+                                       evalsets._classes(f, es.parts))
+        W = es.weights
+        assert W.dtype == np.int64 and not W.flags.writeable
+        assert np.array_equal(W, want) and es.weights is W
+        digest.update(es.points.tobytes())
+        digest.update(W.tobytes())
+        count += 1
+    assert count == 761
+    assert digest.hexdigest() == ("5af873ca7aa9d974d2faaed5f85ba44d"
+                                  "6f21eabbed2726ff85e353feea47d391")
+
+
+@st.composite
+def weight_pairs(draw):
+    """GF(q^2), q odd, and two weight classes of 1-3 parts each: alpha in
+    {0, q + 1}, or (q + 1)/2 on a class of even m, and beta a subfield
+    exponent.  The second beta is often the first plus N/2, so that the
+    point 1, which every part holds, often sums to zero."""
+    q = draw(st.sampled_from([3, 5, 7, 9, 13, 25, 27]))
+    N = q * q - 1
+    weights = []
+    for _ in range(2):
+        even = draw(st.booleans())
+        alphas = [0, q + 1] + ([(q + 1) // 2] if even else [])
+        beta = (q + 1) * draw(st.integers(0, q - 2))
+        if weights and draw(st.booleans()):
+            beta = (weights[0][2] + N // 2) % N
+        weights.append((even, draw(st.sampled_from(alphas)), beta))
+    assume(weights[0][1:] != weights[1][1:])
+    parts = []
+    for even, alpha, beta in weights:
+        pool = [m for m in divisors(N) if m % 2 == 0 or not even]
+        for m in draw(st.lists(st.sampled_from(pool), min_size=1,
+                               max_size=3, unique=True)):
+            parts.append((m, alpha, beta))
+    return field_for_q(q), tuple(parts)
+
+
+@settings(max_examples=300)
+@given(weight_pairs())
+def test_two_class_vanishing_equals_the_zech_sum(case):
+    # the exponent test against the weights added through GF(q)'s Zech
+    # table: the same points vanish, over the whole union
+    f, parts = case
+    classes = evalsets._classes(f, parts)
+    assert len(classes) == 2
+    E = evalsets._union_points(f.N, [m for m, _, _ in parts])
+    want = evalsets._union_weights(f, E, classes)
+    assert np.array_equal(evalsets._vanishing(f, E, classes),
+                          np.flatnonzero(want < 0))
+
+
+def test_forbidden_shift_vanishes_at_the_first_forbidden_point():
+    # every mixed_union sweep choice at four q that are not prime, built
+    # with the smallest forbidden shift r: the error names the smallest
+    # shared point e where x^((q+1)/2) = -theta^r, that is
+    # e(q+1)/2 = r + N/2 mod N, and builds no Zech table
+    checked = 0
+    for q in (49, 121, 169, 289):
+        for cert in constructions.sweep("mixed_union", q):
+            m1, m2 = cert.params["m1"], cert.params["m2"]
+            r, _ = forbidden_coset(q, m1, m2)
+            N = q * q - 1
+            shared = np.arange(0, N, math.lcm(m1, m2))
+            bad = shared[(shared * (q + 1) // 2 - r - N // 2) % N == 0]
+            f = Field(*is_prime_power(q))  # a fresh cache
+            with pytest.raises(WeightSumVanishes,
+                               match=f"exponent {bad.min()} "):
+                mixed_union(f, m1, m2, r)
+            assert "subfield_zech" not in vars(f)
+            checked += 1
+    assert checked == 100
 
 
 # --- the arrays are shared, so they are read-only ------------------------------
