@@ -40,10 +40,9 @@ int32 numpy tables ``exp`` (theta^e packed, q^2 - 1 entries) and ``log``
 (q^2 entries, -1 for zero), so they exist only for fields up to 2^22
 elements; past that every operation that needs them raises
 ``CapacityExceeded``.  The vectorized paths index these arrays, or the
-arrays derived from them (``mask_ext``, ``digits``, ``exp0``), with whole
-arrays of exponents.  exp is the head of one buffer, [exp, exp, 0] for
-p = 2 and [exp, 0] for odd p, of which ``exp0`` and the p = 2 ``mask_ext``
-are views.  ``digits`` holds the base-p digits point-major: the row of
+arrays derived from them (``mask_ext``, ``digits``), with whole arrays of
+exponents.  For p = 2 exp is the head of one buffer [exp, exp], which
+``mask_ext`` views.  ``digits`` holds the base-p digits point-major: the row of
 exponent e is 2h uint16 lanes, lane d the coefficient of x^d, viewed as
 one uint32 word (h = 1), one uint64 word (h = 2) or a few words, so that
 summing rows word by word sums every digit at once.
@@ -206,7 +205,7 @@ def canonical_modulus(p: int, n: int, n_factors: tuple[int, ...]) -> tuple[int, 
 
 def _odd_exp_table(p: int, n: int, modulus: tuple[int, ...],
                    lanes: np.ndarray) -> np.ndarray:
-    """The int32 buffer [exp, 0] of the packed theta^e for e in [0, N),
+    """The int32 table exp of the packed theta^e for e in [0, N),
     N = p^n - 1, after writing the base-p digits of theta^e for e in
     [0, 2N) into the (2N, n) uint16 ``lanes``, lane d the coefficient of
     x^d, rows N .. 2N-1 repeating rows 0 .. N-1.
@@ -253,18 +252,15 @@ def _odd_exp_table(p: int, n: int, modulus: tuple[int, ...],
         np.take(pw, idx[:k], out=blocks[j:j + k], mode="clip")
         idx += b
     blocks[p - 1:] = blocks[:p - 1]
-    buf = np.empty(N + 1, dtype=np.int32)
-    exp = buf[:N]
-    exp[:] = lanes[:N, n - 1]
+    exp = lanes[:N, n - 1].astype(np.int32)
     for d in range(n - 2, -1, -1):
         exp *= p
         exp += lanes[:N, d]
-    buf[N] = 0
-    return buf
+    return exp
 
 
 def _char2_exp_table(n: int, modulus: tuple[int, ...]) -> np.ndarray:
-    """The int32 buffer [exp, exp, 0] of the packed theta^e for e in
+    """The int32 buffer [exp, exp] of the packed theta^e for e in
     [0, 2^n - 1), by doubling: theta^L .. theta^(2L-1) are theta^0 ..
     theta^(L-1) times theta^L, a GF(2)-linear map of the coefficient masks,
     applied a byte of each mask at a time through 256-entry tables of the
@@ -272,7 +268,7 @@ def _char2_exp_table(n: int, modulus: tuple[int, ...]) -> np.ndarray:
     red = sum(c << i for i, c in enumerate(modulus[:n]))
     top = 1 << n
     N = top - 1
-    buf = np.empty(2 * N + 1, dtype=np.int32)
+    buf = np.empty(2 * N, dtype=np.int32)
     exp = buf[:N]
     exp[0] = 1
     L = 1
@@ -292,8 +288,7 @@ def _char2_exp_table(n: int, modulus: tuple[int, ...]) -> np.ndarray:
             out ^= tab[(exp[:m] >> j) & (len(tab) - 1)]
         exp[L:L + m] = out
         L += m
-    buf[N:2 * N] = exp
-    buf[2 * N] = 0
+    buf[N:] = exp
     return buf
 
 
@@ -351,7 +346,7 @@ class Field:
     @functools.cached_property
     def _arrays(self) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
         """The read-only buffers behind ``tables`` and its derived arrays:
-        the int32 exp buffer ([exp, exp, 0] for p = 2, [exp, 0] for odd p),
+        the int32 exp buffer ([exp, exp] for p = 2, exp for odd p),
         the int32 log table and, for odd p, the (2N, 2h) uint16 digit lanes
         the exp table was packed from (None for p = 2).  The derived arrays
         read ``tables`` first, so a field whose tables were built always
@@ -537,16 +532,6 @@ class Field:
             raise UsageError("mask_ext is the p = 2 table; odd p sums digits")
         self.tables
         return self._arrays[0][:2 * self.N]
-
-    @functools.cached_property
-    def exp0(self) -> np.ndarray:
-        """int32 packed theta^e for e in [0, N) followed by 0, so that
-        exp0[-1] is the zero vector: it maps arrays of elements in log form,
-        -1 for zero, to packed vectors, and ``tables[1]`` maps them back.
-        It is the whole exp buffer, so for p = 2 it holds theta^e for e in
-        [0, 2N) before the 0."""
-        self.tables
-        return self._arrays[0]
 
     def np_packed_add(self, va: np.ndarray, vb: np.ndarray) -> np.ndarray:
         """Elementwise sum of packed coefficient vectors (broadcasting): XOR

@@ -250,8 +250,6 @@ def _np_min_weight(field: Field, logs: np.ndarray) -> int:
     k, n = logs.shape
     p = field.p
     add = np.bitwise_xor if p == 2 else np.add
-    # each lane's residue mod p, by a gather from its at most k*(p-1) values
-    residues = (np.arange(k * (p - 1) + 1) % p).astype(np.uint16)
     mults = [_np_multiples(field, r) for r in logs[1:]]
     best = n
     for i in range(k):
@@ -260,8 +258,9 @@ def _np_min_weight(field: Field, logs: np.ndarray) -> int:
             words = add(words[:, None], m[None]).reshape(
                 (-1,) + words.shape[1:])
         if p != 2:  # a coordinate is zero when every lane is 0 mod p
-            words = np.bitwise_or.reduce(residues.take(
-                words.view(np.uint16)).view(words.dtype), axis=-1)
+            lanes = words.view(np.uint16)
+            lanes -= lanes // p * p  # a division by a scalar is fast
+            words = np.bitwise_or.reduce(words, axis=-1)
         best = min(best, int(np.count_nonzero(words, axis=1).min()))
     return best
 

@@ -352,7 +352,7 @@ def test_derived_tables_leave_the_backend_unchanged(p, h):
     f = Field(p, h)
     exp, log = (t.copy() for t in f.tables)
     # mask_ext is the p = 2 table; odd p sums digits instead
-    names = ["digits", "exp0"] + (["mask_ext"] if p == 2 else [])
+    names = ["digits"] + (["mask_ext"] if p == 2 else [])
     derived = [getattr(f, name) for name in names]
     if p != 2:
         with pytest.raises(UsageError):
@@ -363,12 +363,9 @@ def test_derived_tables_leave_the_backend_unchanged(p, h):
     assert np.array_equal(f.tables[1], log)
     for arr in derived + [f.digits.view(np.uint16)]:
         assert not arr.flags.writeable
-    # exp0 and mask_ext are views of the one exp buffer: [exp, exp, 0] for
-    # p = 2, [exp, 0] for odd p
-    assert np.shares_memory(f.exp0, f.tables[0])
-    assert list(f.exp0) == list(exp) * (2 if p == 2 else 1) + [0]
+    # mask_ext is the one exp buffer [exp, exp]
     if p == 2:
-        assert np.shares_memory(f.mask_ext, f.exp0)
+        assert np.shares_memory(f.mask_ext, f.tables[0])
         assert list(f.mask_ext) == list(exp) * 2
     # a second round reads the cache
     assert all(getattr(f, name) is arr for name, arr in zip(names, derived))
