@@ -42,10 +42,10 @@ elements; past that every operation that needs them raises
 ``CapacityExceeded``.  The vectorized paths index these arrays, or the
 arrays derived from them (``mask_ext``, ``digits``), with whole arrays of
 exponents.  For p = 2 exp is the head of one buffer [exp, exp], which
-``mask_ext`` views.  ``digits`` holds the base-p digits point-major: the row of
-exponent e is 2h uint16 lanes, lane d the coefficient of x^d, viewed as
-one uint32 word (h = 1), one uint64 word (h = 2) or a few words, so that
-summing rows word by word sums every digit at once.
+``mask_ext`` views.  ``digits`` holds the base-p digits point-major: the
+row of exponent e is 2h uint16 lanes, lane d the coefficient of x^d,
+viewed as one uint32 word (h = 1), one uint64 word (h = 2) or a few
+words, so that summing rows word by word sums every digit at once.
 
 The exp tables are built by doubling, theta^L .. theta^(2L-1) being
 theta^0 .. theta^(L-1) times theta^L.  For odd p only the base block
