@@ -9,9 +9,9 @@ column that is nonzero only in row 0.
 ``gram_zero`` is the self-orthogonality check.  Entry (l1, l2) of the
 upper triangle is sum_j theta^(B_j + E_j*t) with t = l1 + q*l2, over the
 point exponents E_j and B_j = w_j + shift*(q+1)*E_j, plus theta^(b*(q+1))
-at (0, 0) for a border entry theta^b.  Every set the constructions build
-is a weighted union of parts (m_i, alpha_i, beta_i), and ``EvalSet`` has
-checked on construction that its arrays are exactly that union, so the
+at (0, 0) for a border entry theta^b.  Every set is a weighted union of
+parts (m_i, alpha_i, beta_i), and ``EvalSet`` has checked on construction
+that its points are exactly that union, so the
 entry is sum_i theta^beta_i * S(M_i, alpha_i + shift*(q+1) + t) with
 M_i = N/m_i: the sum S(M, s) of x^s over the subgroup of order M is
 M mod p, a unit since M | N, when M | s, and zero otherwise.  For each l2
@@ -21,22 +21,17 @@ several parts hit is tested for zero on the GF(p)-coefficients of its few
 distinct theta^beta: each is c_0^j theta^r with r = beta mod N/(p-1), and
 two distinct theta^r are independent over GF(p), so when the r number at
 most two each r's coefficient is tested on its own (``_beta_basis``).
-Every route's set has at most two, so the check reads no field table and
-searches no modulus; three or more take ``Field.power_vectors``.
+Every route's set has at most two, so its check searches no modulus;
+three or more take ``Field.power_vectors``.  No set's check reads a field
+table, so it runs on fields past 2^22 elements as well.
 
-A set without parts, built by hand through ``EvalSet`` or a
-characteristic-2 union of several weights, takes the direct sum of every
-entry over every point (``packed_sums``), which reads the field's exp/log
-tables; a field of more than 2^22 elements has none and is refused there
-(``CapacityExceeded``).  For p = 2 a sum is the XOR of packed int32
-coefficient masks.  For odd p a term is one row of ``Field.digits``, its 2h
-base-p digits as 16-bit lanes of one or a few words, and the terms' words
-are added as integers: a lane of at most 65535 // (p-1) digits cannot carry
-into the next, so each lane is an exact digit sum, reduced mod p once per
-sum (longer runs are added in sub-runs of that many terms).  The witness
-is the first offending row pair in row-major order, so the tests' scalar
-references, which compute each entry directly from the field arithmetic,
-cross-check either route witness for witness.
+The witness is the first offending row pair in row-major order, so the
+tests' scalar references, which compute each entry directly from the field
+arithmetic, and their direct sum over every point cross-check the route
+witness for witness.  ``packed_sums``, the digit-lane sums of the MDS routes
+in ``verify``, adds terms read from the field's tables: for p = 2 the XOR of
+packed int32 coefficient masks, for odd p the rows of ``Field.digits`` added
+as integers, a 16-bit lane per base-p digit.
 """
 
 from __future__ import annotations
@@ -46,9 +41,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import CapacityExceeded, DimensionTooLarge, UsageError
+from .errors import DimensionTooLarge, UsageError
 from .evalsets import EvalSet
-from .field import TABLE_LIMIT, Elt, Field, mulmod
+from .field import Elt, Field, mulmod
 from .numtheory import least_primitive_root
 
 
@@ -140,19 +135,14 @@ def gram_nonzero_mask(artifact: CodeArtifact) -> np.ndarray:
 
     Entry (l1, l2) is sum_j theta^(B_j + E_j*(l1 + q*l2)) with
     B_j = w_j + shift*(q+1)*E_j, plus the border term at (0, 0).  It is
-    read off the set's parts (``_parts_mask``), or summed over every point
-    when the set has none (``_gram_bad``).
+    read off the set's parts (``_parts_mask``).
     """
-    f, es = artifact.field, artifact.evalset
+    f = artifact.field
     border = None  # the exponent of the border term
     if artifact.has_border and artifact.border_entry is not None:
         border = f.norm(artifact.border_entry)
-    if es.parts is not None:
-        return _parts_mask(f, artifact.k, artifact.shift, es.parts, border)
-    E = es.points
-    B = (es.weights + mulmod(artifact.shift * (f.q + 1), E, f.N)) % f.N
-    border_packed = 0 if border is None else int(f.tables[0][border])
-    return _gram_bad(f, artifact.k, B, E, border_packed)
+    return _parts_mask(f, artifact.k, artifact.shift, artifact.evalset.parts,
+                       border)
 
 
 def _parts_mask(f: Field, k: int, shift: int,
@@ -222,32 +212,6 @@ def _beta_basis(f: Field, betas: list[int]) -> np.ndarray:
     return out
 
 
-def _gram_bad(f: Field, k: int, B: np.ndarray, E: np.ndarray,
-              border_packed: int) -> np.ndarray:
-    """k x k upper-triangular mask of the nonzero entries
-    sum_j theta^(B_j + E_j*t), t = l1 + q*l2, for exponents
-    0 <= B_j, E_j < N, plus ``border_packed`` at (0, 0): the direct sum of
-    every entry over every point, by ``packed_sums`` in blocks of about
-    2^16 terms.  It reads the field's tables, so a field past 2^22
-    elements is refused (``CapacityExceeded``)."""
-    if f.q2 > TABLE_LIMIT:
-        raise CapacityExceeded(f"field size {f.q2} exceeds 2^22 "
-                               "(no exp/log tables for the Gram sums)")
-    N, q = f.N, f.q
-    l1, l2 = np.triu_indices(k)
-    t = (l1 + q * l2) % N
-    sums = np.zeros(len(t), dtype=np.int64)  # an empty set sums to zero
-    step = max(1, (1 << 16) // max(1, len(E)))
-    for lo in range(0, len(t) if len(E) else 0, step):
-        sums[lo:lo + step] = packed_sums(
-            f, B + E * t[lo:lo + step, None] % N, [0])[:, 0]
-    if border_packed and len(t):
-        sums[0] = f.np_packed_add(sums[0], np.int64(border_packed))
-    mask = np.zeros((k, k), dtype=bool)
-    mask[l1, l2] = sums != 0
-    return mask
-
-
 def packed_sums(f: Field, idx: np.ndarray, starts,
                 zero: np.ndarray | None = None) -> np.ndarray:
     """int32 packed sums of theta^idx over the runs of the last axis that
@@ -297,4 +261,5 @@ def packed_sums(f: Field, idx: np.ndarray, starts,
 
 def matrix_to_strings(matrix) -> list[str]:
     """Rows rendered as space-separated exponents, 'z' for zero."""
-    return [" ".join(Field.element_str(e) for e in row) for row in matrix]
+    return [" ".join("z" if e is None else str(e) for e in row)
+            for row in matrix]

@@ -11,21 +11,22 @@ N/m, i.e. the exponents ``arange(0, N, m)``).  One function,
 ``weighted_union``, builds every set from a list of parts (m, alpha, beta):
 a part weights each point x of subgroup m by theta^beta * x^alpha, and a
 point held by several parts gets the sum of their weights.  In
-characteristic two a point whose sum vanishes is left out, so unit-weight
-parts give the parity union (the points in an odd number of subgroups); in
-odd characteristic a vanishing sum is an error.  The mixed union weights
-its even part by a subfield element H, picked by ``find_h_shift_exponent``
-so that no shared point's sum vanishes.
+characteristic two the parts share one weight and a point whose sum
+vanishes is left out, so unit-weight parts give the parity union (the
+points in an odd number of subgroups); in odd characteristic a vanishing
+sum is an error.  The mixed union weights its even part by a subfield
+element H, picked by ``find_h_shift_exponent`` so that no shared point's
+sum vanishes.
 
-A set records the parts it was built from, so that the Gram check may read
-its entries off the parts.  The builder derives only the points, and
-``EvalSet`` checks them against the parts by exponent arithmetic alone: the
-count, that some part holds each point, and that no sum vanishes.  j parts
-of one weight vanish exactly when p | j, and two nonzero terms
-theta^a + theta^b exactly when a - b = N/2 mod N.  The weights themselves
-are computed on first read, which only the generator matrix does: every
-weight lies in GF(q), so a shared point's sum is one lookup in GF(q)'s
-Zech table.  Given weights are checked against the parts entry by entry.
+Every set is its part list: ``EvalSet`` takes the points and the parts,
+and the Gram check reads its entries off the parts.  The builder derives
+only the points, and ``EvalSet`` checks them against the parts by exponent
+arithmetic alone: the count, that some part holds each point, and that no
+sum vanishes.  j parts of one weight vanish exactly when p | j, and two
+nonzero terms theta^a + theta^b exactly when a - b = N/2 mod N.  The
+weights themselves are computed on first read, which only the generator
+matrix does, from the counts the check kept: every weight lies in GF(q),
+so a shared point's sum is one lookup in GF(q)'s Zech table.
 """
 
 from __future__ import annotations
@@ -41,21 +42,21 @@ from .field import Field, mulmod
 
 
 class EvalSet:
-    """Distinct evaluation points with nonzero subfield weights.
+    """Distinct evaluation points with nonzero subfield weights, the
+    weighted union of ``parts``.
 
-    points and weights are read-only int64 arrays of exponents; sequences
-    are converted on construction.  ``parts``, when given, is the list of
-    parts (m, alpha, beta) the set is the weighted union of, alpha and beta
-    reduced mod N, and the weights are the union's (``_union_weights``).
-    Given weights are compared with them entry by entry.  Given as None,
-    they are computed on first read, and construction checks only the
-    points (``_vanishing``): their count, that some part holds each, and
-    that no sum vanishes.  The Gram check reads every entry off the parts,
-    so no certificate computes a weight; only the matrix does.
+    points and weights are read-only int64 arrays of exponents; a sequence
+    of points is converted on construction.  ``parts`` is the list of parts
+    (m, alpha, beta) the set is the union of, alpha and beta reduced mod N.
+    Construction checks the points against the parts (``_vanishing``):
+    their count, that some part holds each, and that no sum vanishes.  The
+    weights are the union's (``_union_weights``), computed on first read
+    from the counts that check kept.  The Gram check reads every entry off
+    the parts, so no certificate computes a weight; only the matrix does.
     """
 
-    def __init__(self, field: Field, points, weights, label: str,
-                 parts: tuple[tuple[int, int, int], ...] | None = None):
+    def __init__(self, field: Field, points, label: str,
+                 parts: tuple[tuple[int, int, int], ...]):
         f, N = field, field.N
         self.field, self.label = field, label
         self.points = pts = _read_only(points)
@@ -65,55 +66,27 @@ class EvalSet:
                 raise HypothesisViolated("evaluation points must be distinct")
         if len(pts) and (pts[0] < 0 or pts[-1] >= N):
             raise HypothesisViolated("point exponent outside [0, N)")
-        W = None if weights is None else _read_only(weights)
-        if W is not None and len(W) != len(pts):
-            raise HypothesisViolated("one weight per point is needed")
-        if parts is None:
-            if W is None:
-                raise HypothesisViolated("a set without parts needs weights")
-            # unit weights (all zero) need no pass of %
-            if W.any() and (W % (f.q + 1)).any():
-                raise HypothesisViolated("weight outside the subfield")
-            self.parts, self.weights = None, W
-            return
         self.parts = parts = tuple((int(m), int(alpha) % N, int(beta) % N)
                                    for m, alpha, beta in parts)
-        classes = _classes(f, parts)
-        if f.p == 2 and len(classes) > 1:
-            raise HypothesisViolated("a characteristic-2 union of several "
-                                     "weights has no checkable parts")
-        lazy = W is None and len(classes) <= 2
-        if lazy:
-            vanish = _vanishing(f, self.points, classes)
-        else:
-            want = _union_weights(f, self.points, classes)
-            vanish = np.flatnonzero(want < 0)
-        if W is None and len(vanish):
-            at = self.points[vanish]
+        self._classes = _classes(f, parts)
+        self._counts = _multiplicities(f, self.points, self._classes)
+        vanish = _vanishing(f, self.points, self._classes, self._counts)
+        if len(vanish):
             held = functools.reduce(np.logical_or,
-                                    (at % m == 0 for m, _, _ in parts))
+                                    (j[vanish] != 0 for j in self._counts))
             # a characteristic-2 union drops its vanishing points
             if f.p == 2 or not held.all():
                 raise HypothesisViolated("the points are not the union "
                                          "of the parts")
             raise WeightSumVanishes(
                 f"combined weight vanishes at point exponent "
-                f"{at.min()} ({self.label})")
-        if W is not None and (len(vanish) or (W != want).any()):
-            raise HypothesisViolated("the points and weights are not the "
-                                     "union of the parts")
-        if lazy:
-            self._classes = classes
-        else:
-            self.weights = _read_only(want)
+                f"{self.points[vanish].min()} ({self.label})")
 
     @functools.cached_property
     def weights(self) -> np.ndarray:
-        """The union's weights, computed on first read; only a set of at
-        most two weights built from its parts reaches here, the others
-        are set on construction."""
+        """The union's weights, computed on first read."""
         return _read_only(_union_weights(self.field, self.points,
-                                         self._classes))
+                                         self._classes, self._counts))
 
     def __len__(self) -> int:
         return len(self.points)
@@ -127,9 +100,11 @@ def _read_only(arr) -> np.ndarray:
 
 def _classes(field: Field, parts) -> dict[tuple[int, int], list[int]]:
     """The divisors m of the parts of each weight (alpha, beta), alpha and
-    beta reduced mod N.  Raise HypothesisViolated unless every m divides N
-    and every part's weight lies in GF(q), which (q+1) | beta and
-    (q+1) | alpha*m decide."""
+    beta reduced mod N.  Raise HypothesisViolated unless every m divides N,
+    every part's weight lies in GF(q), which (q+1) | beta and
+    (q+1) | alpha*m decide, and a characteristic-2 union has one weight: a
+    sum of several may vanish anywhere, and the parity union drops such
+    points, so no count would foresee them."""
     N, q = field.N, field.q
     if not parts:
         raise HypothesisViolated("a union needs at least one part")
@@ -142,6 +117,9 @@ def _classes(field: Field, parts) -> dict[tuple[int, int], list[int]]:
         if beta % (q + 1) or alpha * m % (q + 1):
             raise HypothesisViolated("weight outside the subfield")
         classes.setdefault((alpha, beta), []).append(m)
+    if field.p == 2 and len(classes) > 1:
+        raise HypothesisViolated("a characteristic-2 union needs parts of "
+                                 "one weight")
     return classes
 
 
@@ -150,9 +128,9 @@ def _multiplicities(field: Field, E: np.ndarray,
     """For each weight class, the int8 count j of its parts holding each
     point of E, one pass per part.  Raise HypothesisViolated unless E has
     as many points as the union holds (``union_size``, the parity form for
-    a characteristic-2 union of one weight)."""
+    a characteristic-2 union)."""
     ms = tuple(m for group in classes.values() for m in group)
-    size = union_size(field.N, ms, field.p == 2 and len(classes) == 1)
+    size = union_size(field.N, ms, field.p == 2)
     if len(E) != size:
         raise HypothesisViolated(f"{len(E)} points where the parts hold "
                                  f"{size}")
@@ -164,11 +142,13 @@ def _multiplicities(field: Field, E: np.ndarray,
 
 
 def _vanishing(field: Field, E: np.ndarray,
-               classes: dict[tuple[int, int], list[int]]) -> np.ndarray:
+               classes: dict[tuple[int, int], list[int]],
+               counts: list) -> np.ndarray:
     """The indices of the points of E that no part holds or whose weights
-    add up to zero, for one or two weight classes, by exponent arithmetic
-    alone: no weight is computed and no table read.  The count is checked
-    as in ``_multiplicities``.
+    add up to zero, given the ``_multiplicities`` counts of each class.
+    For one or two weight classes it takes exponent arithmetic alone: no
+    weight is computed and no table read.  Three or more, which no route
+    builds, take the points where ``_union_weights`` is -1.
 
     j parts of one weight theta^c add up to j*theta^c, zero exactly when
     p | j.  When two classes both add a nonzero j*theta^c, the sum
@@ -176,10 +156,12 @@ def _vanishing(field: Field, E: np.ndarray,
     logs of GF(p) from ``Field.prime_logs``, vanishes exactly when
     theta^(a-b) = -1, that is a - b = N/2 mod N (odd p; a
     characteristic-2 set has one class)."""
+    if len(classes) > 2:
+        return np.flatnonzero(_union_weights(field, E, classes, counts) < 0)
     N, p = field.N, field.p
     # j mod p for each class; a class of fewer than p parts has j < p
-    js = [j % p if len(group) >= p else j for j, group in
-          zip(_multiplicities(field, E, classes), classes.values())]
+    js = [j % p if len(group) >= p else j
+          for j, group in zip(counts, classes.values())]
     zero = ~functools.reduce(np.logical_or, (j != 0 for j in js))
     if len(js) == 2:
         both = np.flatnonzero((js[0] != 0) & (js[1] != 0))
@@ -192,12 +174,13 @@ def _vanishing(field: Field, E: np.ndarray,
 
 
 def _union_weights(field: Field, E: np.ndarray,
-                   classes: dict[tuple[int, int], list[int]]) -> np.ndarray:
+                   classes: dict[tuple[int, int], list[int]],
+                   counts: list) -> np.ndarray:
     """The weight exponent of each point of E in the union of the parts,
     -1 where the weights of the parts that hold it add up to zero (or no
-    part holds it).  It takes a few passes over the points per part and
-    builds no N-entry array; the count is checked as in
-    ``_multiplicities``.
+    part holds it), given the ``_multiplicities`` counts of each class.
+    It takes a few passes over the points per class and builds no N-entry
+    array.
 
     j parts of one weight (alpha, beta) holding the point e add up to
     theta^(beta + alpha*e + log(j mod p)), with the logs of GF(p) from
@@ -207,8 +190,7 @@ def _union_weights(field: Field, E: np.ndarray,
     ``Field.subfield_zech``."""
     N, p, q = field.N, field.p, field.q
     want = None
-    for j, ((alpha, beta), group) in zip(_multiplicities(field, E, classes),
-                                         classes.items()):
+    for j, ((alpha, beta), group) in zip(counts, classes.items()):
         # one part: log 1 = 0 where it holds the point, and -1 elsewhere
         w = j - 1 if len(group) == 1 else field.prime_logs[
             j % p if len(group) >= p else j]
@@ -268,25 +250,16 @@ def weighted_union(field: Field, parts: tuple[tuple[int, int, int], ...],
     """Union where part (m, alpha, beta) weights its subgroup by
     theta^beta * x^alpha; a point held by several parts gets the sum of
     their weights.  The builder derives only the points, and ``EvalSet``
-    computes the weights from the parts, so a set is computed and checked
-    once.
+    checks them against the parts, whose weights it computes when read.
 
     In characteristic 2 a point whose combined weight is zero is left out:
-    parts of one weight give the points held an odd number of times.  In
-    odd characteristic WeightSumVanishes is raised at the smallest such
-    point.  The set records its parts, except a characteristic-2 union of
-    several weights, whose dropped points no count foresees (no route
-    builds one); its weights are computed here.
+    the parts, of one weight, give the points held an odd number of times,
+    and parts of several weights raise HypothesisViolated.  In odd
+    characteristic WeightSumVanishes is raised at the smallest such point.
     """
-    classes = _classes(field, parts)
-    ms = [m for m, _, _ in parts]
-    if field.p == 2 and len(classes) > 1:
-        pts = _union_points(field.N, ms)
-        weights = _union_weights(field, pts, classes)
-        keep = weights >= 0
-        return EvalSet(field, pts[keep], weights[keep], label)
-    return EvalSet(field, _union_points(field.N, ms, field.p == 2), None,
-                   label, parts)
+    _classes(field, parts)  # check the parts before marking their points
+    return EvalSet(field, _union_points(field.N, [m for m, _, _ in parts],
+                                        field.p == 2), label, parts)
 
 
 # --------------------------------------------------------------------------

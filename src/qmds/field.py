@@ -40,12 +40,13 @@ int32 numpy tables ``exp`` (theta^e packed, q^2 - 1 entries) and ``log``
 (q^2 entries, -1 for zero), so they exist only for fields up to 2^22
 elements; past that every operation that needs them raises
 ``CapacityExceeded``.  The vectorized paths index these arrays, or the
-arrays derived from them (``mask_ext``, ``digits``), with whole arrays of
-exponents.  For p = 2 exp is the head of one buffer [exp, exp], which
-``mask_ext`` views.  ``digits`` holds the base-p digits point-major: the
-row of exponent e is 2h uint16 lanes, lane d the coefficient of x^d,
-viewed as one uint32 word (h = 1), one uint64 word (h = 2) or a few
-words, so that summing rows word by word sums every digit at once.
+arrays derived from them (``mask_ext`` for p = 2, ``digits`` for odd p),
+with whole arrays of exponents.  For p = 2 exp is the head of one buffer
+[exp, exp], which ``mask_ext`` views.  ``digits`` holds the base-p digits
+point-major: the row of exponent e is 2h uint16 lanes, lane d the
+coefficient of x^d, viewed as one uint32 word (h = 1), one uint64 word
+(h = 2) or a few words, so that summing rows word by word sums every digit
+at once.
 
 The exp tables are built by doubling, theta^L .. theta^(2L-1) being
 theta^0 .. theta^(L-1) times theta^L.  For odd p only the base block
@@ -513,10 +514,6 @@ class Field:
             v //= self.p
         return tuple(out)
 
-    @staticmethod
-    def element_str(a: Elt) -> str:
-        return "z" if a is None else str(a)
-
     def to_json(self) -> dict:
         return {"p": self.p, "h": self.h,
                 "modulus": list(self.modulus), "theta": "x"}
@@ -533,36 +530,23 @@ class Field:
         self.tables
         return self._arrays[0][:2 * self.N]
 
-    def np_packed_add(self, va: np.ndarray, vb: np.ndarray) -> np.ndarray:
-        """Elementwise sum of packed coefficient vectors (broadcasting): XOR
-        for p = 2, digit-wise addition mod p over the 2h base-p digits for
-        odd p."""
-        if self.p == 2:
-            return va ^ vb
-        out = np.zeros(np.broadcast_shapes(va.shape, vb.shape), dtype=np.int64)
-        for d in range(2 * self.h):
-            w = self.p ** d
-            out += (va // w + vb // w) % self.p * w
-        return out
-
     @functools.cached_property
     def digits(self) -> np.ndarray:
-        """The base-p digits of theta^e for e in [0, 2N), point-major, so
-        that a sum of two exponents in [0, N) indexes it unreduced: row e
-        holds 2h uint16 lanes, lane d the coefficient of x^d, viewed as
-        words.  2h lanes are 2h/4 uint64 words when 4 divides 2h, else h
-        uint32 words, so ``digits.view(np.uint16)`` is the (2N, 2h) lane
-        array and one word holds every lane when h <= 2.  A field with
-        tables has p < 2^11, so a lane holds the sum of up to
-        65535 // (p-1) >= 32 digits without carrying into the next.  For
-        odd p these are the lanes the exp table was packed from; for p = 2,
-        which sums ``mask_ext`` instead, the bits of the masks."""
+        """Odd p only: the base-p digits of theta^e for e in [0, 2N),
+        point-major, so that a sum of two exponents in [0, N) indexes it
+        unreduced: row e holds 2h uint16 lanes, lane d the coefficient of
+        x^d, viewed as words.  2h lanes are 2h/4 uint64 words when 4
+        divides 2h, else h uint32 words, so ``digits.view(np.uint16)`` is
+        the (2N, 2h) lane array and one word holds every lane when h <= 2.
+        A field with tables has p < 2^11, so a lane holds the sum of up to
+        65535 // (p-1) >= 32 digits without carrying into the next.  These
+        are the lanes the exp table was packed from; p = 2 sums
+        ``mask_ext`` instead, and has no digits."""
+        if self.p == 2:
+            raise UsageError("digits are the odd-p table; p = 2 sums mask_ext")
         self.tables
-        n, lanes = 2 * self.h, self._arrays[2]
-        if lanes is None:
-            lanes = _frozen((self.mask_ext[:, None] >> np.arange(n)
-                             & 1).astype(np.uint16))
-        return lanes.view(np.uint64 if n % 4 == 0 else np.uint32)
+        return self._arrays[2].view(np.uint64 if self.h % 2 == 0
+                                    else np.uint32)
 
 
 @functools.lru_cache(maxsize=None)

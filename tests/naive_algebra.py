@@ -11,8 +11,10 @@ primitivity test, on the same tuples.  The scalar linear-algebra, Gram and
 power-sum references and the evaluation-set builders at the end use only a
 ``Field``'s element-by-element arithmetic, so they check the package's
 batched numpy kernels and closed forms against the scalar field operations.
-``doubling_exp_table`` is the one vectorized reference: it reaches the
-large fields that stepping one power at a time cannot.
+``doubling_exp_table`` is a vectorized reference: it reaches the large
+fields that stepping one power at a time cannot.  So is ``direct_sum_mask``,
+the Gram mask summed over every point of the arrays by the package's
+``packed_sums``: it reaches the sweeps' sets that the scalar sums cannot.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import math
 
 import numpy as np
 
-from qmds.codes import CodeArtifact
+from qmds.codes import CodeArtifact, packed_sums
 from qmds.errors import (BadDivisor, HypothesisViolated,
                          NotChar2, NotCoprime, WeightSumVanishes)
 from qmds.evalsets import EvalSet
@@ -512,6 +514,32 @@ def gram_zero_structured(artifact: CodeArtifact) -> tuple[bool, tuple[int, int] 
             if gram_entry(artifact, l1, l2) is not None:
                 return False, (l1, l2)
     return True, None
+
+
+def direct_sum_mask(f: Field, k: int, B: np.ndarray, E: np.ndarray,
+                    border: int) -> np.ndarray:
+    """k x k upper-triangular mask of the nonzero entries
+    sum_j theta^(B_j + E_j*t), t = l1 + q*l2, for exponents
+    0 <= B_j, E_j < N, plus the packed vector ``border`` at (0, 0) (0 for
+    none): the direct sum of every entry over every point, by
+    ``packed_sums`` in blocks of about 2^16 terms.  It reads the field's
+    tables, so it takes fields up to 2^22 elements."""
+    N, q, p = f.N, f.q, f.p
+    B, E = np.asarray(B, dtype=np.int64), np.asarray(E, dtype=np.int64)
+    l1, l2 = np.triu_indices(k)
+    t = (l1 + q * l2) % N
+    sums = np.zeros(len(t), dtype=np.int64)  # an empty set sums to zero
+    step = max(1, (1 << 16) // max(1, len(E)))
+    for lo in range(0, len(t) if len(E) else 0, step):
+        sums[lo:lo + step] = packed_sums(
+            f, B + E * t[lo:lo + step, None] % N, [0])[:, 0]
+    if border and len(t):  # the packed vectors added digit by digit
+        a, b = int(sums[0]), int(border)
+        sums[0] = sum((a // p ** d + b // p ** d) % p * p ** d
+                      for d in range(2 * f.h))
+    mask = np.zeros((k, k), dtype=bool)
+    mask[l1, l2] = sums != 0
+    return mask
 
 
 # --------------------------------------------------------------------------

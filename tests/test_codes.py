@@ -4,6 +4,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from naive_algebra import (
+    direct_sum_mask,
     gram_entry,
     gram_hermitian,
     gram_zero_scalar,
@@ -17,7 +18,6 @@ from qmds import codes
 from qmds.codes import (
     CodeArtifact,
     _beta_basis,
-    _gram_bad,
     eval_code,
     extend_c1,
     gram_nonzero_mask,
@@ -30,7 +30,8 @@ from qmds.errors import (DimensionTooLarge, HypothesisViolated, UsageError,
                          WeightSumVanishes)
 from qmds.evalsets import (EvalSet, find_h_shift_exponent, subgroup_set,
                            weighted_union)
-from qmds.field import TABLE_LIMIT, Field, build_field, field_for_q
+from qmds.field import TABLE_LIMIT, Field, build_field, field_for_q, mulmod
+from qmds.oracle import first_violation
 from qmds.numtheory import is_prime_power
 
 # (construction, q, params, max self-orthogonal k) for the Gram agreement pool
@@ -306,8 +307,7 @@ def test_char2_route_skips_zero_stage1_rows(k):
     live = (9 + ls[:, None] + 8 * ls) % 21 == 0
     assert not (live & ((ls[:, None] + ls) % 7 != 5)).any()
     assert not (gram_nonzero_mask(art) & ~live).any()
-    assert np.array_equal(gram_nonzero_mask(without_parts(art)),
-                          scalar_nonzero_mask(art))
+    assert np.array_equal(direct_mask(art), scalar_nonzero_mask(art))
 
 
 def test_table2_row4_char2_route():
@@ -321,42 +321,40 @@ def test_table2_row4_char2_route():
     assert gram_zero(art) == (False, (245, 264))
 
 
-def draw_point_set_artifact(data, qs):
+def check_point_set_sums(data, qs):
     """Distinct random points with random GF(q)* weights, a random shift and
-    an optional border: no subgroup structure for the exponent split to
-    rely on."""
+    an optional border, as the arrays of the Gram sums: no subgroup
+    structure for the direct sum to rely on."""
     q = data.draw(st.sampled_from(qs))
     f = field_for_q(q)
-    points = data.draw(st.lists(st.integers(0, f.N - 1), min_size=1,
-                                max_size=min(f.N, 20), unique=True))
-    weights = data.draw(st.lists(st.integers(0, q - 2), min_size=len(points),
-                                 max_size=len(points)))
-    es = EvalSet(f, tuple(points), tuple((q + 1) * w for w in weights),
-                 "random")
-    border = data.draw(st.none() | st.integers(0, f.N - 1))
-    return CodeArtifact(f, es, k=data.draw(st.integers(1, 18)),
-                        shift=data.draw(st.integers(0, f.N - 1)),
-                        has_border=border is not None, border_entry=border)
+    N = f.N
+    E = data.draw(st.lists(st.integers(0, N - 1), min_size=1,
+                           max_size=min(N, 20), unique=True))
+    shift = data.draw(st.integers(0, N - 1))
+    B = [((q + 1) * data.draw(st.integers(0, q - 2)) + shift * (q + 1) * e)
+         % N for e in E]
+    border = data.draw(st.none() | st.integers(0, N - 1))
+    packed = 0 if border is None else int(f.tables[0][f.norm(border)])
+    check_against_sums(f, data.draw(st.integers(1, 18)), B, E, packed)
 
 
 @given(st.data())
 def test_char2_route_on_arbitrary_point_sets(data):
-    check_route_mask(draw_point_set_artifact(data, [2, 4, 8, 16]))
+    check_point_set_sums(data, [2, 4, 8, 16])
 
 
 @given(st.data())
 def test_odd_route_on_arbitrary_point_sets(data):
-    check_route_mask(draw_point_set_artifact(data, [3, 5, 7, 9]))
+    check_point_set_sums(data, [3, 5, 7, 9])
 
 
 def check_against_sums(f, k, B, E, border):
-    """``_gram_bad`` against the scalar sums: entry (l1, l2) is
+    """``direct_sum_mask`` against the scalar sums: entry (l1, l2) is
     sum_j theta^(B_j + E_j*(l1 + q*l2)), plus the border at (0, 0).
     Without Hermitian symmetry entries (l1, l2) and (l2, l1) vanish
     independently, so the mask also pins the sign of l1 - l2."""
     q, N = f.q, f.N
-    got = _gram_bad(f, k, np.asarray(B, dtype=np.int64),
-                    np.asarray(E, dtype=np.int64), border)
+    got = direct_sum_mask(f, k, B, E, border)
     for l1 in range(k):
         for l2 in range(k):
             acc = None
@@ -441,17 +439,18 @@ def test_orbit_broken_away_from_the_sampled_entries(moved):
     # the subgroup of order 12 in GF(25)*, unit weights, with one point (or
     # one weight) in the middle of the set changed, away from its first and
     # last points: given the subgroup's part, the parts check refuses the
-    # arrays, and the direct sum over them still gives the scalar sums
+    # moved point, and the direct sum over the arrays still gives the
+    # scalar sums
     f = field_for_q(5)
     E, B = list(range(0, 24, 2)), [0] * 12
-    intact = EvalSet(f, tuple(E), tuple(B), "subgroup", parts=((2, 0, 0),))
+    intact = EvalSet(f, tuple(E), "subgroup", ((2, 0, 0),))
     assert intact.parts == subgroup_set(f, 2).parts
     if moved == "point":
         E[5] = 11
+        with pytest.raises(HypothesisViolated):
+            EvalSet(f, tuple(E), "subgroup", ((2, 0, 0),))
     else:
         B[5] = 7
-    with pytest.raises(HypothesisViolated):
-        EvalSet(f, tuple(E), tuple(B), "subgroup", parts=((2, 0, 0),))
     check_against_sums(f, 8, B, E, 0)
 
 
@@ -465,26 +464,40 @@ def test_low_dimension_c1_builds_no_tables():
     assert "tables" not in vars(f)
 
 
+def test_gram_check_runs_past_the_table_limit():
+    # c1 over GF(2^24), q = 4096, m = 241: n = 69 615 points and no exp/log
+    # tables, which stop at 2^22 elements.  The check reads the set's part,
+    # so it passes at the oracle's bound and names the first witness above
+    f = Field(2, 12)
+    q = f.q
+    assert f.q2 > TABLE_LIMIT
+    es = subgroup_set(f, 241)
+    assert len(es) == f.N // 241 == 69615
+    k = first_violation(f.N // 241, q + 1, q)
+    assert k == 2055
+    assert gram_zero(eval_code(f, es, k, shift=1)) == (True, None)
+    assert gram_zero(eval_code(f, es, k + 1, shift=1)) == (False, (2038, 2055))
+    assert "tables" not in vars(f)
+
+
 # --- the parts route against the direct sum ----------------------------------
 
 
-def without_parts(art):
-    """The artifact on the same arrays with the parts dropped, so that its
-    Gram check takes the direct sum over every point."""
-    es = art.evalset
-    return CodeArtifact(art.field,
-                        EvalSet(art.field, es.points, es.weights, es.label),
-                        art.k, art.shift,
-                        has_border=art.has_border,
-                        border_entry=art.border_entry)
+def direct_mask(art):
+    """The artifact's Gram mask by the direct sum over every point of its
+    set's arrays (``direct_sum_mask``), B_j = w_j + shift*(q+1)*E_j."""
+    f, es = art.field, art.evalset
+    B = (es.weights + mulmod(art.shift * (f.q + 1), es.points, f.N)) % f.N
+    border = 0
+    if art.has_border and art.border_entry is not None:
+        border = int(f.tables[0][f.norm(art.border_entry)])
+    return direct_sum_mask(f, art.k, B, es.points, border)
 
 
 def check_parts_route(art):
     """The parts route and the direct sum give the same mask, and so the
     same first witness."""
-    assert art.evalset.parts is not None
-    want = gram_nonzero_mask(without_parts(art))
-    assert np.array_equal(gram_nonzero_mask(art), want)
+    assert np.array_equal(gram_nonzero_mask(art), direct_mask(art))
     return gram_zero(art)
 
 
@@ -725,8 +738,10 @@ def test_rows_are_exact_where_int64_products_overflow():
     q, N = f.q, f.N
     assert f.q2 > TABLE_LIMIT and (N - 1) ** 2 >= 1 << 63
     points = [j * (N // 8) for j in range(8)]
-    weights = [(q + 1) * (q - 2 - j) for j in range(8)]
-    art = eval_code(f, EvalSet(f, points, weights, "r"), 3, shift=N - 2)
+    es = EvalSet(f, points, "r", ((N // 8, q + 1, (q + 1) * (q - 2)),))
+    weights = es.weights.tolist()
+    assert len(set(weights)) == 4 and max(weights) > N // 2
+    art = eval_code(f, es, 3, shift=N - 2)
     for l in range(3):
         assert art.row(l) == tuple((w // (q + 1) + (N - 2 + l) * e) % N
                                    for e, w in zip(points, weights))
@@ -755,3 +770,4 @@ def test_matrix_to_strings(gf25):
     assert lines[0].split()[0] == str(art.border_entry)
     assert lines[1].split()[0] == "z"
     assert all(tok == "z" or tok.isdigit() for line in lines for tok in line.split())
+    assert matrix_to_strings([(None, 17), (0,)]) == ["z 17", "0"]

@@ -14,7 +14,7 @@ from qmds.errors import (
 from qmds import audit, cli
 from qmds import field as field_module
 from qmds.codes import eval_code, gram_zero
-from qmds.evalsets import EvalSet
+from qmds.evalsets import subgroup_set
 from qmds.field import (SIZE_LIMIT, TABLE_LIMIT, Field, build_field,
                         canonical_modulus, field_for_q)
 from qmds.numtheory import is_prime_power, least_primitive_root
@@ -134,14 +134,16 @@ def test_capacity_limits():
 def test_fields_past_the_table_limit_have_no_tables():
     # the modulus is all such a field has; what reads the exp/log tables
     # says so (test_capacity_limits covers ``tables`` itself).  embed_int
-    # reads the p-entry table of GF(p) logs instead
+    # reads the p-entry table of GF(p) logs instead, and the Gram check
+    # the set's part
     f = Field(2, 12)
     assert f.q2 > TABLE_LIMIT
     assert f.to_json()["modulus"] == list(f.modulus)
-    art = eval_code(f, EvalSet(f, [0, f.N // 5], [0, 0], "pair"), 1, shift=1)
+    art = eval_code(f, subgroup_set(f, f.N // 5), 1, shift=1)
     assert f.embed_int(1) == 0 and f.embed_int(2) is None
+    assert gram_zero(art) == (True, None)
     with pytest.raises(CapacityExceeded):
-        gram_zero(art)
+        f.add(0, 1)
     assert "tables" not in vars(f)
 
 
@@ -275,9 +277,10 @@ def test_table_backend_matches_stepping_reference(p, h):
 
 # past the stepping reference's range: the fields of the benchmark's
 # low-dimension jobs, h = 2, 3 and 4, p - 1 = 2, and q = 2039, the largest
-# prime with q^2 <= 2^22, whose lanes span many gather blocks
+# prime with q^2 <= 2^22, whose lanes span many gather blocks; and two
+# p = 2 fields, which have masks and no digits
 DOUBLING_FIELDS = [(563, 1), (569, 1), (37, 2), (5, 4), (7, 3), (11, 3),
-                   (3, 6), (2039, 1)]
+                   (3, 6), (2039, 1), (2, 3), (2, 8)]
 
 
 @pytest.mark.parametrize("p,h", DOUBLING_FIELDS)
@@ -288,6 +291,11 @@ def test_tables_and_digits_match_the_doubling_reference(p, h):
     log[exp] = np.arange(f.N)
     assert np.array_equal(f.tables[0], exp)
     assert np.array_equal(f.tables[1], log)
+    if p == 2:  # p = 2 sums the masks of its one exp buffer
+        assert np.array_equal(f.mask_ext, np.concatenate((exp, exp)))
+        with pytest.raises(UsageError):
+            f.digits
+        return
     lanes = f.digits.view(np.uint16)
     assert lanes.shape == (2 * f.N, 2 * h)
     for d in range(2 * h):
@@ -352,16 +360,15 @@ def test_derived_tables_leave_the_backend_unchanged(p, h):
     f = Field(p, h)
     exp, log = (t.copy() for t in f.tables)
     # mask_ext is the p = 2 table; odd p sums digits instead
-    names = ["digits"] + (["mask_ext"] if p == 2 else [])
+    names = ["mask_ext"] if p == 2 else ["digits"]
     derived = [getattr(f, name) for name in names]
-    if p != 2:
-        with pytest.raises(UsageError):
-            f.mask_ext
+    with pytest.raises(UsageError):
+        getattr(f, "digits" if p == 2 else "mask_ext")
     for arr in f.tables:
         assert arr.dtype == np.int32 and not arr.flags.writeable
     assert np.array_equal(f.tables[0], exp)
     assert np.array_equal(f.tables[1], log)
-    for arr in derived + [f.digits.view(np.uint16)]:
+    for arr in derived + ([] if p == 2 else [f.digits.view(np.uint16)]):
         assert not arr.flags.writeable
     # mask_ext is the one exp buffer [exp, exp]
     if p == 2:
@@ -544,8 +551,6 @@ def test_prime_logs_past_the_table_limit():
 
 
 def test_presentation(gf25):
-    assert Field.element_str(None) == "z"
-    assert Field.element_str(17) == "17"
     assert gf25.to_json() == {"p": 5, "h": 1, "modulus": [2, 1, 1], "theta": "x"}
     assert repr(gf25) == "Field(p=5, h=1)"
 
