@@ -27,7 +27,10 @@ each operation, the medians of A's and B's runs of their own checkout (side
 "change"), the relative delta and how many seed-matched pairs B wins.  Both
 the summary and ``--compare`` first print, per workload and side, how many
 runs were not correct or had a failed operation: those runs still count in
-the medians.
+the medians.  An end-to-end metric is marked ``gain`` when the change wins at least
+9 of 10 of its pairs and its median beats the parent's by more than the
+parent's interquartile range, and ``over bound`` when its median is worse
+than the parent's by more than the metric's ``bound`` in BENCHMARK.json.
 
 ``--audit-runs R`` adds R audit records per side, in fresh processes that
 alternate sides as the seeds do (so R must be even with ``--parent``)::
@@ -189,10 +192,11 @@ def _pairs(base: list[dict], new: list[dict]) -> list[tuple[dict, dict]]:
 
 
 def _entry(b_runs: list[dict], n_runs: list[dict], pairs, value,
-           better: str) -> dict:
+           better: str, bound: float | None = None) -> dict:
     """Medians and quartiles of ``value(run)`` on each side, over the runs
     where it is not None; with both sides, the relative delta of the
-    medians and the pairs won."""
+    medians and the pairs won; with a ``bound`` (the end-to-end metrics),
+    the ``_mark`` where one applies."""
     entry = {}
     for side, runs in (("change", n_runs), ("parent", b_runs)):
         values = [v for v in map(value, runs) if v is not None]
@@ -206,7 +210,26 @@ def _entry(b_runs: list[dict], n_runs: list[dict], pairs, value,
         both = [(x, y) for x, y in both if x is not None and y is not None]
         wins = sum(sign * (y - x) > 0 for x, y in both)
         entry["wins"] = f"{wins}/{len(both)}"
+        mark = bound is not None and _mark(entry, wins, len(both), sign,
+                                           bound)
+        if mark:
+            entry["mark"] = mark
     return entry
+
+
+def _mark(entry: dict, wins: int, pairs: int, sign: int,
+          bound: float) -> str | None:
+    """The mark "gain" when at least 9 of 10 pairs are won and the median
+    is better than the parent's by more than the parent's interquartile
+    range; "over bound" when the median is worse than the parent's by more
+    than ``bound``, a fraction of the parent's median."""
+    p, c = entry["parent"], entry["change"]["median"]
+    if pairs and 10 * wins >= 9 * pairs and \
+            sign * (c - p["median"]) > p["q3"] - p["q1"]:
+        return "gain"
+    if entry["delta"] is not None and -sign * entry["delta"] > bound:
+        return "over bound"
+    return None
 
 
 def _bad(run: dict) -> bool:
@@ -230,7 +253,7 @@ def _summary(base: list[dict], new: list[dict]) -> dict:
         pairs = _pairs(b_runs, n_runs)
         row = {name: _entry(b_runs, n_runs, pairs,
                             lambda r, name=name: r["metrics"][name],
-                            spec["better"])
+                            spec["better"], spec.get("bound"))
                for name, spec in METRICS.items()}
         ops = dict.fromkeys(op for r in b_runs + n_runs
                             for op in r.get("ops", {}))
@@ -281,6 +304,8 @@ def _line(name: str, e: dict, labels) -> str:
                      f"({s['q1']:.4g}-{s['q3']:.4g})")
     if e.get("delta") is not None:
         line += f"  delta {100 * e['delta']:+.1f} %  wins {e['wins']}"
+    if "mark" in e:
+        line += f"  [{e['mark']}]"
     return line
 
 

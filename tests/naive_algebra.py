@@ -299,6 +299,47 @@ def brute_first_violation(M: int, s: int, q: int) -> int:
     raise AssertionError("unreachable")  # pragma: no cover
 
 
+def _floor_sum(n: int, m: int, a: int, b: int) -> int:
+    """sum_{i=0}^{n-1} floor((a*i + b) / m) for n, a, b >= 0 and m >= 1,
+    by the Euclid-like reduction: O(log m) steps."""
+    total = 0
+    while True:
+        if a >= m:
+            total += n * (n - 1) // 2 * (a // m)
+            a %= m
+        if b >= m:
+            total += n * (b // m)
+            b %= m
+        y = a * n + b
+        if y < m:
+            return total
+        n, b = divmod(y, m)
+        m, a = a, m
+
+
+def floor_sum_first_violation(M: int, s: int, q: int) -> int:
+    """Smallest max(t1, t2) over solutions of s + t1 + t2*q = 0 (mod M), by
+    binary search on B: some t2 <= B has partner t1 = (-s - t2*q) mod M <= B
+    iff the count of such t2, a difference of two floor sums (x mod M <= B
+    iff floor(x/M) - floor((x - B - 1)/M) = 1), is positive.  The predicate
+    is monotone in B and holds at B = (-s) mod M, so this costs O(log^2 M)
+    and, unlike the scans, reaches 64-bit inputs."""
+    if M < 1:
+        raise ValueError("modulus must be positive")
+    c, a = (-s) % M, (-q) % M
+    lo, hi = 0, c
+    while lo < hi:
+        mid = (lo + hi) // 2
+        n = mid + 1
+        hits = (_floor_sum(n, M, a, c) + n
+                - _floor_sum(n, M, a, c - mid - 1 + M))
+        if hits > 0:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
 def trial_division_sweep_params(construction: str, q: int) -> list[dict]:
     """The parameter choices a sweep tries at q, in its order, found by
     trial division of q + 1 and q - 1 over every candidate below q + 2.

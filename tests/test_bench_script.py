@@ -280,3 +280,47 @@ def test_main_runs_only_the_audit(tmp_path, monkeypatch, capsys):
     with pytest.raises(SystemExit):
         bench._parse(["--parent", str(tmp_path), "--seeds", "1-2",
                       "--audit-runs", "3", "--out", str(out)])
+
+
+def test_gain_needs_nine_of_ten_pairs_and_more_than_the_parents_spread(capsys):
+    times = [2.0, 2.1, 2.2, 2.3, 2.4, 2.5, 2.6, 2.7, 2.8, 2.9]
+    parent = [_run("conditions", s, "parent", t) for s, t in enumerate(times)]
+    # the parent's median is 2.45 and its quartiles 2.225-2.675 (0.45 apart)
+    faster = [_run("conditions", s, "change", t - 0.5)
+              for s, t in enumerate(times)]
+    row = bench._summary(parent, faster)["conditions"]
+    assert row["pass_s"]["wins"] == "10/10"
+    assert row["pass_s"]["mark"] == "gain"
+    assert "mark" not in row["setup_s"]  # equal on both sides
+    # 8 of 10 pairs won: no gain, however large the median's lead
+    slow_two = faster[:8] + [_run("conditions", s, "change", 9.0)
+                             for s in (8, 9)]
+    assert "mark" not in bench._summary(parent, slow_two)["conditions"]["pass_s"]
+    # all pairs won, but by less than the parent's interquartile range
+    close = [_run("conditions", s, "change", t - 0.1)
+             for s, t in enumerate(times)]
+    assert "mark" not in bench._summary(parent, close)["conditions"]["pass_s"]
+    bench._print_summary(bench._summary(parent, faster))
+    line = next(x for x in capsys.readouterr().out.splitlines()
+                if "pass_s" in x)
+    assert line.endswith("wins 10/10  [gain]")
+
+
+def test_over_bound_reads_each_metrics_bound(tmp_path, capsys):
+    assert bench.METRICS["pass_s"]["bound"] == 0.25
+    assert bench.METRICS["peak_rss_mb"]["bound"] == 0.1
+    parent = [_run("small-jobs", s, "parent", 1.0) for s in (1, 2)]
+    change = [_run("small-jobs", s, "change", 1.2) for s in (1, 2)]
+    for r in change:
+        r["metrics"]["peak_rss_mb"] = 1.15
+    row = bench._summary(parent, change)["small-jobs"]
+    assert "mark" not in row["pass_s"]  # +20 % is inside its 25 % bound
+    assert row["peak_rss_mb"]["mark"] == "over bound"  # +15 % against 10 %
+    pa, pb = tmp_path / "a.json", tmp_path / "b.json"
+    pa.write_text(json.dumps({"sides": {"change": "aaa"},
+                              "runs": [dict(r, side="change") for r in parent]}))
+    pb.write_text(json.dumps({"sides": {"change": "bbb"}, "runs": change}))
+    assert bench.main(["--compare", str(pa), str(pb)]) == 0
+    line = next(x for x in capsys.readouterr().out.splitlines()
+                if "peak_rss_mb" in x)
+    assert "wins 0/2  [over bound]" in line

@@ -518,7 +518,13 @@ PINNED_STDOUT = {
         (0, "e132a97b9990f317"),
     "oracle --construction mixed_union --q 13 --m1 7 --m2 6 --format text":
         (0, "35a181d70452515c"),
-    "sweep --construction mixed_union --q 13": (0, "e4f5f306ba51bada"),
+    "oracle --construction mixed_union --q 11969 --m1 105 --m2 176":
+        (0, "3faf9537cb6c2a10"),
+    "oracle --construction mixed_union --q 11969 --m1 105 --m2 176 "
+    "--format text": (0, "87d46ce59b878cf7"),
+    "oracle --construction c1 --q 4611686018427400249 --m 5":
+        (0, "07a0709655edde4c"),
+    "sweep --construction mixed_union --q 13":(0, "e4f5f306ba51bada"),
     "sweep --construction mixed_union --q 13 --format text":
         (0, "52cb4eaf4449d51c"),
     "sweep --construction c1 --q 2": (0, "37517e5f3dc66819"),
