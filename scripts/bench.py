@@ -27,10 +27,11 @@ each operation, the medians of A's and B's runs of their own checkout (side
 "change"), the relative delta and how many seed-matched pairs B wins.  Both
 the summary and ``--compare`` first print, per workload and side, how many
 runs were not correct or had a failed operation: those runs still count in
-the medians.  An end-to-end metric is marked ``gain`` when the change wins at least
-9 of 10 of its pairs and its median beats the parent's by more than the
-parent's interquartile range, and ``over bound`` when its median is worse
-than the parent's by more than the metric's ``bound`` in BENCHMARK.json.
+the medians.  An end-to-end metric is marked ``gain`` when the change wins
+at least 9 of 10 of its pairs and its median beats the parent's by more
+than the parent's interquartile range, and ``over bound`` when its median
+is worse than the parent's by more than the metric's ``bound`` in
+BENCHMARK.json.
 
 ``--audit-runs R`` adds R audit records per side, in fresh processes that
 alternate sides as the seeds do (so R must be even with ``--parent``)::
@@ -210,8 +211,8 @@ def _entry(b_runs: list[dict], n_runs: list[dict], pairs, value,
         both = [(x, y) for x, y in both if x is not None and y is not None]
         wins = sum(sign * (y - x) > 0 for x, y in both)
         entry["wins"] = f"{wins}/{len(both)}"
-        mark = bound is not None and _mark(entry, wins, len(both), sign,
-                                           bound)
+        mark = (None if bound is None
+                else _mark(entry, wins, len(both), sign, bound))
         if mark:
             entry["mark"] = mark
     return entry

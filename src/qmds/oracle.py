@@ -47,10 +47,11 @@ def first_violation(M: int, s: int, q: int) -> int:
             else:  # the next step's residue is 0: no later record
                 return best
         runs = f // rL
-        # max(t + i*dL, f - i*rL) is least where the two cross
+        # max(t + i*dL, f - i*rL) is least where the two cross.  i <= runs,
+        # and i >= 0: a run that ended with t > f crossed on the way and
+        # left best <= t, which ended the walk
         i = (f - t) // (dL + rL)
-        for j in (i, i + 1):
-            j = min(max(j, 0), runs)
+        for j in (i, min(i + 1, runs)):
             best = min(best, max(t + j * dL, f - j * rL))
         t, f = t + runs * dL, f - runs * rL
     return best

@@ -15,6 +15,8 @@ batched numpy kernels and closed forms against the scalar field operations.
 fields that stepping one power at a time cannot.  So is ``direct_sum_mask``,
 the Gram mask summed over every point of the arrays by the package's
 ``packed_sums``: it reaches the sweeps' sets that the scalar sums cannot.
+``floor_sum_first_violation`` is the oracle's one reference that reaches
+64-bit inputs; the scan and the brute force are linear.
 """
 
 from __future__ import annotations

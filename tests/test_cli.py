@@ -524,7 +524,7 @@ PINNED_STDOUT = {
     "--format text": (0, "87d46ce59b878cf7"),
     "oracle --construction c1 --q 4611686018427400249 --m 5":
         (0, "07a0709655edde4c"),
-    "sweep --construction mixed_union --q 13":(0, "e4f5f306ba51bada"),
+    "sweep --construction mixed_union --q 13": (0, "e4f5f306ba51bada"),
     "sweep --construction mixed_union --q 13 --format text":
         (0, "52cb4eaf4449d51c"),
     "sweep --construction c1 --q 2": (0, "37517e5f3dc66819"),

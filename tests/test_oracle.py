@@ -87,9 +87,9 @@ def test_first_violation_at_64_bit_q():
 
 
 def test_first_violation_matches_brute_on_a_small_grid():
-    for M in range(1, 50):
+    for M in range(1, 60):
         for s in range(2 * M + 3):
-            for q in range(2, 50):
+            for q in range(2, 60):
                 assert first_violation(M, s, q) == brute_first_violation(M, s, q)
 
 
