@@ -31,7 +31,9 @@ the medians.  An end-to-end metric is marked ``gain`` when the change wins
 at least 9 of 10 of its pairs and its median beats the parent's by more
 than the parent's interquartile range, and ``over bound`` when its median
 is worse than the parent's by more than the metric's ``bound`` in
-BENCHMARK.json.
+BENCHMARK.json.  When neither applies and the parent's own interquartile
+range is wider than ``bound`` times its median, the metric is marked
+``unresolved``: its runs spread too widely to show a change of that size.
 
 ``--audit-runs R`` adds R audit records per side, in fresh processes that
 alternate sides as the seeds do (so R must be even with ``--parent``)::
@@ -223,13 +225,17 @@ def _mark(entry: dict, wins: int, pairs: int, sign: int,
     """The mark "gain" when at least 9 of 10 pairs are won and the median
     is better than the parent's by more than the parent's interquartile
     range; "over bound" when the median is worse than the parent's by more
-    than ``bound``, a fraction of the parent's median."""
+    than ``bound``, a fraction of the parent's median; otherwise
+    "unresolved" when the parent's interquartile range is wider than
+    ``bound`` of its median."""
     p, c = entry["parent"], entry["change"]["median"]
     if pairs and 10 * wins >= 9 * pairs and \
             sign * (c - p["median"]) > p["q3"] - p["q1"]:
         return "gain"
     if entry["delta"] is not None and -sign * entry["delta"] > bound:
         return "over bound"
+    if p["q3"] - p["q1"] > bound * p["median"]:
+        return "unresolved"
     return None
 
 

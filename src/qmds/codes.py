@@ -22,16 +22,15 @@ distinct theta^beta: each is c_0^j theta^r with r = beta mod N/(p-1), and
 two distinct theta^r are independent over GF(p), so when the r number at
 most two each r's coefficient is tested on its own (``_beta_basis``).
 Every route's set has at most two, so its check searches no modulus;
-three or more take ``Field.power_vectors``.  No set's check reads a field
-table, so it runs on fields past 2^22 elements as well.
+three or more take ``Field.power_vectors``.  Nothing in this module reads
+a field table, so the check runs on fields past 2^22 elements as well.
 
-The witness is the first offending row pair in row-major order, so the
+The result (``gram_nonzero``) is the list of nonzero entries as ascending
+keys l1*k + l2, so the check's memory is O(k + hits), not k^2.  The witness
+is its first key, the first offending row pair in row-major order, so the
 tests' scalar references, which compute each entry directly from the field
 arithmetic, and their direct sum over every point cross-check the route
-witness for witness.  ``packed_sums``, the digit-lane sums of the MDS routes
-in ``verify``, adds terms read from the field's tables: for p = 2 the XOR of
-packed int32 coefficient masks, for odd p the rows of ``Field.digits`` added
-as integers, a 16-bit lane per base-p digit.
+witness for witness.
 """
 
 from __future__ import annotations
@@ -122,38 +121,38 @@ def extend_c1(field: Field, m: int, k: int, es: EvalSet) -> CodeArtifact:
 def gram_zero(artifact: CodeArtifact) -> tuple[bool, tuple[int, int] | None]:
     """Whether the Hermitian Gram matrix of the rows vanishes.  Only the
     upper triangle is computed: <r_j, r_i> = <r_i, r_j>^q.  The witness is
-    the first nonzero entry of ``gram_nonzero_mask`` in row-major order."""
-    hits = np.flatnonzero(gram_nonzero_mask(artifact))
-    if hits.size:
-        l1, l2 = divmod(int(hits[0]), artifact.k)
+    the first key of ``gram_nonzero``, in row-major order."""
+    keys = gram_nonzero(artifact)
+    if keys.size:
+        l1, l2 = divmod(int(keys[0]), artifact.k)
         return False, (l1, l2)
     return True, None
 
 
-def gram_nonzero_mask(artifact: CodeArtifact) -> np.ndarray:
-    """k x k boolean mask of the nonzero upper-triangle Gram entries.
+def gram_nonzero(artifact: CodeArtifact) -> np.ndarray:
+    """Ascending int64 keys l1*k + l2 of the nonzero Gram entries, l1 <= l2.
 
     Entry (l1, l2) is sum_j theta^(B_j + E_j*(l1 + q*l2)) with
     B_j = w_j + shift*(q+1)*E_j, plus the border term at (0, 0).  It is
-    read off the set's parts (``_parts_mask``).
+    read off the set's parts (``_parts_nonzero``).
     """
     f = artifact.field
     border = None  # the exponent of the border term
     if artifact.has_border and artifact.border_entry is not None:
         border = f.norm(artifact.border_entry)
-    return _parts_mask(f, artifact.k, artifact.shift, artifact.evalset.parts,
-                       border)
+    return _parts_nonzero(f, artifact.k, artifact.shift,
+                          artifact.evalset.parts, border)
 
 
-def _parts_mask(f: Field, k: int, shift: int,
-                parts: tuple[tuple[int, int, int], ...],
-                border: int | None) -> np.ndarray:
-    """The mask of ``gram_nonzero_mask`` from the parts: entry (l1, l2) is
+def _parts_nonzero(f: Field, k: int, shift: int,
+                   parts: tuple[tuple[int, int, int], ...],
+                   border: int | None) -> np.ndarray:
+    """The keys of ``gram_nonzero`` from the parts: entry (l1, l2) is
     sum_i theta^beta_i * (M_i mod p) * [M_i | c_i + t], with M_i = N/m_i,
     c_i = alpha_i + shift*(q+1) and t = l1 + q*l2, plus theta^border at
     (0, 0).  In row l2 the l1 <= l2 that part i hits are first, first +
     M_i, ..., with first = -(c_i + q*l2) mod M_i.  The hits are sorted by
-    entry, each adds M_i mod p times the coefficient vector of its
+    key, each adds M_i mod p times the coefficient vector of its
     theta^beta_i on the basis of ``_beta_basis``, and an entry is nonzero
     when its sum has a nonzero coefficient mod p."""
     N, q, p = f.N, f.q, f.p
@@ -178,14 +177,13 @@ def _parts_mask(f: Field, k: int, shift: int,
         which.append([len(parts)])
         terms.append(vectors[betas.index(border)])
     keys, which = np.concatenate(keys), np.concatenate(which)
-    mask = np.zeros((k, k), dtype=bool)
-    if len(keys):
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        starts = np.flatnonzero(np.diff(keys, prepend=-1))
-        sums = np.add.reduceat(np.array(terms)[which[order]], starts)
-        mask.flat[keys[starts[(sums % p).any(axis=1)]]] = True
-    return mask
+    if not len(keys):
+        return keys
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    sums = np.add.reduceat(np.array(terms)[which[order]], starts)
+    return keys[starts[(sums % p).any(axis=1)]]
 
 
 def _beta_basis(f: Field, betas: list[int]) -> np.ndarray:
@@ -209,53 +207,6 @@ def _beta_basis(f: Field, betas: list[int]) -> np.ndarray:
     out = np.zeros((len(betas), len(rs)), dtype=np.int64)
     for row, (j, r) in enumerate(split):
         out[row, rs.index(r)] = pow(c0, j, f.p)
-    return out
-
-
-def packed_sums(f: Field, idx: np.ndarray, starts,
-                zero: np.ndarray | None = None) -> np.ndarray:
-    """int32 packed sums of theta^idx over the runs of the last axis that
-    begin at ``starts`` (strictly increasing), for exponents below 2N.  The
-    terms that the boolean array ``zero`` marks, if given, are zero and add
-    nothing; their idx need only be a valid index.
-
-    For p = 2 a sum is the XOR of the int32 coefficient masks.  For odd p
-    the terms' rows of ``Field.digits`` are added as whole words, lane by
-    lane: a lane of at most 65535 // (p-1) digits cannot carry into the
-    next, so each lane is congruent mod p to the sum of one base-p digit.
-    Longer runs are added in sub-runs of that many terms, whose lanes are
-    reduced mod p and added again.  The lanes reduced mod p are the base-p
-    digits of the packed sum, lowest first."""
-    if f.p == 2:
-        vals = f.mask_ext.take(idx)
-        if zero is not None:
-            vals[zero] = 0
-        return np.bitwise_xor.reduceat(vals, starts, axis=-1)
-    p, words = f.p, f.digits
-    vals = words.take(idx, axis=0)
-    if zero is not None:
-        vals[zero] = 0
-    axis, cap, n = idx.ndim - 1, 65535 // (p - 1), idx.shape[-1]
-    starts = np.asarray(starts)
-    # only runs that span more than cap terms together can hold a long one
-    runs = (np.concatenate((starts[1:], [n])) - starts
-            if n - starts[0] > cap else None)
-    if runs is None or runs.max() <= cap:
-        lanes = np.add.reduceat(vals, starts, axis=axis,
-                                dtype=words.dtype).view(np.uint16)
-    else:
-        parts = -(-runs // cap)
-        first = np.cumsum(parts) - parts
-        subs = (np.repeat(starts - cap * first, parts)
-                + cap * np.arange(parts.sum()))
-        lanes = np.add.reduceat(
-            np.add.reduceat(vals, subs, axis=axis,
-                            dtype=words.dtype).view(np.uint16) % p,
-            first, axis=-2, dtype=np.int64)
-    digits = lanes % p
-    out = digits[..., -1].astype(np.int32)
-    for d in range(2 * f.h - 2, -1, -1):
-        out = out * p + digits[..., d]
     return out
 
 

@@ -24,12 +24,13 @@ The MDS property is certified by two independent routes that must agree:
                   nonzero coordinate is 1 are enumerated; the budget still
                   counts all q^(2k) messages.
 
-Both routes run on the field's exp/log tables, which exist only for fields
-of at most 2^22 elements (``CapacityExceeded`` otherwise); every artifact
-``build`` makes lies in such a field.  Both take a k x n matrix with
-1 <= k <= n and raise ``InvalidDims`` for any other shape, so neither can
-certify something that is not a code.  The tests check both routes against
-scalar Gaussian elimination and a codeword-by-codeword enumeration.
+Both routes add field elements with ``packed_sums`` on the field's exp/log
+tables, which exist only for fields of at most 2^22 elements
+(``CapacityExceeded`` otherwise); every artifact ``build`` makes lies in
+such a field.  Both take a k x n matrix with 1 <= k <= n and raise
+``InvalidDims`` for any other shape, so neither can certify something that
+is not a code.  The tests check both routes against scalar Gaussian
+elimination and a codeword-by-codeword enumeration.
 
 Budgets raise ``BudgetExceeded`` rather than silently skipping, so callers
 always know which route actually ran.
@@ -42,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import CodeArtifact, gram_zero, packed_sums
+from .codes import CodeArtifact, gram_zero
 from .errors import BudgetExceeded, CapacityExceeded, InvalidDims
 from .field import Field
 
@@ -109,6 +110,53 @@ def _log_array(field: Field, matrix) -> np.ndarray:
     field.tables
     return np.array([[-1 if e is None else e % field.N for e in row]
                      for row in rows], dtype=np.int32)
+
+
+def packed_sums(f: Field, idx: np.ndarray, starts,
+                zero: np.ndarray | None = None) -> np.ndarray:
+    """int32 packed sums of theta^idx over the runs of the last axis that
+    begin at ``starts`` (strictly increasing), for exponents below 2N.  The
+    terms that the boolean array ``zero`` marks, if given, are zero and add
+    nothing; their idx need only be a valid index.
+
+    For p = 2 a sum is the XOR of the int32 coefficient masks.  For odd p
+    the terms' rows of ``Field.digits`` are added as whole words, lane by
+    lane: a lane of at most 65535 // (p-1) digits cannot carry into the
+    next, so each lane is congruent mod p to the sum of one base-p digit.
+    Longer runs are added in sub-runs of that many terms, whose lanes are
+    reduced mod p and added again.  The lanes reduced mod p are the base-p
+    digits of the packed sum, lowest first."""
+    if f.p == 2:
+        vals = f.mask_ext.take(idx)
+        if zero is not None:
+            vals[zero] = 0
+        return np.bitwise_xor.reduceat(vals, starts, axis=-1)
+    p, words = f.p, f.digits
+    vals = words.take(idx, axis=0)
+    if zero is not None:
+        vals[zero] = 0
+    axis, cap, n = idx.ndim - 1, 65535 // (p - 1), idx.shape[-1]
+    starts = np.asarray(starts)
+    # only runs that span more than cap terms together can hold a long one
+    runs = (np.concatenate((starts[1:], [n])) - starts
+            if n - starts[0] > cap else None)
+    if runs is None or runs.max() <= cap:
+        lanes = np.add.reduceat(vals, starts, axis=axis,
+                                dtype=words.dtype).view(np.uint16)
+    else:
+        parts = -(-runs // cap)
+        first = np.cumsum(parts) - parts
+        subs = (np.repeat(starts - cap * first, parts)
+                + cap * np.arange(parts.sum()))
+        lanes = np.add.reduceat(
+            np.add.reduceat(vals, subs, axis=axis,
+                            dtype=words.dtype).view(np.uint16) % p,
+            first, axis=-2, dtype=np.int64)
+    digits = lanes % p
+    out = digits[..., -1].astype(np.int32)
+    for d in range(2 * f.h - 2, -1, -1):
+        out = out * p + digits[..., d]
+    return out
 
 
 def _dot(field: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -27,12 +27,13 @@ import math
 
 import numpy as np
 
-from qmds.codes import CodeArtifact, packed_sums
+from qmds.codes import CodeArtifact
 from qmds.errors import (BadDivisor, HypothesisViolated,
                          NotChar2, NotCoprime, WeightSumVanishes)
 from qmds.evalsets import EvalSet
 from qmds.field import Elt, Field
 from qmds.numtheory import factorize
+from qmds.verify import packed_sums
 
 
 def trim(a: tuple[int, ...]) -> tuple[int, ...]:

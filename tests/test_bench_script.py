@@ -324,3 +324,29 @@ def test_over_bound_reads_each_metrics_bound(tmp_path, capsys):
     line = next(x for x in capsys.readouterr().out.splitlines()
                 if "peak_rss_mb" in x)
     assert "wins 0/2  [over bound]" in line
+
+
+def test_unresolved_when_the_parents_spread_is_wider_than_the_bound(capsys):
+    # setup_s at a median of 1.0 with quartiles 0.85-1.25: a spread of 40 %
+    # of the median cannot resolve its 25 % bound
+    spread = [0.7, 0.8, 0.8, 1.0, 1.0, 1.0, 1.1, 1.3, 1.4, 1.5]
+    parent = [_run("gram-odd", s, "parent", 1.0) for s in range(10)]
+    for r, t in zip(parent, spread):
+        r["metrics"]["setup_s"] = t
+    assert bench.METRICS["setup_s"]["bound"] == 0.25
+    change = [_run("gram-odd", s, "change", 1.0) for s in range(10)]
+    for r, t in zip(change, spread[::-1]):
+        r["metrics"]["setup_s"] = t * 1.1
+    summary = bench._summary(parent, change)
+    assert summary["gram-odd"]["setup_s"]["mark"] == "unresolved"
+    assert "mark" not in summary["gram-odd"]["pass_s"]  # no spread
+    bench._print_summary(summary)
+    line = next(x for x in capsys.readouterr().out.splitlines()
+                if "setup_s" in x)
+    assert line.endswith("[unresolved]")
+    # over bound and gain still apply, however wide the spread
+    for t, mark in ((1.5, "over bound"), (0.1, "gain")):
+        for r in change:
+            r["metrics"]["setup_s"] = t
+        row = bench._summary(parent, change)["gram-odd"]
+        assert row["setup_s"]["mark"] == mark

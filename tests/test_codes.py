@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -20,10 +22,9 @@ from qmds.codes import (
     _beta_basis,
     eval_code,
     extend_c1,
-    gram_nonzero_mask,
+    gram_nonzero,
     gram_zero,
     matrix_to_strings,
-    packed_sums,
 )
 from qmds.constructions import ROUTES, max_dim_oracle, sweep
 from qmds.errors import (DimensionTooLarge, HypothesisViolated, UsageError,
@@ -32,6 +33,7 @@ from qmds.evalsets import (EvalSet, find_h_shift_exponent, subgroup_set,
                            weighted_union)
 from qmds.field import TABLE_LIMIT, Field, build_field, field_for_q, mulmod
 from qmds.oracle import first_violation
+from qmds.verify import packed_sums
 from qmds.numtheory import is_prime_power
 
 # (construction, q, params, max self-orthogonal k) for the Gram agreement pool
@@ -243,15 +245,17 @@ def test_char2_known_bad_witnesses(construction, q, params, k, witness):
 
 
 def scalar_nonzero_mask(art):
-    """The route's mask computed entry by entry from the materialized
-    matrix with scalar field arithmetic."""
+    """The k x k mask of the nonzero upper-triangle Gram entries, computed
+    entry by entry from the materialized matrix with scalar field
+    arithmetic."""
     g = gram_hermitian(art.field, art.matrix())
     return np.array([[l2 >= l1 and g[l1][l2] is not None
                       for l2 in range(art.k)] for l1 in range(art.k)])
 
 
 def check_route_mask(art):
-    assert np.array_equal(gram_nonzero_mask(art), scalar_nonzero_mask(art))
+    assert np.array_equal(gram_nonzero(art),
+                          np.flatnonzero(scalar_nonzero_mask(art)))
     assert gram_zero(art) == \
         gram_zero_scalar(art.field, art.matrix())
 
@@ -306,7 +310,7 @@ def test_char2_route_skips_zero_stage1_rows(k):
     ls = np.arange(k)
     live = (9 + ls[:, None] + 8 * ls) % 21 == 0
     assert not (live & ((ls[:, None] + ls) % 7 != 5)).any()
-    assert not (gram_nonzero_mask(art) & ~live).any()
+    assert live.flat[gram_nonzero(art)].all()
     assert np.array_equal(direct_mask(art), scalar_nonzero_mask(art))
 
 
@@ -495,10 +499,27 @@ def direct_mask(art):
 
 
 def check_parts_route(art):
-    """The parts route and the direct sum give the same mask, and so the
-    same first witness."""
-    assert np.array_equal(gram_nonzero_mask(art), direct_mask(art))
+    """The parts route gives the nonzero entries of the direct sum's mask,
+    and so the same first witness."""
+    assert np.array_equal(gram_nonzero(art), np.flatnonzero(direct_mask(art)))
     return gram_zero(art)
+
+
+@pytest.mark.parametrize("k,want", [(1108, (True, None)),
+                                    (1109, (False, (738, 1108)))])
+def test_gram_check_memory_is_below_a_quarter_of_k_squared(k, want):
+    # Table 7 row 4 (q = 1849, n = 1 139 600) at its certified k and at
+    # k + 1: the check holds its few nonzero entries, not a k x k array
+    art = raw_artifact("mixed_union", 1849, {"m1": 5, "m2": 6}, k)
+    assert art.n == 1139600
+    tracemalloc.start()
+    try:
+        got = gram_zero(art)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert peak < k * k / 4, peak
 
 
 def test_parts_route_equals_the_direct_sum_on_every_sweep_choice():
@@ -616,8 +637,8 @@ def test_beta_basis_decides_zero_like_the_polynomial_basis(data):
 
 def test_mixed_union_masks_on_the_class_basis(monkeypatch):
     # the class basis against the companion-matrix vectors, on every sweep
-    # choice of mixed_union at six q, at k and k + 1: the same masks, so the
-    # same first witness.  Each set has betas 0 and H = q + 1, two classes;
+    # choice of mixed_union at six q, at k and k + 1: the same nonzero
+    # entries, so the same first witness.  Each set has betas 0 and H = q + 1, two classes;
     # none of these q is prime, so H lies past 2h, where the vectors take
     # companion-matrix powers
     cases = []
@@ -627,11 +648,11 @@ def test_mixed_union_masks_on_the_class_basis(monkeypatch):
                 if k <= cert.n:
                     cases.append(raw_artifact("mixed_union", q, cert.params,
                                               k))
-    got = [(gram_nonzero_mask(art), gram_zero(art)) for art in cases]
+    got = [(gram_nonzero(art), gram_zero(art)) for art in cases]
     monkeypatch.setattr(codes, "_beta_basis",
                         lambda f, betas: f.power_vectors(betas))
-    for art, (mask, verdict) in zip(cases, got):
-        assert np.array_equal(gram_nonzero_mask(art), mask)
+    for art, (keys, verdict) in zip(cases, got):
+        assert np.array_equal(gram_nonzero(art), keys)
         assert gram_zero(art) == verdict
     assert len(cases) > 150
     assert all(art.evalset.parts[1][2] == art.field.q + 1 for art in cases)
